@@ -45,7 +45,8 @@ class Observation:
     """One solver run on one generated instance.
 
     A solver failure is recorded with tardiness -1 (and logTardiness 0)
-    rather than dropped, so row counts stay predictable.
+    rather than dropped, so row counts stay predictable; `anova_effects`
+    refuses such rows.
     """
 
     load: int
@@ -297,10 +298,16 @@ def anova_effects(observations, response: str = "logTardiness",
 
     Level effect = level mean - grand mean; each F statistic compares the
     term's mean square against the residual (which absorbs higher-order
-    interactions and replicate noise).
+    interactions and replicate noise).  Failed runs (tardiness < 0) are
+    refused: their logTardiness of 0 would score them as optimal.
     """
     if not observations:
         raise ValueError("no observations")
+    failed = sum(1 for o in observations if o.tardiness < 0)
+    if failed:
+        raise ValueError(
+            f"{failed} of {len(observations)} observations are failed runs "
+            "(tardiness < 0); rerun or drop them before the analysis")
     y = [float(o.value(response)) for o in observations]
     n = len(y)
     level_values = [[o.value(f) for o in observations] for f in factors]

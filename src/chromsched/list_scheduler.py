@@ -2,10 +2,18 @@
 pair, one commitment per loop chosen by a priority rule.
 
 Candidate earliest-start times are cached between loops and recomputed only
-where a commitment invalidates them (the committed machine's clock/family
-changed, or the committed family's column profile changed); the result is
-bit-identical to recomputing everything each loop, which `incremental=False`
-forces for cross-checking.
+where a commitment can change them.  Committing family f on machine m over
+[lo, hi) invalidates
+  * every pair on m, whose clock and last family changed, and
+  * the pairs of family f on other machines whose cached [start, completion)
+    overlaps [lo, hi).
+Every other cached entry stays exact: the commit only lowered f's column
+capacity on [lo, hi), and the other machines' clocks, families and search
+horizons did not change.  A start that was infeasible stays infeasible, and
+a cached interval clear of [lo, hi) stays feasible, so it is still the
+earliest; a pair with no slot in its horizon still has none.  The result is
+bit-identical to recomputing every open pair each loop (the full-recompute
+reference in the tests).
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ class LtaState:
     # per machine: schedulable op -> (start, completion, setup) or None
     # when no slot exists within the horizon this round
     candidates: list[dict[int, tuple[int, int, bool] | None]]
-    law_base: list[float]
     prof_times: list[list]
     prof_levels: list[list[int]]
     unscheduled: set[int]
@@ -51,15 +58,6 @@ class LtaState:
     def n_unscheduled(self) -> int:
         return len(self.unscheduled)
 
-    def law(self) -> dict[str, float]:
-        """Average potential load per machine: clock plus the summed
-        durations of schedulable operations, each diluted by its
-        eligibility count.  Diagnostic only; no policy consumes it."""
-        return {
-            self.ci.machine_ids[m]: self.clocks[m] + self.law_base[m]
-            for m in range(self.ci.n_machines)
-        }
-
 
 def init_state(instance: Instance, horizon_days: int = DEFAULT_SEARCH_DAYS) -> LtaState:
     ci = compile_instance(instance)
@@ -67,13 +65,10 @@ def init_state(instance: Instance, horizon_days: int = DEFAULT_SEARCH_DAYS) -> L
     ops = [by_id[op_id] for op_id in ci.op_ids]
     n_machines = ci.n_machines
     candidates: list[dict] = [{} for _ in range(n_machines)]
-    law_base = [0.0] * n_machines
     pending = set()
     for o in range(ci.n_ops):
-        share = ci.proc[o] / len(ci.eligible[o])
         for m in ci.eligible[o]:
             candidates[m][o] = None
-            law_base[m] += share
             pending.add((m, o))
     prof_times, prof_levels = ci.fresh_profiles()
     return LtaState(
@@ -82,7 +77,6 @@ def init_state(instance: Instance, horizon_days: int = DEFAULT_SEARCH_DAYS) -> L
         clocks=[ci.origin] * n_machines,
         last_family=[-1] * n_machines,
         candidates=candidates,
-        law_base=law_base,
         prof_times=prof_times,
         prof_levels=prof_levels,
         unscheduled=set(range(ci.n_ops)),
@@ -125,16 +119,9 @@ def _refresh(state: LtaState) -> None:
 def _make_candidate(state: LtaState, m: int, o: int,
                     entry: tuple[int, int, bool]) -> Candidate:
     ci = state.ci
-    return Candidate(
-        operation=state.ops[o],
-        machine=ci.machine_ids[m],
-        start=entry[0],
-        completion=entry[1],
-        setup_required=entry[2],
-        machine_clock=state.clocks[m],
-        due=ci.job_due[ci.job[o]],
-        release=ci.release[o],
-    )
+    return Candidate(state.ops[o], ci.machine_ids[m], entry[0], entry[1],
+                     entry[2], state.clocks[m], ci.job_due[ci.job[o]],
+                     ci.release[o])
 
 
 def candidate_times(state: LtaState) -> list[Candidate]:
@@ -218,10 +205,8 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
 
     state.clocks[m] = chosen.completion
     state.last_family[m] = f
-    share = ci.proc[o] / len(ci.eligible[o])
     for em in ci.eligible[o]:
         state.candidates[em].pop(o, None)
-        state.law_base[em] -= share
     state.unscheduled.discard(o)
     state.p_sum -= ci.proc[o]
     state.s_sum -= ci.setup[o]
@@ -229,10 +214,13 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     pending = state.pending
     for other in state.candidates[m]:
         pending.add((m, other))
+    lo, hi = chosen.start, chosen.completion
     for other in ci.family_ops[f]:
         if other in state.unscheduled:
             for em in ci.eligible[other]:
-                pending.add((em, other))
+                cached = state.candidates[em][other]
+                if cached is not None and cached[0] < hi and lo < cached[1]:
+                    pending.add((em, other))
 
     state.placements.append(PlacedOperation(
         operation_id=chosen.operation.id,
@@ -244,25 +232,15 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
 
 
 def run_lta(instance: Instance, params: RuleParams | None = None,
-            seed: int = 0, *, incremental: bool = True) -> Schedule:
+            seed: int = 0) -> Schedule:
     """Run the full greedy loop; exactly one commit per operation.
 
-    Deterministic for a given (instance, params, seed).  With
-    `incremental=False` every candidate is recomputed from scratch each
-    loop; the schedule is identical either way.
+    Deterministic for a given (instance, params, seed).
     """
     params = params or RuleParams()
     state = init_state(instance)
     rng = random.Random(seed)
-    n_ops = state.ci.n_ops
-    all_pairs = None
-    if not incremental:
-        all_pairs = [(m, o) for m in range(state.ci.n_machines)
-                     for o in state.candidates[m]]
-    for _ in range(n_ops):
-        if not incremental:
-            state.pending.update(
-                (m, o) for m, o in all_pairs if o in state.unscheduled)
+    for _ in range(state.ci.n_ops):
         _refresh(state)
         chosen = _select_pool(state, params, rng)
         commit_assignment(state, chosen)

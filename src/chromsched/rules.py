@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import Operation
 
@@ -70,15 +71,7 @@ class RuleParams:
         return rule
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A possible (operation, machine) assignment with its earliest timing.
-
-    `start` is the setup start when `setup_required`, else the processing
-    start; `machine_clock` is the machine's availability date when the
-    candidate was computed; `release` and `due` are the owning job's dates.
-    """
-
+class _CandidateFields(NamedTuple):
     operation: Operation
     machine: str
     start: int
@@ -88,10 +81,29 @@ class Candidate:
     due: int
     release: int = 0
 
-    def __post_init__(self):
-        if self.completion <= self.start:
+
+class Candidate(_CandidateFields):
+    """A possible (operation, machine) assignment with its earliest timing.
+
+    `start` is the setup start when `setup_required`, else the processing
+    start; `machine_clock` is the machine's availability date when the
+    candidate was computed; `release` and `due` are the owning job's dates.
+
+    An immutable named tuple: the list scheduler builds one for every pool
+    entry on every loop, and a tuple costs a fraction of a frozen dataclass
+    to build.  Like any tuple it compares equal to a tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, operation: Operation, machine: str, start: int,
+                completion: int, setup_required: bool, machine_clock: int,
+                due: int, release: int = 0):
+        if completion <= start:
             raise ValueError(
-                f"candidate {self.operation.id}@{self.machine}: empty interval")
+                f"candidate {operation.id}@{machine}: empty interval")
+        return tuple.__new__(cls, (operation, machine, start, completion,
+                                   setup_required, machine_clock, due, release))
 
 
 def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
@@ -102,21 +114,18 @@ def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
     return math.exp(-slack / (params.k1 * p_bar)) / c.operation.processing
 
 
-def atcs_priority(c: Candidate, p_bar: float, s_bar: float, params: RuleParams,
-                  *, positive_setup_exponent: bool = False) -> float:
+def atcs_priority(c: Candidate, p_bar: float, s_bar: float,
+                  params: RuleParams) -> float:
     """ATC with a setup penalty exp(-s/(k2*s_bar)) when a setup is required.
 
     A candidate that avoids the setup (same family as the machine's last
-    operation) pays nothing.  `positive_setup_exponent` flips the exponent
-    sign; it exists only to probe the alternative reading in tests and is
-    never used by the solver.
+    operation) pays nothing.
     """
     base = atc_priority(c, p_bar, params)
     s_eff = c.operation.setup if c.setup_required else 0
     if s_eff == 0 or s_bar <= 0:
         return base
-    exponent = s_eff / (params.k2 * s_bar)
-    return base * math.exp(exponent if positive_setup_exponent else -exponent)
+    return base * math.exp(-s_eff / (params.k2 * s_bar))
 
 
 def atcoee_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:

@@ -2,7 +2,10 @@
 
 Everything here scans minute by minute, enumerates exhaustively or reckons
 a bound from the instance alone; none of it shares code with the
-implementations under test.
+implementations under test.  The one exception is
+`run_lta_full_recompute`, which reuses the list scheduler's loop and
+differs from it only in recomputing every candidate each loop, so it checks
+the scheduler's cache invalidation and nothing else.
 """
 
 import math
@@ -12,7 +15,10 @@ from itertools import permutations
 from chromsched.annealing import Encoding
 from chromsched.availability import TimeWindowSet
 from chromsched.engine import compile_instance
+from chromsched.list_scheduler import (_refresh, _select_pool,
+                                       commit_assignment, init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation, Schedule
+from chromsched.rules import RuleParams
 
 
 def window_contains(windows, t) -> bool:
@@ -206,3 +212,21 @@ def lower_bound(instance: Instance) -> int | float:
         completion = max(earliest(op.id) for op in job.operations)
         total += max(0, completion - job.due)
     return total
+
+
+def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
+                           seed: int = 0) -> Schedule:
+    """`run_lta` with no cache invalidation: every open (machine, operation)
+    pair is marked pending, and so recomputed, before each selection."""
+    params = params or RuleParams()
+    state = init_state(instance)
+    rng = random.Random(seed)
+    all_pairs = [(m, o) for m in range(state.ci.n_machines)
+                 for o in state.candidates[m]]
+    for _ in range(state.ci.n_ops):
+        state.pending.update(
+            (m, o) for m, o in all_pairs if o in state.unscheduled)
+        _refresh(state)
+        commit_assignment(state, _select_pool(state, params, rng))
+    return Schedule(tuple(sorted(
+        state.placements, key=lambda p: (p.start, p.machine, p.operation_id))))

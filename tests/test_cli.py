@@ -133,6 +133,22 @@ class TestExperimentAndReport:
         assert "algorithm" in out
         assert text.exists() and csv_out.exists()
 
+    def test_report_refuses_failed_runs(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        code, _, _ = run(capsys, "experiment", "--cells", "16", "--seeds",
+                         "2", "--algorithms", "edd", "--loads", "10",
+                         "--unchecked", "--out", str(results))
+        assert code == 0
+        with open(results, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[1][6:8] = ["-1", "0.0"]  # tardiness, logTardiness
+        with open(results, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, out, err = run(capsys, "report", "--results", str(results))
+        assert code == 2
+        assert out == ""
+        assert "1 of 32 observations are failed runs" in err
+
     def test_partial_cells(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         code, out, _ = run(capsys, "experiment", "--cells", "3", "--seeds",

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -208,6 +209,13 @@ class TestAnova:
             rebuilt = (report.grand_mean + a_effects[key[0]]
                        + b_effects[key[1]] + inter[key])
             assert rebuilt == pytest.approx(mean, rel=1e-9)
+
+    def test_failed_runs_refused_with_a_count(self):
+        rows = synthetic_observations()
+        rows[3:5] = [replace(o, tardiness=-1, log_tardiness=0.0)
+                     for o in rows[3:5]]
+        with pytest.raises(ValueError, match="2 of 40 observations are failed"):
+            anova_effects(rows, factors=self.FACTORS)
 
     def test_unbalanced_design_rejected(self):
         rows = synthetic_observations()[1:]

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from chromsched.availability import TimeWindowSet
+from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.list_scheduler import (candidate_times, commit_assignment,
                                        init_state, run_lta)
@@ -10,7 +12,7 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import all_encodings
+from oracles import all_encodings, run_lta_full_recompute
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -78,27 +80,24 @@ class TestCommit:
         remaining = candidate_times(state)
         assert {c.operation.id for c in remaining} == {"j1.1"}
 
-    def test_law_matches_scratch_recomputation(self):
-        rng = random.Random(4)
-        inst = generate_instance(GenConfig(n_jobs=8, n_routings=4, seed=9,
-                                           unchecked=True))
+    def test_repends_exactly_the_overlapping_same_family_pairs(self):
+        # One fA unit.  After j0.1 books [40, 70) on m0, the fA candidates
+        # cached at [11, 41) and [69, 99) overlap it by one minute and must
+        # be recomputed; those at [10, 40) and [70, 100) only touch it.
+        machines = ("m0", "m1", "m2", "m3", "m4")
+        inst = tiny_instance([[("fA", 20, 10, (m,))] for m in machines],
+                             machines=machines, columns=(("fA", 1),))
         state = init_state(inst)
-        params = RuleParams()
-        for _ in range(inst.n_operations):
-            cands = candidate_times(state)
-            chosen = select_assignment(
-                cands, params, rng,
-                p_bar=state.p_sum / state.n_unscheduled,
-                s_bar=state.s_sum / state.n_unscheduled,
-                total_machines=state.ci.n_machines)
-            commit_assignment(state, chosen)
-            law = state.law()
-            ci = state.ci
-            for m, machine in enumerate(ci.machine_ids):
-                expected = state.clocks[m] + sum(
-                    ci.proc[o] / len(ci.eligible[o])
-                    for o in state.candidates[m])
-                assert law[machine] == pytest.approx(expected)
+        state.clocks[:] = [40, 11, 10, 69, 70]
+        cands = candidate_times(state)
+        assert [(c.start, c.completion) for c in cands] == [
+            (40, 70), (11, 41), (10, 40), (69, 99), (70, 100)]
+        commit_assignment(state, cands[0])
+        assert state.pending == {(1, 1), (3, 3)}
+        after = candidate_times(state)
+        assert [(c.start, c.completion) for c in after] == [
+            (70, 100), (10, 40), (70, 100), (70, 100)]
+        assert after[1] == cands[2] and after[3] == cands[4]
 
     def test_stale_candidate_rejected(self):
         inst = tiny_instance([[("fA", 20, 10, ("m0", "m1"))],
@@ -152,9 +151,29 @@ class TestRunLta:
                 n_jobs=9, n_routings=4, seed=seed, unchecked=True))
             for rule in (Rule.ATCOEE, Rule.ATCS, Rule.RANDOM):
                 params = RuleParams(rule=rule)
-                fast = run_lta(inst, params, seed=1, incremental=True)
-                slow = run_lta(inst, params, seed=1, incremental=False)
-                assert fast == slow
+                assert run_lta(inst, params, seed=1) == run_lta_full_recompute(
+                    inst, params, seed=1)
+
+    def test_invalidation_under_column_and_window_contention(self):
+        # One-unit columns make every same-family booking a conflict, and
+        # 30-minute operator windows every 4 hours make setups queue for a
+        # window, so a cached candidate that a commit overlaps is common.
+        windows = TimeWindowSet(tuple((k * 240, k * 240 + 30)
+                                      for k in range(-48, 600)))
+        tokens = ("atcoee", "atcoeef", "atcs", "atc", "edd", "random",
+                  "lfm_lfo")
+        for seed in range(3):
+            base = generate_instance(GenConfig(
+                n_jobs=16, n_routings=6, n_column_types=4, flex_mean=4,
+                seed=seed, unchecked=True))
+            inst = replace(base, operator_windows=windows,
+                           column_types=tuple(ColumnType(c.family, 1)
+                                              for c in base.column_types))
+            for token in tokens:
+                params = parse_algorithm(token).rule_params
+                fast = run_lta(inst, params, seed=seed)
+                assert fast == run_lta_full_recompute(inst, params, seed=seed)
+                assert validate_schedule(inst, fast) == []
 
     def test_monotone_clocks_and_exact_commit_count(self):
         inst = generate_instance(GenConfig(n_jobs=8, n_routings=3, seed=5,

@@ -65,12 +65,6 @@ class TestAtcs:
         large = atcs_priority(cand(s=20), 100.0, 50.0, params)
         assert large < small
 
-    def test_alternative_sign_switch_rewards_setups(self):
-        params = RuleParams()
-        flipped = atcs_priority(cand(s=20), 100.0, 50.0, params,
-                                positive_setup_exponent=True)
-        assert flipped > atc_priority(cand(s=20), 100.0, params)
-
 
 class TestAtcoee:
     def test_immediate_no_setup_start_is_fully_effective(self):
