@@ -4,15 +4,12 @@ of columns per family."""
 
 __version__ = "0.1.0"
 
-from .availability import (CapacityProfile, TimeWindowSet,
-                           earliest_start_with_setup,
-                           earliest_start_without_setup, weekly_windows)
-from .annealing import (Encoding, Mechanism, MECHANISMS, Pack, SaParams,
-                        SaResult, Structure, decode, encode_schedule,
-                        initial_temperature, packs_of, propose_neighbor,
-                        run_sa, select_first_item)
-from .errors import (CapacityError, IncompleteScheduleError,
-                     InstanceFormatError, NoSlotError, SchedulingError)
+from .availability import TimeWindowSet, weekly_windows
+from .annealing import (Encoding, Mechanism, MECHANISMS, SaParams, SaResult,
+                        Structure, decode, encode_schedule,
+                        initial_temperature, propose_neighbor, run_sa)
+from .errors import (IncompleteScheduleError, InstanceFormatError,
+                     NoSlotError, SchedulingError)
 from .experiments import (AlgorithmSpec, EffectReport, Observation,
                           anova_effects, effect_to_ratio, parse_algorithm,
                           run_experiment)

@@ -132,18 +132,6 @@ class Encoding:
         return dict(self.sequences)
 
 
-@dataclass(frozen=True)
-class Pack:
-    """A maximal run of same-family operations on one machine with no setup
-    or idle gap between consecutive members; may hold a single operation."""
-
-    machine: str
-    start_index: int
-    stop_index: int
-    family: str
-    operations: tuple[str, ...]
-
-
 class ProposalFailed(SchedulingError):
     """No admissible neighbor found within the resample limit."""
 
@@ -205,80 +193,15 @@ def encode_schedule(instance: Instance, schedule: Schedule) -> Encoding:
     return _encoding_from_seqs(ci, sequences_from_schedule(ci, schedule))
 
 
-def packs_of(instance: Instance, schedule: Schedule, machine: str) -> list[Pack]:
-    """Partition a machine's placements into maximal packs."""
-    ops = instance.operations_by_id
-    placements = sorted(
-        (p for p in schedule.placements if p.machine == machine),
-        key=lambda p: p.start)
-    packs: list[Pack] = []
-    i = 0
-    while i < len(placements):
-        k = i + 1
-        while (k < len(placements)
-               and not placements[k].setup_performed
-               and placements[k].start == placements[k - 1].completion):
-            k += 1
-        members = placements[i:k]
-        packs.append(Pack(
-            machine=machine,
-            start_index=i,
-            stop_index=k,
-            family=ops[members[0].operation_id].family,
-            operations=tuple(p.operation_id for p in members)))
-        i = k
-    return packs
-
-
-def item_selection_weights(instance: Instance, schedule: Schedule,
-                           kind: ItemKind):
-    """Selection weight of each op or pack: its share of total tardiness.
-
-    A job's tardiness is split over its late-finishing operations in
-    proportion to their own lateness, so weights over all ops sum to the
-    schedule's total tardiness and on-time items get weight zero.
-    """
-    by_op = schedule.by_operation
-    op_weight: dict[str, float] = {}
-    for job in instance.jobs:
-        comps = {op.id: by_op[op.id].completion for op in job.operations}
-        job_tardiness = max(comps.values()) - job.due
-        if job_tardiness <= 0:
-            for op in job.operations:
-                op_weight[op.id] = 0.0
-            continue
-        lateness = {oid: max(c - job.due, 0) for oid, c in comps.items()}
-        total = sum(lateness.values())
-        for oid, late in lateness.items():
-            op_weight[oid] = job_tardiness * late / total
-    if kind is ItemKind.OP:
-        return op_weight
-    pack_weight: dict[Pack, float] = {}
-    for machine in instance.machines:
-        for pack in packs_of(instance, schedule, machine):
-            pack_weight[pack] = sum(op_weight[oid] for oid in pack.operations)
-    return pack_weight
-
-
-def select_first_item(instance: Instance, schedule: Schedule, kind: ItemKind,
-                      rng: random.Random):
-    """Draw the item to move, weighted by tardiness share."""
-    weights = item_selection_weights(instance, schedule, kind)
-    total = sum(weights.values())
-    if total <= 0:
-        raise ValueError("total tardiness is zero: schedule is optimal")
-    items = sorted(weights, key=str)
-    cum = list(accumulate(weights[i] for i in items))
-    r = rng.random() * total
-    idx = bisect_right(cum, r)
-    return items[min(idx, len(items) - 1)]
-
-
 # ---------------------------------------------------------------------------
 # Internal solution state and proposal machinery.
 
 
 class _PackInfo:
+    """A pack: a maximal run seq[lo:hi] of same-family operations on one
+    machine with no setup or idle gap between consecutive members (a single
+    operation is a pack too).  `weight` sums its members' tardiness shares."""
+
     __slots__ = ("machine", "lo", "hi", "family", "start", "ready", "mask",
                  "machines", "weight", "index")
 
@@ -326,6 +249,8 @@ class _Solution:
         self._pack_total = 0.0
 
     def pack_data(self, ci: CompiledInstance):
+        """Packs per machine, all packs in machine order, and the cumulative
+        pack weights with their total; computed on first use."""
         if self._packs is None:
             op_w = self.op_cum
             packs: list[list[_PackInfo]] = []
@@ -369,6 +294,12 @@ def _cum_at(cum: list[float], i: int) -> float:
 
 
 def _op_weights(ci: CompiledInstance, comps) -> list[float]:
+    """Selection weight of each operation: its share of total tardiness.
+
+    A job's tardiness is split over its late-finishing operations in
+    proportion to their own lateness, so the weights sum to the schedule's
+    total tardiness and on-time operations get weight zero.
+    """
     weights = [0.0] * ci.n_ops
     job_due = ci.job_due
     for j, ops in enumerate(ci.job_ops):
@@ -393,6 +324,7 @@ def _op_weights(ci: CompiledInstance, comps) -> list[float]:
 
 
 def _draw_index(cum: list[float], total: float, rng: random.Random) -> int:
+    """Index drawn with probability proportional to its weight in `cum`."""
     idx = bisect_right(cum, rng.random() * total)
     return min(idx, len(cum) - 1)
 

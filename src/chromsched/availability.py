@@ -13,15 +13,18 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import CapacityError, NoSlotError
+from .errors import NoSlotError
 
 MINUTES_PER_DAY = 1440
-MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
 
 #: Default search span for earliest-start queries, in days past t_min.
 DEFAULT_SEARCH_DAYS = 366
+
+#: Longest horizon `weekly_windows` expands, in days.  Generated instances
+#: span under 80 days; ten years of daily windows is a few thousand intervals.
+MAX_WEEKLY_SPAN_DAYS = 3660
 
 #: Day 0 of the plan is a Monday.
 WEEKDAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
@@ -58,10 +61,6 @@ class TimeWindowSet:
         object.__setattr__(self, "windows", _normalize_windows(self.windows))
 
     @classmethod
-    def empty(cls) -> "TimeWindowSet":
-        return cls(())
-
-    @classmethod
     def always(cls, start: int | float = _NEG_INF) -> "TimeWindowSet":
         """Windows covering [start, +inf)."""
         return cls(((start, math.inf),))
@@ -74,140 +73,30 @@ class TimeWindowSet:
     def _ends(self) -> list:
         return [w[1] for w in self.windows]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.windows
-
     def __iter__(self):
         return iter(self.windows)
-
-    def __len__(self) -> int:
-        return len(self.windows)
 
     def contains(self, t) -> bool:
         i = bisect_right(self._starts, t) - 1
         return i >= 0 and t < self._ends[i]
 
-    def next_point(self, t):
-        """Smallest point >= t inside the set, or None if none exists."""
-        i = bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self._ends[i]:
-            return t
-        if i + 1 < len(self.windows):
-            return self._starts[i + 1]
-        return None
-
-    def intersect(self, other: "TimeWindowSet") -> "TimeWindowSet":
-        """Exact set intersection."""
-        out = []
-        i = j = 0
-        a, b = self.windows, other.windows
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return TimeWindowSet(tuple(out))
-
-
-def _normalize_steps(capacity, times, levels):
-    """Drop breakpoints that do not change the level."""
-    out_t, out_l = [], []
-    prev = capacity
-    for t, l in zip(times, levels):
-        if l != prev:
-            out_t.append(t)
-            out_l.append(l)
-            prev = l
-    return tuple(out_t), tuple(out_l)
-
-
-@dataclass(frozen=True)
-class CapacityProfile:
-    """Free-unit count of one column type over time.
-
-    The level is `capacity` before the first breakpoint and `levels[i]` on
-    [times[i], times[i+1]).  `reserve` and `release` return new profiles;
-    callers that need to restore prior state keep the old value.
-    """
-
-    capacity: int
-    times: tuple[int, ...] = ()
-    levels: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if len(self.times) != len(self.levels):
-            raise ValueError("times and levels length mismatch")
-        if any(self.times[i] >= self.times[i + 1] for i in range(len(self.times) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        t, l = _normalize_steps(self.capacity, self.times, self.levels)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "levels", l)
-
-    def _arrays(self) -> tuple[list, list[int]]:
-        return [_NEG_INF, *self.times], [self.capacity, *self.levels]
-
-    def level_at(self, t: int) -> int:
-        i = bisect_right(self.times, t) - 1
-        return self.capacity if i < 0 else self.levels[i]
-
-    def min_level(self, start: int, end: int) -> tuple[int, int]:
-        """Minimum level over [start, end) and the first instant attaining it."""
-        if start >= end:
-            raise ValueError("empty interval")
-        times, levels = self._arrays()
-        i = bisect_right(times, start) - 1
-        best, at = levels[i], start
-        j = i
-        while j + 1 < len(times) and times[j + 1] < end:
-            j += 1
-            if levels[j] < best:
-                best, at = levels[j], times[j]
-        return best, at
-
-    def reserve(self, start: int, end: int) -> "CapacityProfile":
-        """One unit booked over [start, end); fails if none is free throughout."""
-        level, at = self.min_level(start, end)
-        if level < 1:
-            raise CapacityError(at, level)
-        times, levels = self._arrays()
-        reserve_step(times, levels, start, end)
-        return CapacityProfile(self.capacity, tuple(times[1:]), tuple(levels[1:]))
-
-    def release(self, start: int, end: int) -> "CapacityProfile":
-        """Exact inverse of `reserve`; trusts the caller (see `first_breach`)."""
-        if start >= end:
-            raise ValueError("empty interval")
-        times, levels = self._arrays()
-        release_step(times, levels, start, end)
-        return CapacityProfile(self.capacity, tuple(times[1:]), tuple(levels[1:]))
-
-    def first_breach(self):
-        """First (time, level) with level < 0 or > capacity, else None.
-
-        An over-released profile shows up here rather than at release time.
-        """
-        for t, l in zip(self.times, self.levels):
-            if l < 0 or l > self.capacity:
-                return (t, l)
-        return None
-
-    def earliest_available(self, t_min: int, duration: int, horizon=None) -> int:
-        """Smallest t >= t_min with a free unit over all of [t, t+duration)."""
-        times, levels = self._arrays()
-        return find_earliest(None, None, times, levels, t_min, duration, horizon)
-
 
 # ---------------------------------------------------------------------------
-# Low-level step-function kernels.  These operate on list pairs whose first
-# entry is a -inf sentinel carrying the base level; the solver engine runs
-# them directly on its own mutable arrays.
+# Step-function kernels over a column profile: a (times, levels) list pair
+# whose first entry is a -inf sentinel carrying the full capacity, and whose
+# level on [times[i], times[i+1]) is levels[i].  The solvers run them
+# directly on their own mutable arrays.
+
+
+def min_level(times: list, levels: list[int], start: int, end: int) -> int:
+    """Lowest level over [start, end)."""
+    i = bisect_right(times, start) - 1
+    lowest = levels[i]
+    while i + 1 < len(times) and times[i + 1] < end:
+        i += 1
+        if levels[i] < lowest:
+            lowest = levels[i]
+    return lowest
 
 
 def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
@@ -226,24 +115,6 @@ def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
         levels.insert(j, levels[j - 1])
     for k in range(i, j):
         levels[k] -= 1
-
-
-def release_step(times: list, levels: list[int], start: int, end: int) -> None:
-    """Increment the level by one over [start, end), in place."""
-    i = bisect_right(times, start) - 1
-    if times[i] < start:
-        i += 1
-        times.insert(i, start)
-        levels.insert(i, levels[i - 1])
-    j = i
-    n = len(times)
-    while j < n and times[j] < end:
-        j += 1
-    if j == n or times[j] > end:
-        times.insert(j, end)
-        levels.insert(j, levels[j - 1])
-    for k in range(i, j):
-        levels[k] += 1
 
 
 def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
@@ -300,46 +171,21 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
 
 
 # ---------------------------------------------------------------------------
-# Public earliest-start queries.
-
-
-def earliest_start_with_setup(t_min: int, setup: int, processing: int,
-                              operator_windows: TimeWindowSet,
-                              column: CapacityProfile, horizon=None) -> int:
-    """Earliest start of a setup-then-process placement.
-
-    The setup must start inside an operator window; the column must have a
-    free unit over the full [t, t+setup+processing) occupation.
-    """
-    if setup < 0 or processing <= 0:
-        raise ValueError("need setup >= 0 and processing > 0")
-    if operator_windows.is_empty:
-        raise NoSlotError(t_min, t_min, "operator windows empty")
-    times, levels = column._arrays()
-    return find_earliest(operator_windows._starts, operator_windows._ends,
-                         times, levels, t_min, setup + processing, horizon)
-
-
-def earliest_start_without_setup(t_min: int, processing: int,
-                                 column: CapacityProfile, horizon=None) -> int:
-    """Earliest start when no setup is needed (runs unattended)."""
-    if processing <= 0:
-        raise ValueError("processing must be positive")
-    return column.earliest_available(t_min, processing, horizon)
-
-
-# ---------------------------------------------------------------------------
 # Weekly recurring windows.
 
 
-def _parse_minute_of_day(value) -> int:
+def _parse_minute_of_day(name: str, value) -> int:
     if isinstance(value, int):
         minute = value
     else:
         hh, _, mm = str(value).partition(":")
-        minute = int(hh) * 60 + int(mm or 0)
+        try:
+            minute = int(hh) * 60 + int(mm or 0)
+        except ValueError:
+            raise ValueError(
+                f"{name} {value!r} is not HH:MM or a minute count") from None
     if not 0 <= minute <= MINUTES_PER_DAY:
-        raise ValueError(f"minute of day out of range: {value!r}")
+        raise ValueError(f"{name} {value!r} is outside 00:00-24:00")
     return minute
 
 
@@ -352,7 +198,7 @@ def _parse_weekday(value) -> int:
             raise ValueError(f"unknown weekday {value!r}")
         day = WEEKDAY_NAMES.index(name)
     if not 0 <= day <= 6:
-        raise ValueError(f"weekday out of range: {value!r}")
+        raise ValueError(f"weekday {value!r} is outside 0-6")
     return day
 
 
@@ -361,12 +207,17 @@ def weekly_windows(days: Iterable, start, end, horizon_start: int,
     """Expand a weekly pattern (e.g. MON-FRI 08:00-18:00) over a horizon.
 
     Day 0 of the plan is a Monday; any daily window overlapping
-    [horizon_start, horizon_end) is included whole.
+    [horizon_start, horizon_end) is included whole.  Horizons longer than
+    MAX_WEEKLY_SPAN_DAYS are refused with ValueError.
     """
-    daily_start = _parse_minute_of_day(start)
-    daily_end = _parse_minute_of_day(end)
+    span_days = (horizon_end - horizon_start) // MINUTES_PER_DAY
+    if span_days > MAX_WEEKLY_SPAN_DAYS:
+        raise ValueError(f"span of {span_days} days is over "
+                         f"MAX_WEEKLY_SPAN_DAYS = {MAX_WEEKLY_SPAN_DAYS}")
+    daily_start = _parse_minute_of_day("start", start)
+    daily_end = _parse_minute_of_day("end", end)
     if daily_end <= daily_start:
-        raise ValueError("daily end must be after daily start")
+        raise ValueError("end must be after start")
     weekdays = {_parse_weekday(d) for d in days}
     first_day = horizon_start // MINUTES_PER_DAY - 1
     last_day = -(-horizon_end // MINUTES_PER_DAY) + 1

@@ -9,11 +9,9 @@ documented lexicographic tie-breaks.  Column profiles live in mutable
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .availability import find_earliest, reserve_step
-from .errors import NoSlotError
 from .model import Instance, PlacedOperation, Schedule
 
 _NEG_INF = float("-inf")

@@ -17,17 +17,6 @@ class NoSlotError(SchedulingError):
         super().__init__(msg)
 
 
-class CapacityError(SchedulingError):
-    """A reservation would drive a column profile below zero free units."""
-
-    def __init__(self, instant: int, level: int, msg: str = ""):
-        self.instant = instant
-        self.level = level
-        super().__init__(
-            msg or f"insufficient capacity at minute {instant} (level {level})"
-        )
-
-
 class IncompleteScheduleError(SchedulingError):
     """A schedule is missing a placement required by the computation."""
 

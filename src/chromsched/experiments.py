@@ -20,7 +20,7 @@ from pathlib import Path
 from scipy.stats import f as f_distribution
 
 from .annealing import SaParams, Structure, run_sa
-from .generator import GenConfig, generate_instance
+from .generator import generate_instance
 from .list_scheduler import run_lta
 from .model import total_tardiness
 from .rules import MachinePolicy, Rule, RuleParams

@@ -3,7 +3,8 @@
 Instances: {machines, column_types, operator_windows, jobs, horizon_origin}.
 Operator windows are either an explicit [[start, end], ...] list or the
 compact weekly form {"weekly": {"days": [...], "start": "08:00",
-"end": "18:00"}, "from": a, "until": b}.
+"end": "18:00"}, "from": a, "until": b}, where until - from spans at most
+`availability.MAX_WEEKLY_SPAN_DAYS` days.
 Schedules: [{operation, machine, setup, start, completion}, ...].
 """
 
@@ -36,13 +37,16 @@ def _need(obj, key, kind, where):
 def _windows_from_json(raw, where) -> TimeWindowSet:
     if isinstance(raw, dict):
         weekly = _need(raw, "weekly", dict, where)
-        return weekly_windows(
-            _need(weekly, "days", list, f"{where}.weekly"),
-            weekly.get("start", "08:00"),
-            weekly.get("end", "18:00"),
-            _need(raw, "from", int, where),
-            _need(raw, "until", int, where),
-        )
+        try:
+            return weekly_windows(
+                _need(weekly, "days", list, f"{where}.weekly"),
+                weekly.get("start", "08:00"),
+                weekly.get("end", "18:00"),
+                _need(raw, "from", int, where),
+                _need(raw, "until", int, where),
+            )
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}: {exc}") from exc
     if not isinstance(raw, list):
         raise InstanceFormatError(f"{where}: expected list or weekly object")
     windows = []
@@ -66,9 +70,12 @@ def instance_from_dict(doc: dict) -> Instance:
     column_types = []
     for i, raw in enumerate(_need(doc, "column_types", list, "instance")):
         where = f"instance.column_types[{i}]"
-        column_types.append(ColumnType(
-            family=_need(raw, "family", str, where),
-            units=_need(raw, "units", int, where)))
+        try:
+            column_types.append(ColumnType(
+                family=_need(raw, "family", str, where),
+                units=_need(raw, "units", int, where)))
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}.units: {exc}") from exc
     windows = _windows_from_json(doc.get("operator_windows", []),
                                  "instance.operator_windows")
     jobs = []

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import logging
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .availability import find_earliest, reserve_step, MINUTES_PER_DAY, DEFAULT_SEARCH_DAYS
-from .engine import CompiledInstance, compile_instance, schedule_from_arrays
+from .availability import (DEFAULT_SEARCH_DAYS, MINUTES_PER_DAY, find_earliest,
+                           min_level, reserve_step)
+from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, Operation, PlacedOperation, Schedule
 from .rules import Candidate, RuleParams, select_assignment
@@ -172,32 +172,24 @@ def _select_pool(state: LtaState, params: RuleParams,
         total_machines=ci.n_machines)
 
 
-def _min_level(times: list, levels: list[int], start: int, end: int) -> int:
-    i = bisect_right(times, start) - 1
-    lowest = levels[i]
-    while i + 1 < len(times) and times[i + 1] < end:
-        i += 1
-        if levels[i] < lowest:
-            lowest = levels[i]
-    return lowest
-
-
 def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     """Commit one selected candidate: book the column, advance the machine
     clock and family, drop the operation everywhere and refresh statistics.
-    Mutates and returns `state`."""
+    A candidate whose pair was invalidated by an earlier commit is stale and
+    refused.  Mutates and returns `state`."""
     ci = state.ci
     m = ci.machine_index[chosen.machine]
     o = ci.op_index[chosen.operation.id]
     entry = state.candidates[m].get(o)
-    if entry is None or entry != (chosen.start, chosen.completion,
-                                  chosen.setup_required):
+    if ((m, o) in state.pending or entry is None
+            or entry != (chosen.start, chosen.completion,
+                         chosen.setup_required)):
         raise SchedulingError(
             f"stale candidate {chosen.operation.id}@{chosen.machine}; "
             "commit what candidate_times returned for this state")
     f = ci.family[o]
     times, levels = state.prof_times[f], state.prof_levels[f]
-    if _min_level(times, levels, chosen.start, chosen.completion) < 1:
+    if min_level(times, levels, chosen.start, chosen.completion) < 1:
         raise SchedulingError(
             f"internal inconsistency: column {ci.family_ids[f]} "
             f"overbooked for {chosen.operation.id}")

@@ -14,11 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from chromsched.annealing import SaParams, Structure, decode
-from chromsched.availability import CapacityProfile, TimeWindowSet
+from chromsched.availability import (TimeWindowSet, find_earliest,
+                                     min_level, reserve_step)
 from chromsched.annealing import initial_temperature
-from chromsched.errors import CapacityError, NoSlotError
-from chromsched.availability import (earliest_start_with_setup,
-                                     earliest_start_without_setup)
+from chromsched.errors import NoSlotError
 from chromsched.experiments import effect_to_ratio, log_tardiness, Observation, \
     anova_effects, parse_algorithm
 from chromsched.generator import GenConfig, generate_design, generate_instance
@@ -100,6 +99,8 @@ def test_criterion_1_feasibility_suite():
 
 # ---------------------------------------------------------------------------
 # Criterion 2: earliest-start computations match a minute-scan oracle.
+# The column profiles are (times, levels) arrays booked the way
+# `commit_assignment` books a column, redundant breakpoints included.
 
 
 def _placement_oracle_batch(args):
@@ -108,15 +109,14 @@ def _placement_oracle_batch(args):
     mismatches = []
     for k in range(count):
         capacity = rng.randint(1, 3)
-        profile = CapacityProfile(capacity)
+        times, levels = [-math.inf], [capacity]
         bookings = []
         for _ in range(rng.randint(0, 8)):
             a = rng.randint(0, 25 * DAY)
             b = a + rng.randint(30, 3 * DAY)
-            try:
-                profile = profile.reserve(a, b)
-            except CapacityError:
+            if min_level(times, levels, a, b) < 1:
                 continue
+            reserve_step(times, levels, a, b)
             bookings.append((a, b))
         windows = []
         cursor = rng.randint(0, DAY)
@@ -130,17 +130,17 @@ def _placement_oracle_batch(args):
         processing = rng.randint(1, DAY)
         with_setup = rng.random() < 0.5
         limit = 30 * DAY
-        expected = scan_earliest(
-            t_min, (setup + processing) if with_setup else processing,
-            windows, capacity, bookings, limit, with_setup)
+        duration = (setup + processing) if with_setup else processing
+        expected = scan_earliest(t_min, duration, windows, capacity, bookings,
+                                 limit, with_setup)
         try:
             if with_setup:
-                got = earliest_start_with_setup(
-                    t_min, setup, processing, window_set, profile,
-                    horizon=limit)
+                got = find_earliest([a for a, _ in window_set],
+                                    [b for _, b in window_set],
+                                    times, levels, t_min, duration, limit)
             else:
-                got = earliest_start_without_setup(
-                    t_min, processing, profile, horizon=limit)
+                got = find_earliest(None, None, times, levels, t_min,
+                                    duration, limit)
         except NoSlotError:
             got = None
         if got != expected:

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from chromsched.annealing import (DateChoice, Encoding, ItemKind,
-                                  MachineChoice, MECHANISMS, Mechanism,
-                                  MoveType, Pack, ProposalFailed, SaParams,
-                                  Structure, STRUCTURE_MECHANISMS, decode,
-                                  encode_schedule, initial_temperature,
-                                  item_selection_weights, packs_of,
-                                  propose_neighbor, run_sa, select_first_item)
+                                  MachineChoice, MECHANISMS, MoveType,
+                                  ProposalFailed, SaParams, Structure,
+                                  STRUCTURE_MECHANISMS, _draw_index,
+                                  _op_weights, _seqs_from_encoding, _Solution,
+                                  decode, encode_schedule,
+                                  initial_temperature, propose_neighbor, run_sa)
 from chromsched.availability import TimeWindowSet
+from chromsched.engine import compile_instance, place_sequences
 from chromsched.errors import NoSlotError
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.list_scheduler import run_lta
@@ -34,6 +35,18 @@ def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
                     column_types=tuple(ColumnType(f, u) for f, u in columns),
                     operator_windows=windows or TimeWindowSet.always(),
                     jobs=tuple(jobs))
+
+
+def solution(inst, mapping):
+    """The annealer's solution state for an encoding, decoded as `run_sa`
+    decodes it."""
+    ci = compile_instance(inst)
+    seqs = _seqs_from_encoding(ci, Encoding.from_dict(mapping))
+    return ci, _Solution(ci, seqs, *place_sequences(ci, seqs))
+
+
+def pack_ops(ci, sol, pack):
+    return tuple(ci.op_ids[o] for o in sol.seqs[pack.machine][pack.lo:pack.hi])
 
 
 class TestMechanismTable:
@@ -150,11 +163,11 @@ class TestPacks:
             ("j1", 0, 10_000, [("fA", 30, 10, ("m0",))]),
             ("j2", 0, 10_000, [("fB", 15, 10, ("m0",))]),
         ])
-        schedule = decode(
-            Encoding.from_dict({"m0": ("j0.1", "j1.1", "j2.1")}), inst)
-        packs = packs_of(inst, schedule, "m0")
-        assert [p.operations for p in packs] == [("j0.1", "j1.1"), ("j2.1",)]
-        assert [p.family for p in packs] == ["fA", "fB"]
+        ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
+        packs = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        assert [pack_ops(ci, sol, p) for p in packs] == [
+            ("j0.1", "j1.1"), ("j2.1",)]
+        assert [ci.family_ids[p.family] for p in packs] == ["fA", "fB"]
 
     def test_idle_gap_splits_packs(self):
         # second op not released until after the first completes: forced gap
@@ -162,16 +175,16 @@ class TestPacks:
             ("j0", 0, 10_000, [("fA", 20, 10, ("m0",))]),
             ("j1", 500, 10_000, [("fA", 30, 10, ("m0",))]),
         ])
-        schedule = decode(Encoding.from_dict({"m0": ("j0.1", "j1.1")}), inst)
-        packs = packs_of(inst, schedule, "m0")
-        assert [p.operations for p in packs] == [("j0.1",), ("j1.1",)]
+        ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
+        packs = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        assert [pack_ops(ci, sol, p) for p in packs] == [("j0.1",), ("j1.1",)]
 
     def test_single_op_is_a_pack(self):
         inst = tiny_instance([("j0", 0, 10_000, [("fA", 20, 10, ("m0",))])])
-        schedule = decode(Encoding.from_dict({"m0": ("j0.1",)}), inst)
-        (pack,) = packs_of(inst, schedule, "m0")
-        assert pack.operations == ("j0.1",)
-        assert (pack.start_index, pack.stop_index) == (0, 1)
+        ci, sol = solution(inst, {"m0": ("j0.1",)})
+        (pack,) = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        assert pack_ops(ci, sol, pack) == ("j0.1",)
+        assert (pack.lo, pack.hi) == (0, 1)
 
 
 class TestItemSelection:
@@ -182,48 +195,50 @@ class TestItemSelection:
             ("j1", 0, 10, [("fB", 40, 0, ("m1",))]),
             ("j2", 0, 40, [("fA", 100, 0, ("m2",))]),
         ], machines=("m0", "m1", "m2"), columns=(("fA", 2), ("fB", 1)))
-        enc = Encoding.from_dict({"m0": ("j0.1",), "m1": ("j1.1",),
-                                  "m2": ("j2.1",)})
-        return inst, decode(enc, inst)
+        return solution(inst, {"m0": ("j0.1",), "m1": ("j1.1",),
+                               "m2": ("j2.1",)})
 
     def test_weights_are_tardiness_shares(self):
-        inst, schedule = self.make_three_late_jobs()
-        weights = item_selection_weights(inst, schedule, ItemKind.OP)
+        ci, sol = self.make_three_late_jobs()
+        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
         assert weights == {"j0.1": 10.0, "j1.1": 30.0, "j2.1": 60.0}
         total = sum(weights.values())
         assert [weights[k] / total for k in ("j0.1", "j1.1", "j2.1")] == [
             pytest.approx(0.1), pytest.approx(0.3), pytest.approx(0.6)]
+        assert sol.op_total == total == sol.tardiness
 
     def test_pack_weights_sum_member_shares(self):
-        inst, schedule = self.make_three_late_jobs()
-        weights = item_selection_weights(inst, schedule, ItemKind.PACK)
-        by_ops = {p.operations: w for p, w in weights.items()}
+        ci, sol = self.make_three_late_jobs()
+        _, flat, _, total = sol.pack_data(ci)
+        by_ops = {pack_ops(ci, sol, p): p.weight for p in flat}
         assert by_ops == {("j0.1",): 10.0, ("j1.1",): 30.0, ("j2.1",): 60.0}
+        assert total == 100.0
 
     def test_zero_tardiness_items_never_selected(self):
         inst = tiny_instance([
             ("j0", 0, 100_000, [("fA", 30, 0, ("m0",))]),  # on time
             ("j1", 0, 10, [("fB", 40, 0, ("m1",))]),        # late
         ], machines=("m0", "m1"))
-        schedule = decode(Encoding.from_dict(
-            {"m0": ("j0.1",), "m1": ("j1.1",)}), inst)
+        ci, sol = solution(inst, {"m0": ("j0.1",), "m1": ("j1.1",)})
         rng = random.Random(0)
         for _ in range(50):
-            assert select_first_item(inst, schedule, ItemKind.OP, rng) == "j1.1"
+            o = _draw_index(sol.op_cum, sol.op_total, rng)
+            assert ci.op_ids[o] == "j1.1"
 
     def test_zero_total_signals_optimum(self):
         inst = tiny_instance([("j0", 0, 100_000, [("fA", 30, 0, ("m0",))])])
-        schedule = decode(Encoding.from_dict({"m0": ("j0.1",)}), inst)
+        enc = Encoding.from_dict({"m0": ("j0.1",)})
         with pytest.raises(ValueError, match="optimal"):
-            select_first_item(inst, schedule, ItemKind.OP, random.Random(0))
+            propose_neighbor(inst, enc, MECHANISMS[0], random.Random(0))
 
     def test_multi_op_job_attribution_sums_to_job_tardiness(self):
         inst = tiny_instance([
             ("j0", 0, 50, [("fA", 30, 0, ("m0",)), ("fB", 80, 0, ("m1",))]),
         ], machines=("m0", "m1"))
-        schedule = decode(Encoding.from_dict(
-            {"m0": ("j0.1",), "m1": ("j0.2",)}), inst)
-        weights = item_selection_weights(inst, schedule, ItemKind.OP)
+        mapping = {"m0": ("j0.1",), "m1": ("j0.2",)}
+        ci, sol = solution(inst, mapping)
+        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
+        schedule = decode(Encoding.from_dict(mapping), inst)
         assert sum(weights.values()) == pytest.approx(
             total_tardiness(schedule, inst))
         # the op finishing on time contributes nothing

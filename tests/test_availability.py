@@ -2,20 +2,38 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from chromsched.availability import (CapacityProfile, TimeWindowSet,
-                                     earliest_start_with_setup,
-                                     earliest_start_without_setup,
-                                     weekly_windows, WORKDAYS)
-from chromsched.errors import CapacityError, NoSlotError
+from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS, TimeWindowSet,
+                                     WORKDAYS, find_earliest, min_level,
+                                     reserve_step, weekly_windows)
+from chromsched.errors import NoSlotError
 
-from oracles import scan_earliest
+from oracles import profile_level_at, scan_earliest
 
 
 def tws(*pairs):
     return TimeWindowSet(tuple(pairs))
+
+
+def window_arrays(window_set):
+    """Window start and end arrays, as `compile_instance` builds them."""
+    return [a for a, _ in window_set], [b for _, b in window_set]
+
+
+def profile(capacity, *bookings):
+    """A column profile as the solvers keep it, each booking checked and
+    made the way `commit_assignment` books a column."""
+    times, levels = [-math.inf], [capacity]
+    for a, b in bookings:
+        assert min_level(times, levels, a, b) >= 1
+        reserve_step(times, levels, a, b)
+    return times, levels
+
+
+def level_at(times, levels, t):
+    return min_level(times, levels, t, t + 1)
 
 
 class TestTimeWindowSet:
@@ -27,147 +45,118 @@ class TestTimeWindowSet:
         with pytest.raises(ValueError):
             tws((10, 5))
 
-    def test_intersect_idempotent(self):
-        a = tws((0, 10), (20, 40))
-        assert a.intersect(a) == a
-
-    def test_intersect_overlap(self):
-        assert tws((0, 10)).intersect(tws((5, 20))) == tws((5, 10))
-
-    def test_intersect_halfopen_adjacency(self):
-        assert tws((0, 10)).intersect(tws((10, 20))).is_empty
-
-    def test_intersect_unbounded(self):
-        assert TimeWindowSet.always(0).intersect(tws((5, 9))) == tws((5, 9))
-
     def test_contains_and_next_point(self):
         s = tws((10, 20), (30, 40))
         assert not s.contains(9)
         assert s.contains(10)
         assert not s.contains(20)
-        assert s.next_point(0) == 10
-        assert s.next_point(15) == 15
-        assert s.next_point(25) == 30
-        assert s.next_point(40) is None
-
-
-windows_strategy = st.lists(
-    st.tuples(st.integers(0, 200), st.integers(1, 60)).map(
-        lambda ab: (ab[0], ab[0] + ab[1])),
-    max_size=6).map(lambda ws: TimeWindowSet(tuple(ws)))
-
-
-class TestIntersectLaws:
-    @given(windows_strategy, windows_strategy)
-    def test_commutative(self, a, b):
-        assert a.intersect(b) == b.intersect(a)
-
-    @given(windows_strategy, windows_strategy, windows_strategy)
-    def test_associative(self, a, b, c):
-        assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
-
-    @given(windows_strategy)
-    def test_empty_absorbing(self, a):
-        assert a.intersect(TimeWindowSet.empty()).is_empty
-
-    @given(windows_strategy, windows_strategy)
-    def test_membership_matches_pointwise(self, a, b):
-        both = a.intersect(b)
-        for t in range(0, 261):
-            assert both.contains(t) == (a.contains(t) and b.contains(t))
+        # the next point inside the set is find_earliest's window step
+        free = profile(1)
+        starts, ends = window_arrays(s)
+        assert find_earliest(starts, ends, *free, 0, 1) == 10
+        assert find_earliest(starts, ends, *free, 15, 1) == 15
+        assert find_earliest(starts, ends, *free, 25, 1) == 30
+        with pytest.raises(NoSlotError):
+            find_earliest(starts, ends, *free, 40, 1)
 
 
 class TestCapacityProfile:
-    def test_reserve_books_one_unit(self):
-        p = CapacityProfile(1).reserve(0, 10)
-        assert p.level_at(-1) == 1
-        assert p.level_at(0) == 0
-        assert p.level_at(9) == 0
-        assert p.level_at(10) == 1
+    """Column profiles as (times, levels) arrays: booked with `reserve_step`
+    and checked with `min_level`, as `commit_assignment` does."""
 
-    def test_reserve_release_inverse(self):
-        p = CapacityProfile(2)
-        assert p.reserve(5, 25).release(5, 25) == p
+    def test_reserve_books_one_unit(self):
+        times, levels = profile(1, (0, 10))
+        assert level_at(times, levels, -1) == 1
+        assert level_at(times, levels, 0) == 0
+        assert level_at(times, levels, 9) == 0
+        assert level_at(times, levels, 10) == 1
 
     def test_two_reservations_exhaust_two_units(self):
-        p = CapacityProfile(2).reserve(0, 10).reserve(0, 10)
-        assert p.level_at(5) == 0
-        with pytest.raises(CapacityError):
-            p.reserve(5, 6)
+        times, levels = profile(2, (0, 10), (0, 10))
+        assert level_at(times, levels, 5) == 0
+        assert min_level(times, levels, 5, 6) < 1
 
     def test_reserve_rejects_when_booked(self):
-        p = CapacityProfile(1).reserve(0, 10)
-        with pytest.raises(CapacityError) as err:
-            p.reserve(5, 15)
-        assert err.value.instant == 5
+        times, levels = profile(1, (0, 10))
+        assert min_level(times, levels, 5, 15) == 0
+        assert min_level(times, levels, 5, 6) == 0
+        assert min_level(times, levels, 10, 15) == 1
 
-    def test_over_release_flagged_by_breach_check(self):
-        p = CapacityProfile(1).release(3, 7)
-        assert p.level_at(4) == 2
-        assert p.first_breach() == (3, 2)
-        assert CapacityProfile(1).reserve(3, 7).first_breach() is None
+    def test_adjacent_bookings_keep_a_flat_breakpoint(self):
+        # the solvers never merge breakpoints: minute 10 stays one even
+        # though the level does not change there
+        times, levels = profile(1, (0, 10), (10, 20))
+        assert (times[1:], levels) == ([0, 10, 20], [1, 0, 0, 1])
+        assert min_level(times, levels, 5, 15) == 0
+        assert find_earliest(None, None, times, levels, 0, 5) == 20
+        times, levels = profile(2, (0, 10), (10, 20))
+        assert find_earliest(None, None, times, levels, 0, 30) == 0
+        reserve_step(times, levels, 5, 15)
+        assert levels == [2, 1, 0, 0, 1, 2]
+        assert find_earliest(None, None, times, levels, 0, 10) == 15
 
     @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
                     min_size=1, max_size=8),
            st.integers(1, 3))
-    def test_nested_reserve_release_restores(self, raw, capacity):
-        # reserve in order, release in reverse: counting oracle says identity
-        intervals = [(a, a + d) for a, d in raw]
-        p = CapacityProfile(capacity)
-        stack = []
-        for a, b in intervals:
-            try:
-                p = p.reserve(a, b)
-            except CapacityError:
+    def test_nested_reserves_match_counting_oracle(self, raw, capacity):
+        # book in order where a unit is free throughout: the levels, every
+        # interval minimum and every earliest start match a count of the
+        # booked intervals
+        times, levels = [-math.inf], [capacity]
+        booked = []
+        for a, d in raw:
+            if min_level(times, levels, a, a + d) < 1:
                 continue
-            stack.append((a, b))
-        booked = list(stack)
-        for t in range(0, 115):
-            expected = capacity - sum(1 for a, b in booked if a <= t < b)
-            assert p.level_at(t) == expected
-        for a, b in reversed(stack):
-            p = p.release(a, b)
-        assert p == CapacityProfile(capacity)
+            reserve_step(times, levels, a, a + d)
+            booked.append((a, a + d))
+        assert times == sorted(set(times))
+        counted = [profile_level_at(capacity, booked, t) for t in range(0, 115)]
+        assert [level_at(times, levels, t) for t in range(0, 115)] == counted
+        for a, d in raw:
+            assert min_level(times, levels, a, a + d) == min(counted[a:a + d])
+            # adjacent bookings leave breakpoints that do not change the
+            # level; the earliest-start query must see through them
+            assert find_earliest(None, None, times, levels, a, d) == \
+                scan_earliest(a, d, [], capacity, booked, 200, False)
 
 
 class TestEarliestStart:
     def test_unconstrained(self):
-        assert earliest_start_with_setup(
-            0, 10, 20, TimeWindowSet.always(0), CapacityProfile(1)) == 0
+        starts, ends = window_arrays(TimeWindowSet.always(0))
+        assert find_earliest(starts, ends, *profile(1), 0, 10 + 20) == 0
 
     def test_next_day_window(self):
         # daily 08:00-18:00 windows; too late today -> tomorrow 08:00
         days = tws(*[(480 + d * 1440, 1080 + d * 1440) for d in range(7)])
-        assert earliest_start_with_setup(
-            1100, 60, 60, days, CapacityProfile(1)) == 1920
+        starts, ends = window_arrays(days)
+        assert find_earliest(starts, ends, *profile(1), 1100, 60 + 60) == 1920
 
     def test_waits_for_column(self):
-        col = CapacityProfile(1).reserve(0, 100)
-        assert earliest_start_with_setup(
-            0, 10, 20, TimeWindowSet.always(0), col) == 100
+        starts, ends = window_arrays(TimeWindowSet.always(0))
+        col = profile(1, (0, 100))
+        assert find_earliest(starts, ends, *col, 0, 10 + 20) == 100
 
     def test_without_setup_unconstrained(self):
-        assert earliest_start_without_setup(50, 30, CapacityProfile(1)) == 50
+        assert find_earliest(None, None, *profile(1), 50, 30) == 50
 
     def test_without_setup_waits_for_column(self):
-        col = CapacityProfile(1).reserve(40, 90)
-        assert earliest_start_without_setup(50, 30, col) == 90
+        col = profile(1, (40, 90))
+        assert find_earliest(None, None, *col, 50, 30) == 90
 
     def test_one_of_two_units_suffices(self):
-        col = CapacityProfile(2).reserve(60, 70)
-        assert earliest_start_without_setup(50, 30, col) == 50
+        col = profile(2, (60, 70))
+        assert find_earliest(None, None, *col, 50, 30) == 50
 
     def test_start_only_needs_window(self):
         # setup must start in a window; the work may run past its end
-        win = tws((0, 5))
-        assert earliest_start_with_setup(0, 60, 60, win, CapacityProfile(1)) == 0
+        starts, ends = window_arrays(tws((0, 5)))
+        assert find_earliest(starts, ends, *profile(1), 0, 60 + 60) == 0
 
     def test_no_slot_carries_horizon(self):
-        col = CapacityProfile(1)
-        win = tws((0, 10))
-        booked = col.reserve(0, 2000)
+        starts, ends = window_arrays(tws((0, 10)))
+        booked = profile(1, (0, 2000))
         with pytest.raises(NoSlotError) as err:
-            earliest_start_with_setup(0, 10, 10, win, booked, horizon=1000)
+            find_earliest(starts, ends, *booked, 0, 10 + 10, 1000)
         assert err.value.horizon == 1000
 
     def test_matches_minute_scan_randomized(self):
@@ -175,14 +164,13 @@ class TestEarliestStart:
         for trial in range(300):
             capacity = rng.randint(1, 3)
             bookings = []
-            profile = CapacityProfile(capacity)
+            times, levels = [-math.inf], [capacity]
             for _ in range(rng.randint(0, 5)):
                 a = rng.randint(0, 400)
                 b = a + rng.randint(1, 120)
-                try:
-                    profile = profile.reserve(a, b)
-                except CapacityError:
+                if min_level(times, levels, a, b) < 1:
                     continue
+                reserve_step(times, levels, a, b)
                 bookings.append((a, b))
             windows = []
             cursor = rng.randint(0, 50)
@@ -190,7 +178,7 @@ class TestEarliestStart:
                 width = rng.randint(5, 90)
                 windows.append((cursor, cursor + width))
                 cursor += width + rng.randint(1, 60)
-            window_set = TimeWindowSet(tuple(windows))
+            starts, ends = window_arrays(TimeWindowSet(tuple(windows)))
             t_min = rng.randint(0, 300)
             setup = rng.randint(0, 30)
             processing = rng.randint(1, 60)
@@ -198,9 +186,8 @@ class TestEarliestStart:
             expected = scan_earliest(t_min, setup + processing,
                                      windows, capacity, bookings, limit, True)
             try:
-                got = earliest_start_with_setup(
-                    t_min, setup, processing, window_set, profile,
-                    horizon=limit)
+                got = find_earliest(starts, ends, times, levels, t_min,
+                                    setup + processing, limit)
             except NoSlotError:
                 got = None
             assert got == expected, (trial, t_min, setup, processing,
@@ -208,14 +195,14 @@ class TestEarliestStart:
 
     def test_minimality_property(self):
         # returned start is feasible and every earlier minute is not
-        col = CapacityProfile(2).reserve(10, 50).reserve(30, 90)
+        times, levels = profile(2, (10, 50), (30, 90))
         win = tws((0, 20), (40, 200))
-        t = earliest_start_with_setup(5, 5, 25, win, col)
+        t = find_earliest(*window_arrays(win), times, levels, 5, 5 + 25)
         assert win.contains(t)
-        assert col.min_level(t, t + 30)[0] >= 1
+        assert min_level(times, levels, t, t + 30) >= 1
         for earlier in range(5, t):
             feasible = (win.contains(earlier)
-                        and col.min_level(earlier, earlier + 30)[0] >= 1)
+                        and min_level(times, levels, earlier, earlier + 30) >= 1)
             assert not feasible
 
 
@@ -237,3 +224,9 @@ class TestWeeklyWindows:
         a = weekly_windows(("MON",), 480, 1080, 0, 1440)
         b = weekly_windows((0,), "08:00", "18:00", 0, 1440)
         assert a == b
+
+    def test_span_over_the_limit_refused(self):
+        span = MAX_WEEKLY_SPAN_DAYS * 1440
+        assert weekly_windows(("MON",), "08:00", "18:00", 0, span).contains(480)
+        with pytest.raises(ValueError, match="MAX_WEEKLY_SPAN_DAYS"):
+            weekly_windows(("MON",), "08:00", "18:00", 0, span + 1440)

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -107,6 +108,19 @@ class TestUsageErrors:
                            str(tmp_path / "s.json"))
         assert code == 2
         assert "jobs" in err
+
+    def test_huge_weekly_span_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "machines": ["m0"], "column_types": [{"family": "fA", "units": 1}],
+            "operator_windows": {"weekly": {"days": ["MON"]},
+                                 "from": 0, "until": 10**12},
+            "jobs": []}))
+        code, _, err = run(capsys, "solve", "--instance", str(bad), "--out",
+                           str(tmp_path / "s.json"))
+        assert code == 2
+        assert "instance.operator_windows" in err
+        assert "MAX_WEEKLY_SPAN_DAYS" in err
 
 
 class TestExperimentAndReport:

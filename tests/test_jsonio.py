@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromsched.errors import InstanceFormatError
 from chromsched.generator import GenConfig, generate_instance
@@ -8,6 +10,7 @@ from chromsched.jsonio import (instance_from_dict, instance_to_dict,
                                read_instance, read_schedule, schedule_from_list,
                                schedule_to_list, write_instance, write_schedule)
 from chromsched.list_scheduler import run_lta
+from chromsched.model import Instance
 
 
 @pytest.fixture
@@ -95,6 +98,26 @@ def test_semantic_errors_wrapped():
     }
     with pytest.raises(InstanceFormatError, match="column type"):
         instance_from_dict(doc)
+    doc["column_types"] = [{"family": "fA", "units": 0}]
+    with pytest.raises(InstanceFormatError,
+                       match=r"column_types\[0\].units: .*units must be >= 1"):
+        instance_from_dict(doc)
+    doc["column_types"] = [{"family": "fA", "units": 1}]
+    for weekly, until, match in (
+            ({"days": ["XYZ"]}, 1440, "unknown weekday 'XYZ'"),
+            ({"days": [7]}, 1440, "weekday 7 is outside 0-6"),
+            ({"days": ["MON"], "start": "25:00"}, 1440,
+             "start '25:00' is outside 00:00-24:00"),
+            ({"days": ["MON"], "end": "ab"}, 1440,
+             "end 'ab' is not HH:MM or a minute count"),
+            ({"days": ["MON"], "start": "18:00", "end": "08:00"}, 1440,
+             "end must be after start"),
+            ({"days": ["MON"]}, 10**12, "MAX_WEEKLY_SPAN_DAYS"),
+            ({"days": ["MON"]}, 10**8, "MAX_WEEKLY_SPAN_DAYS")):
+        doc["operator_windows"] = {"weekly": weekly, "from": 0, "until": until}
+        with pytest.raises(InstanceFormatError,
+                           match=f"instance.operator_windows: .*{match}"):
+            instance_from_dict(doc)
 
 
 def test_unbounded_windows_not_serializable(instance):
@@ -109,3 +132,60 @@ def test_schedule_setup_must_be_boolean():
     with pytest.raises(InstanceFormatError, match=r"schedule\[0\].setup"):
         schedule_from_list([{"operation": "a", "machine": "m", "setup": 1,
                              "start": 0, "completion": 5}])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def maybe(strategy):
+    """The well-formed value, or one time in eight any JSON value."""
+    return st.integers(0, 7).flatmap(
+        lambda k: json_values if k == 7 else strategy)
+
+
+machine_ids = st.sampled_from(["m0", "m1", ""])
+families = st.sampled_from(["fA", "fB"])
+operation_docs = st.fixed_dictionaries({
+    "id": maybe(st.sampled_from(["j0.1", "j0.2", "j1.1"])),
+    "family": maybe(families), "p": maybe(st.integers(-5, 500)),
+    "s": maybe(st.integers(-5, 500)),
+    "eligible": maybe(st.lists(machine_ids, max_size=2))})
+job_docs = st.fixed_dictionaries({
+    "id": maybe(st.sampled_from(["j0", "j1"])),
+    "release": maybe(st.integers(-10**6, 10**6)),
+    "due": maybe(st.integers(-10**6, 10**6)),
+    "operations": maybe(st.lists(operation_docs, min_size=1, max_size=2))})
+day_values = st.sampled_from(["MON", "fri", "Sunday", "XYZ", 0, 6, 7, -1])
+time_values = st.sampled_from(["08:00", "18:00", "24:00", "25:00", "ab", "8",
+                               "08:xx", 0, 1440, 1441, -1])
+weekly_docs = st.fixed_dictionaries(
+    {"weekly": maybe(st.fixed_dictionaries(
+        {"days": maybe(st.lists(day_values, max_size=7))},
+        optional={"start": maybe(time_values), "end": maybe(time_values)})),
+     "from": maybe(st.integers(-10**6, 10**6)),
+     "until": maybe(st.integers(-10**6, 10**6) | st.integers(-10**13, 10**13))})
+window_lists = st.lists(maybe(st.lists(st.integers(-10**6, 10**6), max_size=3)),
+                        max_size=4)
+instance_docs = st.fixed_dictionaries(
+    {"machines": maybe(st.lists(machine_ids, min_size=1, max_size=2,
+                                unique=True)),
+     "column_types": maybe(st.lists(st.fixed_dictionaries(
+         {"family": maybe(families), "units": maybe(st.sampled_from([1, 2, 0]))}),
+         min_size=1, max_size=2, unique_by=lambda c: repr(c["family"]))),
+     "jobs": maybe(st.lists(job_docs, max_size=2))},
+    optional={"operator_windows": maybe(weekly_docs | window_lists),
+              "horizon_origin": maybe(st.integers(-10**6, 10**6))})
+
+
+@settings(max_examples=300)
+@given(maybe(instance_docs))
+def test_fuzzed_documents_load_or_fail_cleanly(doc):
+    try:
+        loaded = instance_from_dict(doc)
+    except InstanceFormatError:
+        return
+    assert isinstance(loaded, Instance)

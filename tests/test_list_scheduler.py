@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from chromsched.availability import TimeWindowSet
+from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.list_scheduler import (candidate_times, commit_assignment,
@@ -108,6 +109,17 @@ class TestCommit:
         commit_assignment(state, chosen)
         with pytest.raises(Exception, match="stale|candidate"):
             commit_assignment(state, chosen)
+        # two candidates of one list on the same machine: the first commit
+        # moves m0's clock, so the second's cached timing is stale
+        inst = tiny_instance([[("fA", 20, 10, ("m0",))],
+                              [("fB", 30, 5, ("m0",))]], machines=("m0",))
+        state = init_state(inst)
+        first, second = candidate_times(state)
+        assert (first.start, second.start) == (0, 0)
+        commit_assignment(state, first)
+        with pytest.raises(SchedulingError, match="stale"):
+            commit_assignment(state, second)
+        assert len(state.placements) == 1
 
 
 class TestRunLta:
