@@ -5,9 +5,8 @@ of columns per family."""
 __version__ = "0.1.0"
 
 from .availability import TimeWindowSet, weekly_windows
-from .annealing import (Encoding, Mechanism, MECHANISMS, SaParams, SaResult,
-                        Structure, decode, encode_schedule,
-                        initial_temperature, propose_neighbor, run_sa)
+from .annealing import (Mechanism, MECHANISMS, SaParams, SaResult, Structure,
+                        initial_temperature, run_sa)
 from .errors import (IncompleteScheduleError, InstanceFormatError,
                      NoSlotError, SchedulingError)
 from .experiments import (AlgorithmSpec, EffectReport, Observation,

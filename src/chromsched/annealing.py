@@ -1,7 +1,7 @@
 """Simulated annealing over per-machine operation sequences.
 
-A solution is an encoding: one ordered operation sequence per machine.
-Decoding re-times an encoding by forward placement under all constraints.
+A solution is one ordered sequence of operation indices per machine;
+`engine.place_sequences` decodes it by forward placement under all constraints.
 Neighbors move either single operations or packs (maximal same-family runs
 with no setup or idle gap inside) by insertion or exchange; the first moved
 item is drawn with probability proportional to its share of the total
@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .engine import (CompiledInstance, compile_instance, place_sequences,
                      schedule_from_arrays, sequences_from_schedule)
-from .errors import NoSlotError, SchedulingError
+from .errors import NoSlotError
 from .model import Instance, Schedule, total_tardiness
 
 
@@ -82,6 +82,9 @@ STRUCTURE_MECHANISMS: dict[Structure, tuple[int, ...]] = {
     Structure.OP_PA: (1, 2, 3, 4, 5, 6, 7),
 }
 
+#: Draws of a first item a proposal makes before it counts as failed.
+_RESAMPLE_LIMIT = 50
+
 
 @dataclass(frozen=True)
 class SaParams:
@@ -91,7 +94,6 @@ class SaParams:
     `plateau_acceptances` accepted ones; the run stops after `dead_levels`
     consecutive levels without any acceptance, at `max_iterations` total
     (descent included; None = unlimited), or at zero tardiness.
-    `mechanism_ids` overrides the structure's mechanism set.
     """
 
     structure: Structure = Structure.OP_PA
@@ -102,38 +104,12 @@ class SaParams:
     initial_accept_prob: float = 0.8
     max_iterations: int | None = 15000
     dead_levels: int = 3
-    resample_limit: int = 50
-    mechanism_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
         if not 0.0 < self.initial_accept_prob < 1.0:
             raise ValueError("initial_accept_prob must be in (0, 1)")
-
-    def mechanisms(self) -> tuple[Mechanism, ...]:
-        ids = self.mechanism_ids or STRUCTURE_MECHANISMS[self.structure]
-        return tuple(MECHANISMS[i] for i in ids)
-
-
-@dataclass(frozen=True)
-class Encoding:
-    """Per-machine processing sequences; machines without operations may be
-    omitted.  Every operation appears exactly once, on an eligible machine."""
-
-    sequences: tuple[tuple[str, tuple[str, ...]], ...]
-
-    @classmethod
-    def from_dict(cls, mapping) -> "Encoding":
-        return cls(tuple(sorted(
-            (machine, tuple(ops)) for machine, ops in mapping.items())))
-
-    def as_dict(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.sequences)
-
-
-class ProposalFailed(SchedulingError):
-    """No admissible neighbor found within the resample limit."""
 
 
 def initial_temperature(mean_delta: float, accept_prob: float = 0.8) -> float:
@@ -144,53 +120,6 @@ def initial_temperature(mean_delta: float, accept_prob: float = 0.8) -> float:
     if not 0.0 < accept_prob < 1.0:
         raise ValueError("accept_prob must be in (0, 1)")
     return mean_delta / -math.log(accept_prob)
-
-
-# ---------------------------------------------------------------------------
-# Decoding and public helpers.
-
-
-def _seqs_from_encoding(ci: CompiledInstance, encoding: Encoding) -> list[list[int]]:
-    seqs: list[list[int]] = [[] for _ in ci.machine_ids]
-    seen: set[int] = set()
-    for machine, ops in encoding.sequences:
-        m = ci.machine_index.get(machine)
-        if m is None:
-            raise ValueError(f"encoding references unknown machine {machine}")
-        for op_id in ops:
-            o = ci.op_index.get(op_id)
-            if o is None:
-                raise ValueError(f"encoding references unknown operation {op_id}")
-            if o in seen:
-                raise ValueError(f"operation {op_id} appears twice in encoding")
-            if not ci.eligible_mask[o] & (1 << m):
-                raise ValueError(f"operation {op_id} not eligible on {machine}")
-            seen.add(o)
-            seqs[m].append(o)
-    if len(seen) != ci.n_ops:
-        raise ValueError("encoding does not cover every operation")
-    return seqs
-
-
-def _encoding_from_seqs(ci: CompiledInstance, seqs: list[list[int]]) -> Encoding:
-    return Encoding(tuple(
-        (ci.machine_ids[m], tuple(ci.op_ids[o] for o in seq))
-        for m, seq in enumerate(seqs)))
-
-
-def decode(encoding: Encoding, instance: Instance) -> Schedule:
-    """Deterministic forward placement of an encoding; always feasible or
-    raises NoSlotError (callers treat that as a rejected move)."""
-    ci = compile_instance(instance)
-    seqs = _seqs_from_encoding(ci, encoding)
-    _, starts, comps, setups = place_sequences(ci, seqs)
-    return schedule_from_arrays(ci, seqs, starts, comps, setups)
-
-
-def encode_schedule(instance: Instance, schedule: Schedule) -> Encoding:
-    """The encoding induced by a schedule's per-machine start order."""
-    ci = compile_instance(instance)
-    return _encoding_from_seqs(ci, sequences_from_schedule(ci, schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +406,14 @@ def _attempt_pack(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
 
 def _propose(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
              rng: random.Random, resample_limit: int):
+    """New per-machine sequences one `mech` move away from `sol`, or None
+    when `resample_limit` draws find no admissible second item."""
     attempt = _attempt_op if mech.item is ItemKind.OP else _attempt_pack
     for _ in range(resample_limit):
         new_seqs = attempt(ci, sol, mech, rng)
         if new_seqs is not None:
             return new_seqs
     return None
-
-
-def propose_neighbor(instance: Instance, encoding: Encoding,
-                     mechanism: Mechanism, rng: random.Random,
-                     resample_limit: int = 50) -> Encoding:
-    """One neighbor of `encoding` under `mechanism`.
-
-    Raises ProposalFailed when no admissible move is found within the
-    resample limit, and ValueError at zero tardiness (nothing to improve).
-    """
-    ci = compile_instance(instance)
-    seqs = _seqs_from_encoding(ci, encoding)
-    tardiness, starts, comps, setups = place_sequences(ci, seqs)
-    if tardiness <= 0:
-        raise ValueError("total tardiness is zero: schedule is optimal")
-    sol = _Solution(ci, seqs, tardiness, starts, comps, setups)
-    new_seqs = _propose(ci, sol, mechanism, rng, resample_limit)
-    if new_seqs is None:
-        raise ProposalFailed(
-            f"mechanism {mechanism.id}: no admissible second item")
-    return _encoding_from_seqs(ci, new_seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +453,7 @@ def run_sa(instance: Instance, initial: Schedule,
     params = params or SaParams()
     ci = compile_instance(instance)
     rng = random.Random(seed)
-    mechs = params.mechanisms()
+    mechs = [MECHANISMS[i] for i in STRUCTURE_MECHANISMS[params.structure]]
     n_mechs = len(mechs)
 
     initial_tardiness = total_tardiness(initial, instance)
@@ -589,7 +499,7 @@ def run_sa(instance: Instance, initial: Schedule,
             return result("optimum", 0.0)
         iteration += 1
         mech = mechs[rng.randrange(n_mechs)]
-        new_seqs = _propose(ci, current, mech, rng, params.resample_limit)
+        new_seqs = _propose(ci, current, mech, rng, _RESAMPLE_LIMIT)
         if new_seqs is None:
             proposal_failures += 1
         else:
@@ -629,7 +539,7 @@ def run_sa(instance: Instance, initial: Schedule,
         iteration += 1
         level_iterations += 1
         mech = mechs[rng.randrange(n_mechs)]
-        new_seqs = _propose(ci, current, mech, rng, params.resample_limit)
+        new_seqs = _propose(ci, current, mech, rng, _RESAMPLE_LIMIT)
         if new_seqs is None:
             proposal_failures += 1
         else:

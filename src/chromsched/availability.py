@@ -175,21 +175,29 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
 
 
 def _parse_minute_of_day(name: str, value) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not HH:MM or a minute count")
     if isinstance(value, int):
         minute = value
     else:
         hh, _, mm = str(value).partition(":")
         try:
-            minute = int(hh) * 60 + int(mm or 0)
+            hour, minute = int(hh), int(mm or 0)
         except ValueError:
             raise ValueError(
                 f"{name} {value!r} is not HH:MM or a minute count") from None
+        if not 0 <= minute <= 59:
+            raise ValueError(f"{name} {value!r} has minutes outside 00-59")
+        # an hour outside 0-24, or 24 with minutes, lands outside the day
+        minute += hour * 60
     if not 0 <= minute <= MINUTES_PER_DAY:
         raise ValueError(f"{name} {value!r} is outside 00:00-24:00")
     return minute
 
 
 def _parse_weekday(value) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"unknown weekday {value!r}")
     if isinstance(value, int):
         day = value
     else:

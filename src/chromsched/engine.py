@@ -124,15 +124,14 @@ def compile_instance(instance: Instance) -> CompiledInstance:
     )
 
 
-def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
-                    horizon_days: int | None = None):
+def place_sequences(ci: CompiledInstance, seqs: list[list[int]]):
     """Forward-place fixed per-machine sequences at their earliest starts.
 
     Machines take turns by smallest clock (ties by machine index); each
     front operation is placed at its earliest feasible start and its column
     occupation booked before the next turn.  Returns (total tardiness,
     starts, completions, setup flags); raises NoSlotError when a placement
-    cannot fit within the search horizon.
+    cannot fit within `find_earliest`'s search horizon.
     """
     n_ops = ci.n_ops
     starts = [0] * n_ops
@@ -169,13 +168,9 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         times, levels = prof_times[f], prof_levels[f]
         if needs_setup:
             t = find_earliest(win_starts, win_ends, times, levels,
-                              t_min, duration,
-                              None if horizon_days is None
-                              else t_min + horizon_days * 1440)
+                              t_min, duration)
         else:
-            t = find_earliest(None, None, times, levels, t_min, duration,
-                              None if horizon_days is None
-                              else t_min + horizon_days * 1440)
+            t = find_earliest(None, None, times, levels, t_min, duration)
         c = t + duration
         reserve_step(times, levels, t, c)
         starts[o] = t

@@ -22,8 +22,8 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .availability import (DEFAULT_SEARCH_DAYS, MINUTES_PER_DAY, find_earliest,
-                           min_level, reserve_step)
+from .availability import (DEFAULT_SEARCH_DAYS, find_earliest, min_level,
+                           reserve_step)
 from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, Operation, PlacedOperation, Schedule
@@ -52,14 +52,13 @@ class LtaState:
     s_sum: int
     pending: set[tuple[int, int]]
     placements: list[PlacedOperation] = field(default_factory=list)
-    horizon_days: int = DEFAULT_SEARCH_DAYS
 
     @property
     def n_unscheduled(self) -> int:
         return len(self.unscheduled)
 
 
-def init_state(instance: Instance, horizon_days: int = DEFAULT_SEARCH_DAYS) -> LtaState:
+def init_state(instance: Instance) -> LtaState:
     ci = compile_instance(instance)
     by_id = instance.operations_by_id
     ops = [by_id[op_id] for op_id in ci.op_ids]
@@ -99,17 +98,15 @@ def _refresh(state: LtaState) -> None:
         needs_setup = f != state.last_family[m]
         duration = ci.proc[o] + ci.setup[o] if needs_setup else ci.proc[o]
         times, levels = state.prof_times[f], state.prof_levels[f]
-        horizon = t_min + state.horizon_days * MINUTES_PER_DAY
         try:
             if needs_setup:
                 t = find_earliest(ci.win_starts, ci.win_ends, times, levels,
-                                  t_min, duration, horizon)
+                                  t_min, duration)
             else:
-                t = find_earliest(None, None, times, levels,
-                                  t_min, duration, horizon)
+                t = find_earliest(None, None, times, levels, t_min, duration)
         except NoSlotError:
             logger.warning("no slot for %s on %s within %d days; retrying later",
-                           ci.op_ids[o], ci.machine_ids[m], state.horizon_days)
+                           ci.op_ids[o], ci.machine_ids[m], DEFAULT_SEARCH_DAYS)
             state.candidates[m][o] = None
             continue
         state.candidates[m][o] = (t, t + duration, needs_setup)
@@ -139,7 +136,8 @@ def candidate_times(state: LtaState) -> list[Candidate]:
 
 def _select_pool(state: LtaState, params: RuleParams,
                  rng: random.Random) -> Candidate:
-    """Restrict to the policy's machines, then delegate to the rule."""
+    """Narrow the candidates to the machine policy's machines, then let the
+    rule pick among them."""
     ci = state.ci
     feasible = [m for m in range(ci.n_machines)
                 if any(e is not None for e in state.candidates[m].values())]
@@ -150,8 +148,10 @@ def _select_pool(state: LtaState, params: RuleParams,
         best = min(state.clocks[m] for m in feasible)
         chosen = [m for m in feasible if state.clocks[m] == best]
     else:
-        # average potential load over feasible candidates, matching
-        # rules.select_assignment
+        # least-loaded machine: clock plus each schedulable operation's
+        # processing diluted by its eligibility count.  A bare count of
+        # schedulable operations would keep one machine "least flexible"
+        # while its clock runs away and starve the rest of the shop.
         law = {
             m: state.clocks[m] + sum(
                 ci.proc[o] / len(ci.eligible[o])

@@ -4,9 +4,11 @@ The ATC family scores a candidate assignment of one operation to one
 machine; higher is better.  ATCS multiplies in a setup penalty, ATCOEE an
 occupation-efficiency reward (value-adding time over total machine time
 consumed), ATCOEEF a flexibility penalty.  EDD, LFO and RANDOM are
-baselines.  Machine policies first narrow the candidate set: FFM to the
-first-freed machine (minimal clock), LFM to the machine with the fewest
-schedulable operations.
+baselines.  A machine policy narrows the candidates before the rule scores
+them (`list_scheduler._select_pool`): FFM to the first-freed machines
+(minimal clock), LFM to the least-loaded ones, a machine's load being its
+clock plus each schedulable operation's processing time divided by the
+operation's number of eligible machines.
 """
 
 from __future__ import annotations
@@ -156,31 +158,18 @@ def _canonical_key(c: Candidate) -> tuple[str, str, str]:
 def select_assignment(candidates: list[Candidate], params: RuleParams,
                       rng: random.Random, *, p_bar: float, s_bar: float,
                       total_machines: int) -> Candidate:
-    """Pick one candidate: machine policy first, then the rule.
+    """Pick the candidate the rule scores best.
 
-    `p_bar`/`s_bar` are the mean processing and setup durations over the
-    not-yet-scheduled operations.  Ties break on (machine id, job id,
-    operation id) so selection is deterministic for a given rng state.
+    `candidates` is the pool the machine policy has already narrowed; the
+    rule alone decides among them.  `p_bar`/`s_bar` are the mean processing
+    and setup durations over the not-yet-scheduled operations.  Ties break
+    on (machine id, job id, operation id) so selection is deterministic for
+    a given rng state.
     """
     if not candidates:
         raise ValueError("empty candidate list")
 
-    if params.machine_policy is MachinePolicy.FFM:
-        best_clock = min(c.machine_clock for c in candidates)
-        pool = [c for c in candidates if c.machine_clock == best_clock]
-    else:
-        # least flexible machine = minimal average potential load: clock
-        # plus each schedulable operation's duration diluted by its
-        # eligibility count.  A bare list-length count would keep one
-        # machine "least flexible" while its clock runs away and starve
-        # the rest of the shop.
-        law: dict[str, float] = {}
-        for c in candidates:
-            share = c.operation.processing / len(c.operation.eligible)
-            law[c.machine] = law.get(c.machine, c.machine_clock) + share
-        least = min(law.values())
-        pool = [c for c in candidates if law[c.machine] == least]
-    pool.sort(key=_canonical_key)
+    pool = sorted(candidates, key=_canonical_key)
 
     rule = params.rule
     if rule is Rule.RANDOM:

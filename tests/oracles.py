@@ -2,7 +2,9 @@
 
 Everything here scans minute by minute, enumerates exhaustively or reckons
 a bound from the instance alone; none of it shares code with the
-implementations under test.  The one exception is
+implementations under test.  The exceptions are `enumerated_optimum`,
+which scores every enumerated encoding with the annealer's own decoder, so
+its optimum is the best schedule that decoder can reach, and
 `run_lta_full_recompute`, which reuses the list scheduler's loop and
 differs from it only in recomputing every candidate each loop, so it checks
 the scheduler's cache invalidation and nothing else.
@@ -12,9 +14,8 @@ import math
 import random
 from itertools import permutations
 
-from chromsched.annealing import Encoding
 from chromsched.availability import TimeWindowSet
-from chromsched.engine import compile_instance
+from chromsched.engine import compile_instance, place_sequences
 from chromsched.list_scheduler import (_refresh, _select_pool,
                                        commit_assignment, init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation, Schedule
@@ -99,9 +100,9 @@ def scan_schedule_violations(instance: Instance, schedule: Schedule,
     return sorted(set(tags))
 
 
-def all_encodings(instance: Instance):
-    """Every (assignment, per-machine order) encoding of a tiny instance."""
-    ci = compile_instance(instance)
+def all_sequences(ci):
+    """Every (assignment, per-machine order) of a tiny compiled instance,
+    as the per-machine operation-index sequences the annealer searches."""
     ops = list(range(ci.n_ops))
 
     def assignments(i):
@@ -130,15 +131,18 @@ def all_encodings(instance: Instance):
                 yield from product_orders(idx + 1, acc)
                 acc.pop()
 
-        for seqs in product_orders(0, []):
-            yield Encoding(tuple(
-                (ci.machine_ids[m], tuple(ci.op_ids[o] for o in seq))
-                for m, seq in enumerate(seqs)))
+        yield from product_orders(0, [])
+
+
+def enumerated_optimum(instance: Instance) -> int:
+    """Least total tardiness of `place_sequences` over `all_sequences`."""
+    ci = compile_instance(instance)
+    return min(place_sequences(ci, seqs)[0] for seqs in all_sequences(ci))
 
 
 def micro_instance(rng: random.Random) -> Instance:
     """A random instance of 2-5 operations on 2 machines, small enough for
-    `all_encodings` to enumerate."""
+    `all_sequences` to enumerate."""
     # due slack is moderate on purpose: with very tight dues the enumerated
     # optimum is often unreachable for the move set (a lone tardy item
     # already starting at its ready date admits no second item), which

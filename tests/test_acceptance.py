@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from chromsched.annealing import SaParams, Structure, decode
+from chromsched.annealing import SaParams, Structure
 from chromsched.availability import (TimeWindowSet, find_earliest,
                                      min_level, reserve_step)
 from chromsched.annealing import initial_temperature
@@ -25,7 +25,7 @@ from chromsched.list_scheduler import run_lta
 from chromsched.model import total_tardiness, validate_schedule
 from chromsched.annealing import run_sa
 
-from oracles import all_encodings, lower_bound, micro_instance, scan_earliest
+from oracles import enumerated_optimum, lower_bound, micro_instance, scan_earliest
 
 WORKERS = min(2, os.cpu_count() or 1)
 FULL = os.environ.get("RUN_FULL_ACCEPTANCE") == "1"
@@ -169,8 +169,7 @@ def test_criterion_2_placement_oracle():
 
 def _micro_case(seed_pair):
     index, instance = seed_pair
-    optimum = min(total_tardiness(decode(encoding, instance), instance)
-                  for encoding in all_encodings(instance))
+    optimum = enumerated_optimum(instance)
     initial = run_lta(instance)
     lta_ok = total_tardiness(initial, instance) >= optimum
     hits = 0

@@ -3,22 +3,21 @@ import random
 
 import pytest
 
-from chromsched.annealing import (DateChoice, Encoding, ItemKind,
-                                  MachineChoice, MECHANISMS, MoveType,
-                                  ProposalFailed, SaParams, Structure,
-                                  STRUCTURE_MECHANISMS, _draw_index,
-                                  _op_weights, _seqs_from_encoding, _Solution,
-                                  decode, encode_schedule,
-                                  initial_temperature, propose_neighbor, run_sa)
+from chromsched.annealing import (DateChoice, ItemKind, MachineChoice,
+                                  MECHANISMS, MoveType, SaParams, Structure,
+                                  STRUCTURE_MECHANISMS, _RESAMPLE_LIMIT,
+                                  _draw_index, _op_weights, _propose,
+                                  _Solution, initial_temperature, run_sa)
 from chromsched.availability import TimeWindowSet
-from chromsched.engine import compile_instance, place_sequences
+from chromsched.engine import (compile_instance, place_sequences,
+                               schedule_from_arrays, sequences_from_schedule)
 from chromsched.errors import NoSlotError
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.list_scheduler import run_lta
 from chromsched.model import (ColumnType, Instance, Job, Operation, Schedule,
                               total_tardiness, validate_schedule)
 
-from oracles import all_encodings
+from oracles import enumerated_optimum
 
 
 def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
@@ -38,11 +37,29 @@ def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
 
 
 def solution(inst, mapping):
-    """The annealer's solution state for an encoding, decoded as `run_sa`
-    decodes it."""
+    """The annealer's solution state for per-machine sequences of operation
+    ids (machines left out run nothing), decoded as `run_sa` decodes it."""
     ci = compile_instance(inst)
-    seqs = _seqs_from_encoding(ci, Encoding.from_dict(mapping))
+    seqs = [[] for _ in ci.machine_ids]
+    for machine, op_ids in mapping.items():
+        seqs[ci.machine_index[machine]] = [ci.op_index[o] for o in op_ids]
     return ci, _Solution(ci, seqs, *place_sequences(ci, seqs))
+
+
+def greedy_solution(inst):
+    """The solution `run_sa` starts from: the greedy schedule's per-machine
+    start order, decoded."""
+    ci = compile_instance(inst)
+    seqs = sequences_from_schedule(ci, run_lta(inst))
+    return ci, _Solution(ci, seqs, *place_sequences(ci, seqs))
+
+
+def schedule_of(ci, sol):
+    return schedule_from_arrays(ci, sol.seqs, sol.starts, sol.comps, sol.setups)
+
+
+def op_ids_on(ci, seqs, machine):
+    return tuple(ci.op_ids[o] for o in seqs[ci.machine_index[machine]])
 
 
 def pack_ops(ci, sol, pack):
@@ -74,10 +91,6 @@ class TestMechanismTable:
         assert STRUCTURE_MECHANISMS[Structure.OP] == (1, 2, 3)
         assert STRUCTURE_MECHANISMS[Structure.OP_PA] == (1, 2, 3, 4, 5, 6, 7)
 
-    def test_mechanism_override(self):
-        params = SaParams(mechanism_ids=(0, 7))
-        assert tuple(m.id for m in params.mechanisms()) == (0, 7)
-
 
 class TestInitialTemperature:
     def test_printed_value(self):
@@ -100,8 +113,8 @@ class TestDecode:
             ("j0", 0, 10_000, [("fA", 20, 10, ("m0",))]),
             ("j1", 0, 10_000, [("fA", 30, 10, ("m0",))]),
         ])
-        enc = Encoding.from_dict({"m0": ("j0.1", "j1.1")})
-        schedule = decode(enc, inst)
+        ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
+        schedule = schedule_of(ci, sol)
         assert sum(p.setup_performed for p in schedule.placements) == 1
         assert validate_schedule(inst, schedule) == []
 
@@ -110,36 +123,24 @@ class TestDecode:
             ("j0", 0, 10_000, [("fA", 20, 10, ("m0",))]),
             ("j1", 0, 10_000, [("fA", 30, 10, ("m0",))]),
         ])
-        forward = decode(Encoding.from_dict({"m0": ("j0.1", "j1.1")}), inst)
-        backward = decode(Encoding.from_dict({"m0": ("j1.1", "j0.1")}), inst)
+        forward = schedule_of(*solution(inst, {"m0": ("j0.1", "j1.1")}))
+        backward = schedule_of(*solution(inst, {"m0": ("j1.1", "j0.1")}))
         assert (sum(p.setup_performed for p in forward.placements)
                 == sum(p.setup_performed for p in backward.placements) == 1)
         assert (forward.by_operation["j0.1"].completion
                 != backward.by_operation["j0.1"].completion)
-
-    def test_rejects_missing_or_duplicate_or_ineligible(self):
-        inst = tiny_instance([
-            ("j0", 0, 10_000, [("fA", 20, 10, ("m0",))]),
-            ("j1", 0, 10_000, [("fB", 30, 10, ("m0",))]),
-        ], machines=("m0", "m1"))
-        with pytest.raises(ValueError, match="cover"):
-            decode(Encoding.from_dict({"m0": ("j0.1",)}), inst)
-        with pytest.raises(ValueError, match="twice"):
-            decode(Encoding.from_dict({"m0": ("j0.1", "j0.1", "j1.1")}), inst)
-        with pytest.raises(ValueError, match="eligible"):
-            decode(Encoding.from_dict({"m1": ("j0.1",), "m0": ("j1.1",)}), inst)
 
     def test_no_slot_within_horizon_is_error(self):
         inst = tiny_instance(
             [("j0", 0, 10_000, [("fA", 20, 10, ("m0",))])],
             windows=TimeWindowSet(((-10, -5),)))  # operators never available
         with pytest.raises(NoSlotError):
-            decode(Encoding.from_dict({"m0": ("j0.1",)}), inst)
+            place_sequences(compile_instance(inst), [[0]])
 
     def test_redecoding_greedy_output_stays_feasible_and_rarely_differs(self):
         # Re-timing the greedy schedule's own sequences is feasible on all
         # 100 frozen draws.  Equality of tardiness is the norm but NOT
-        # guaranteed: the encoding drops the greedy commit order, so a
+        # guaranteed: the sequences drop the greedy commit order, so a
         # contested single-unit column can go to a different machine
         # (3 of these 100 draws come out worse).
         worse = 0
@@ -148,7 +149,10 @@ class TestDecode:
                 n_jobs=8 + seed % 10, n_routings=4, n_machines=3,
                 n_column_types=4, seed=seed, unchecked=True))
             sched = run_lta(inst)
-            redecoded = decode(encode_schedule(inst, sched), inst)
+            ci = compile_instance(inst)
+            seqs = sequences_from_schedule(ci, sched)
+            redecoded = schedule_from_arrays(
+                ci, seqs, *place_sequences(ci, seqs)[1:])
             assert validate_schedule(inst, redecoded) == []
             if (total_tardiness(redecoded, inst)
                     > total_tardiness(sched, inst)):
@@ -225,22 +229,14 @@ class TestItemSelection:
             o = _draw_index(sol.op_cum, sol.op_total, rng)
             assert ci.op_ids[o] == "j1.1"
 
-    def test_zero_total_signals_optimum(self):
-        inst = tiny_instance([("j0", 0, 100_000, [("fA", 30, 0, ("m0",))])])
-        enc = Encoding.from_dict({"m0": ("j0.1",)})
-        with pytest.raises(ValueError, match="optimal"):
-            propose_neighbor(inst, enc, MECHANISMS[0], random.Random(0))
-
     def test_multi_op_job_attribution_sums_to_job_tardiness(self):
         inst = tiny_instance([
             ("j0", 0, 50, [("fA", 30, 0, ("m0",)), ("fB", 80, 0, ("m1",))]),
         ], machines=("m0", "m1"))
-        mapping = {"m0": ("j0.1",), "m1": ("j0.2",)}
-        ci, sol = solution(inst, mapping)
+        ci, sol = solution(inst, {"m0": ("j0.1",), "m1": ("j0.2",)})
         weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
-        schedule = decode(Encoding.from_dict(mapping), inst)
         assert sum(weights.values()) == pytest.approx(
-            total_tardiness(schedule, inst))
+            total_tardiness(schedule_of(ci, sol), inst))
         # the op finishing on time contributes nothing
         assert weights["j0.1"] == 0.0
 
@@ -251,9 +247,10 @@ class TestProposeNeighbor:
             ("j0", 0, 10_000, [("fA", 10, 0, ("m0",))]),
             ("j1", 0, 5, [("fA", 10, 0, ("m0",))]),  # late, starts second
         ])
-        enc = Encoding.from_dict({"m0": ("j0.1", "j1.1")})
-        got = propose_neighbor(inst, enc, MECHANISMS[0], random.Random(0))
-        assert got.as_dict()["m0"] == ("j1.1", "j0.1")
+        ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
+        got = _propose(ci, sol, MECHANISMS[0], random.Random(0),
+                       _RESAMPLE_LIMIT)
+        assert op_ids_on(ci, got, "m0") == ("j1.1", "j0.1")
 
     def test_mechanism_7_swaps_adjacent_packs(self):
         inst = tiny_instance([
@@ -261,39 +258,35 @@ class TestProposeNeighbor:
             ("j1", 0, 5, [("fA", 10, 0, ("m0",))]),
             ("j2", 0, 10_000, [("fB", 10, 0, ("m0",))]),
         ])
-        enc = Encoding.from_dict({"m0": ("j0.1", "j1.1", "j2.1")})
-        got = propose_neighbor(inst, enc, MECHANISMS[7], random.Random(0))
-        assert got.as_dict()["m0"] == ("j2.1", "j0.1", "j1.1")
+        ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
+        got = _propose(ci, sol, MECHANISMS[7], random.Random(0),
+                       _RESAMPLE_LIMIT)
+        assert op_ids_on(ci, got, "m0") == ("j2.1", "j0.1", "j1.1")
 
     def test_proposal_failure_when_window_empty(self):
         # the only late op already starts at its release date
         inst = tiny_instance([("j0", 0, 5, [("fA", 10, 0, ("m0",))])])
-        enc = Encoding.from_dict({"m0": ("j0.1",)})
-        with pytest.raises(ProposalFailed):
-            propose_neighbor(inst, enc, MECHANISMS[0], random.Random(0))
+        ci, sol = solution(inst, {"m0": ("j0.1",)})
+        assert _propose(ci, sol, MECHANISMS[0], random.Random(0),
+                        _RESAMPLE_LIMIT) is None
 
     def test_family_constrained_exchange_preserves_family_multisets(self):
         rng = random.Random(5)
         inst = generate_instance(GenConfig(
             n_jobs=36, n_routings=5, n_machines=3, n_column_types=4,
             seed=2, unchecked=True))
-        schedule = run_lta(inst)
-        enc = encode_schedule(inst, schedule)
-        ops = inst.operations_by_id
+        ci, sol = greedy_solution(inst)
         proposals = 0
         attempts = 0
         while proposals < 25 and attempts < 200:
             attempts += 1
-            try:
-                neighbor = propose_neighbor(inst, enc, MECHANISMS[2], rng)
-            except ProposalFailed:
+            neighbor = _propose(ci, sol, MECHANISMS[2], rng, _RESAMPLE_LIMIT)
+            if neighbor is None:
                 continue
             proposals += 1
-            for machine, seq in enc.as_dict().items():
-                before = sorted(ops[o].family for o in seq)
-                after = sorted(ops[o].family
-                               for o in neighbor.as_dict()[machine])
-                assert before == after
+            for seq, new_seq in zip(sol.seqs, neighbor):
+                assert (sorted(ci.family[o] for o in seq)
+                        == sorted(ci.family[o] for o in new_seq))
         assert proposals > 0
 
     def test_every_mechanism_yields_valid_encodings(self):
@@ -301,22 +294,28 @@ class TestProposeNeighbor:
         inst = generate_instance(GenConfig(
             n_jobs=36, n_routings=6, n_machines=3, n_column_types=4,
             seed=33, unchecked=True))
-        schedule = run_lta(inst)
-        enc = encode_schedule(inst, schedule)
-        all_ops = sorted(inst.operations_by_id)
+        ci, sol = greedy_solution(inst)
+        ops = inst.operations_by_id
         for mech in MECHANISMS:
             produced = 0
             for _ in range(40):
-                try:
-                    neighbor = propose_neighbor(inst, enc, mech, rng)
-                except ProposalFailed:
+                neighbor = _propose(ci, sol, mech, rng, _RESAMPLE_LIMIT)
+                if neighbor is None:
                     continue
                 produced += 1
-                seen = sorted(o for _, seq in neighbor.sequences for o in seq)
-                assert seen == all_ops
-                for machine, seq in neighbor.sequences:
-                    for op_id in seq:
-                        assert machine in inst.operations_by_id[op_id].eligible
+                seen = sorted(o for seq in neighbor for o in seq)
+                assert seen == list(range(ci.n_ops))
+                for m, seq in enumerate(neighbor):
+                    for o in seq:
+                        assert ci.machine_ids[m] in ops[ci.op_ids[o]].eligible
+                # the decoder and the feasibility checker agree on it
+                try:
+                    tardiness, *arrays = place_sequences(ci, neighbor)
+                except NoSlotError:
+                    continue  # run_sa rejects the move
+                schedule = schedule_from_arrays(ci, neighbor, *arrays)
+                assert validate_schedule(inst, schedule) == []
+                assert tardiness == total_tardiness(schedule, inst)
             assert produced > 0, f"mechanism {mech.id} never proposed"
 
 
@@ -386,8 +385,7 @@ class TestRunSa:
                 seed=seed, unchecked=True))
             if inst.n_operations > 5:
                 continue
-            best = min(total_tardiness(decode(enc, inst), inst)
-                       for enc in all_encodings(inst))
+            best = enumerated_optimum(inst)
             initial = run_lta(inst)
             res = run_sa(inst, initial,
                          SaParams(max_iterations=2000), seed=1)

@@ -224,6 +224,8 @@ class TestWeeklyWindows:
         a = weekly_windows(("MON",), 480, 1080, 0, 1440)
         b = weekly_windows((0,), "08:00", "18:00", 0, 1440)
         assert a == b
+        last = weekly_windows(("MON",), "23:59", "24:00", 0, 1440)
+        assert last.windows == ((1439, 1440),)
 
     def test_span_over_the_limit_refused(self):
         span = MAX_WEEKLY_SPAN_DAYS * 1440

@@ -1,12 +1,17 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the
+package's public names are exactly the pinned list.
 
-`__init__.py` is left out: its imports are the package's public re-exports.
+`__init__.py` is left out of the import check: its imports are the
+package's public re-exports.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import chromsched
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chromsched"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -57,3 +62,30 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+#: The package's public API: every name `chromsched` exports that is not a
+#: submodule and does not start with an underscore.  Adding or removing a
+#: public name means editing this list.
+PUBLIC_NAMES = [
+    "AlgorithmSpec", "Candidate", "ColumnType", "EffectReport", "GenConfig",
+    "IncompleteScheduleError", "Instance", "InstanceFormatError", "Job",
+    "LtaState", "MECHANISMS", "MachinePolicy", "Mechanism", "NoSlotError",
+    "Observation", "Operation", "PlacedOperation", "Rule", "RuleParams",
+    "SaParams", "SaResult", "Schedule", "SchedulingError", "Structure",
+    "TimeWindowSet", "Violation", "anova_effects", "atc_priority",
+    "atcoee_priority", "atcoeef_priority", "atcs_priority", "candidate_times",
+    "commit_assignment", "effect_to_ratio", "generate_design",
+    "generate_instance", "init_state", "initial_temperature", "job_completion",
+    "parse_algorithm", "read_instance", "read_schedule", "run_experiment",
+    "run_lta", "run_sa", "schedule_metrics", "select_assignment",
+    "total_tardiness", "validate_schedule", "weekly_windows", "write_instance",
+    "write_schedule",
+]
+
+
+def test_public_api_is_pinned():
+    exported = sorted(name for name, value in vars(chromsched).items()
+                      if not name.startswith("_")
+                      and not isinstance(value, types.ModuleType))
+    assert exported == sorted(PUBLIC_NAMES)

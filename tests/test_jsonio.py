@@ -112,6 +112,17 @@ def test_semantic_errors_wrapped():
              "end 'ab' is not HH:MM or a minute count"),
             ({"days": ["MON"], "start": "18:00", "end": "08:00"}, 1440,
              "end must be after start"),
+            ({"days": [True], "start": True, "end": "08:75"}, 1440,
+             "start True is not HH:MM"),
+            ({"days": [True]}, 1440, "unknown weekday True"),
+            ({"days": ["MON"], "end": "08:75"}, 1440,
+             "end '08:75' has minutes outside 00-59"),
+            ({"days": ["MON"], "start": "08:-5"}, 1440,
+             "start '08:-5' has minutes outside 00-59"),
+            ({"days": ["MON"], "end": "23:60"}, 1440,
+             "end '23:60' has minutes outside 00-59"),
+            ({"days": ["MON"], "end": "24:30"}, 1440,
+             "end '24:30' is outside 00:00-24:00"),
             ({"days": ["MON"]}, 10**12, "MAX_WEEKLY_SPAN_DAYS"),
             ({"days": ["MON"]}, 10**8, "MAX_WEEKLY_SPAN_DAYS")):
         doc["operator_windows"] = {"weekly": weekly, "from": 0, "until": until}

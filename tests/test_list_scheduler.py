@@ -13,7 +13,7 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import all_encodings, run_lta_full_recompute
+from oracles import enumerated_optimum, run_lta_full_recompute
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -226,14 +226,12 @@ class TestRunLta:
     def test_never_beats_exhaustive_optimum_decoded_identically(self):
         # micro instances: greedy result is bounded below by the optimum
         # over every (assignment, order) decoded the same way
-        from chromsched.annealing import decode
         for seed in range(6):
             inst = generate_instance(GenConfig(
                 n_jobs=3, n_routings=2, n_machines=2, n_column_types=2,
                 seed=seed, unchecked=True))
             if inst.n_operations > 5:
                 continue
-            best = min(total_tardiness(decode(enc, inst), inst)
-                       for enc in all_encodings(inst))
+            best = enumerated_optimum(inst)
             got = total_tardiness(run_lta(inst), inst)
             assert got >= best

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from chromsched.model import Operation
+from chromsched.availability import TimeWindowSet
+from chromsched.list_scheduler import (_refresh, _select_pool, candidate_times,
+                                       commit_assignment, init_state)
+from chromsched.model import ColumnType, Instance, Job, Operation
 from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
                               atc_priority, atcoee_priority, atcoeef_priority,
                               atcs_priority, select_assignment)
@@ -19,6 +22,26 @@ def cand(op_id="j0.1", machine="m0", p=100, s=20, due=300, clock=0, start=None,
                             setup=s, eligible=frozenset(eligible)),
         machine=machine, start=start, completion=completion,
         setup_required=setup, machine_clock=clock, due=due)
+
+
+def one_op_jobs(specs, machines):
+    """An instance of one-operation jobs, given as (job id, due, eligible
+    machines); every operation is family fA with p 100 and s 20, and the
+    column never binds."""
+    jobs = tuple(
+        Job(id=job, release=0, due=due, operations=(Operation(
+            id=f"{job}.1", job_id=job, family="fA", processing=100, setup=20,
+            eligible=frozenset(eligible)),))
+        for job, due, eligible in specs)
+    return Instance(machines=machines,
+                    column_types=(ColumnType("fA", len(specs)),),
+                    operator_windows=TimeWindowSet.always(0), jobs=jobs)
+
+
+def policy_then_rule(state, params):
+    """The list scheduler's selection step on `state`."""
+    _refresh(state)
+    return _select_pool(state, params, random.Random(0))
 
 
 class TestAtc:
@@ -143,26 +166,30 @@ class TestSelectAssignment:
                               p_bar=1.0, s_bar=1.0, total_machines=1)
 
     def test_ffm_restricts_to_first_freed_machine(self):
-        slow = cand(op_id="a.1", job="a", machine="m1", clock=50, start=50, due=0)
-        fast = cand(op_id="b.1", job="b", machine="m0", clock=0, due=10_000)
-        got = select_assignment([slow, fast], RuleParams(), random.Random(0),
-                                p_bar=100.0, s_bar=10.0, total_machines=2)
-        assert got is fast  # m0 frees first even though its job is laxer
+        inst = one_op_jobs([("a", 0, ("m1",)), ("b", 10_000, ("m0",)),
+                            ("c", 10_000, ("m1",))], machines=("m0", "m1"))
+        state = init_state(inst)
+        (first,) = [c for c in candidate_times(state)
+                    if c.operation.id == "c.1"]
+        commit_assignment(state, first)  # m1 now frees at 120, m0 at 0
+        got = policy_then_rule(state, RuleParams())
+        # m0 frees first even though its job is laxer; ATCOEE alone would
+        # take the overdue a.1, which also needs no setup on m1
+        assert (got.operation.id, got.machine) == ("b.1", "m0")
 
     def test_lfm_lfo_trace(self):
-        # machine m1 lists one op, m0 lists three; LFM picks m1, LFO the
-        # narrowest eligible set there
-        pool = [
-            cand(op_id="a.1", job="a", machine="m0", eligible=("m0", "m1", "m2", "m3")),
-            cand(op_id="b.1", job="b", machine="m0", eligible=("m0", "m1")),
-            cand(op_id="c.1", job="c", machine="m0", eligible=("m0",)),
-            cand(op_id="d.1", job="d", machine="m1",
-                 eligible=("m1", "m0", "m2", "m3")),
-        ]
+        # loads (clock + p / |eligible| per schedulable op): m0 100/3 + 100,
+        # m1 100/3 + 50, m2 100/3 + 50 + 100.  LFM picks m1, LFO the
+        # narrowest eligible set there; LFO alone would take c.1 or e.1, and
+        # a bare count of schedulable ops would tie m0 with m1
+        inst = one_op_jobs([("a", 10_000, ("m0", "m1", "m2")),
+                            ("c", 10_000, ("m0",)),
+                            ("d", 10_000, ("m1", "m2")),
+                            ("e", 10_000, ("m2",))],
+                           machines=("m0", "m1", "m2"))
         params = RuleParams(rule=Rule.LFO, machine_policy=MachinePolicy.LFM)
-        got = select_assignment(pool, params, random.Random(0),
-                                p_bar=100.0, s_bar=10.0, total_machines=4)
-        assert got.operation.id == "d.1"
+        got = policy_then_rule(init_state(inst), params)
+        assert (got.operation.id, got.machine) == ("d.1", "m1")
 
     def test_edd_picks_earliest_due(self):
         pool = [cand(op_id="a.1", job="a", due=500),
