@@ -149,27 +149,30 @@ class _PackInfo:
 
 
 class _Solution:
-    __slots__ = ("seqs", "tardiness", "starts", "comps", "setups",
+    """A decoded solution with the lookups proposals need; `decode` is the
+    base the next proposal's decode resumes from."""
+
+    __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
                  "machine_of", "pos_of", "op_cum", "op_total",
                  "_packs", "_packs_flat", "_pack_cum", "_pack_total")
 
-    def __init__(self, ci: CompiledInstance, seqs, tardiness, starts, comps,
-                 setups):
-        self.seqs = seqs
-        self.tardiness = tardiness
-        self.starts = starts
-        self.comps = comps
-        self.setups = setups
+    def __init__(self, ci: CompiledInstance, decode):
+        self.decode = decode
+        self.seqs = decode.seqs
+        self.tardiness = decode.tardiness
+        self.starts = decode.starts
+        self.comps = decode.comps
+        self.setups = decode.setups
         n = ci.n_ops
         machine_of = [0] * n
         pos_of = [0] * n
-        for m, seq in enumerate(seqs):
+        for m, seq in enumerate(decode.seqs):
             for pos, o in enumerate(seq):
                 machine_of[o] = m
                 pos_of[o] = pos
         self.machine_of = machine_of
         self.pos_of = pos_of
-        weights = _op_weights(ci, comps)
+        weights = _op_weights(ci, decode.comps)
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
         self._packs = None
@@ -185,6 +188,7 @@ class _Solution:
             packs: list[list[_PackInfo]] = []
             flat: list[_PackInfo] = []
             starts, comps, setups = self.starts, self.comps, self.setups
+            mask_machines = ci._mask_machines
             for m, seq in enumerate(self.seqs):
                 per_machine: list[_PackInfo] = []
                 i = 0
@@ -203,8 +207,11 @@ class _Solution:
                         if r < ready:
                             ready = r
                         weight += _cum_at(op_w, o)
-                    machines = tuple(mm for mm in range(ci.n_machines)
-                                     if mask & (1 << mm))
+                    machines = mask_machines.get(mask)
+                    if machines is None:
+                        machines = mask_machines[mask] = tuple(
+                            mm for mm in range(ci.n_machines)
+                            if mask & (1 << mm))
                     per_machine.append(_PackInfo(
                         m, i, k, ci.family[members[0]], starts[members[0]],
                         ready, mask, machines, weight, len(per_machine)))
@@ -458,7 +465,7 @@ def run_sa(instance: Instance, initial: Schedule,
 
     initial_tardiness = total_tardiness(initial, instance)
     best_tardiness = initial_tardiness
-    best_arrays = None  # None = the initial schedule as given
+    best = None  # None = the initial schedule as given, else a decode
     trace: list[tuple[int, float, int, int]] = []
     evaluated = accepted = improved = 0
     proposal_failures = decode_failures = 0
@@ -466,10 +473,11 @@ def run_sa(instance: Instance, initial: Schedule,
     iteration = 0
 
     def result(termination: str, t0: float) -> SaResult:
-        if best_arrays is None:
+        if best is None:
             schedule = initial
         else:
-            schedule = schedule_from_arrays(ci, *best_arrays)
+            schedule = schedule_from_arrays(ci, best.seqs, best.starts,
+                                            best.comps, best.setups)
         return SaResult(
             schedule=schedule, tardiness=best_tardiness,
             initial_tardiness=initial_tardiness, initial_temperature=t0,
@@ -481,12 +489,11 @@ def run_sa(instance: Instance, initial: Schedule,
     if initial_tardiness == 0:
         return result("optimum", 0.0)
 
-    seqs = sequences_from_schedule(ci, initial)
-    tardiness, starts, comps, setups = place_sequences(ci, seqs)
-    current = _Solution(ci, seqs, tardiness, starts, comps, setups)
-    if tardiness < best_tardiness:
-        best_tardiness = tardiness
-        best_arrays = (seqs, starts, comps, setups)
+    current = _Solution(
+        ci, place_sequences(ci, sequences_from_schedule(ci, initial)))
+    if current.tardiness < best_tardiness:
+        best_tardiness = current.tardiness
+        best = current.decode
 
     def budget_left() -> bool:
         return params.max_iterations is None or iteration < params.max_iterations
@@ -504,22 +511,22 @@ def run_sa(instance: Instance, initial: Schedule,
             proposal_failures += 1
         else:
             try:
-                placed = place_sequences(ci, new_seqs)
+                placed = place_sequences(ci, new_seqs, base=current.decode)
             except NoSlotError:
                 decode_failures += 1
             else:
                 evaluated += 1
-                new_tardiness = placed[0]
+                new_tardiness = placed.tardiness
                 delta = new_tardiness - current.tardiness
                 abs_delta_sum += abs(delta)
                 abs_delta_count += 1
                 if delta < 0:
                     accepted += 1
-                    current = _Solution(ci, new_seqs, *placed)
+                    current = _Solution(ci, placed)
                     if new_tardiness < best_tardiness:
                         improved += 1
                         best_tardiness = new_tardiness
-                        best_arrays = (new_seqs, *placed[1:])
+                        best = placed
         trace.append((iteration, 0.0, current.tardiness, best_tardiness))
 
     mean_delta = abs_delta_sum / abs_delta_count if abs_delta_count else 0.0
@@ -544,21 +551,21 @@ def run_sa(instance: Instance, initial: Schedule,
             proposal_failures += 1
         else:
             try:
-                placed = place_sequences(ci, new_seqs)
+                placed = place_sequences(ci, new_seqs, base=current.decode)
             except NoSlotError:
                 decode_failures += 1
             else:
                 evaluated += 1
-                new_tardiness = placed[0]
+                new_tardiness = placed.tardiness
                 delta = new_tardiness - current.tardiness
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                     accepted += 1
                     level_acceptances += 1
-                    current = _Solution(ci, new_seqs, *placed)
+                    current = _Solution(ci, placed)
                     if new_tardiness < best_tardiness:
                         improved += 1
                         best_tardiness = new_tardiness
-                        best_arrays = (new_seqs, *placed[1:])
+                        best = placed
         trace.append((iteration, temperature, current.tardiness, best_tardiness))
         if (level_iterations >= params.plateau_iterations
                 or level_acceptances >= params.plateau_acceptances):

@@ -10,6 +10,7 @@ feasible when at least one unit is free over its whole occupation interval.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,19 +175,19 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
 # Weekly recurring windows.
 
 
+#: A time of day: one or two ASCII hour digits, a colon, two minute digits.
+_HH_MM = re.compile(r"([0-9]{1,2}):([0-9]{2})")
+
+
 def _parse_minute_of_day(name: str, value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"{name} {value!r} is not HH:MM or a minute count")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         minute = value
     else:
-        hh, _, mm = str(value).partition(":")
-        try:
-            hour, minute = int(hh), int(mm or 0)
-        except ValueError:
-            raise ValueError(
-                f"{name} {value!r} is not HH:MM or a minute count") from None
-        if not 0 <= minute <= 59:
+        match = _HH_MM.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            raise ValueError(f"{name} {value!r} is not HH:MM or a minute count")
+        hour, minute = int(match[1]), int(match[2])
+        if minute > 59:
             raise ValueError(f"{name} {value!r} has minutes outside 00-59")
         # an hour outside 0-24, or 24 with minutes, lands outside the day
         minute += hour * 60

@@ -4,12 +4,14 @@ Machines are indexed in lexicographic id order and operations in
 (job id, operation id) order, so integer comparisons reproduce the
 documented lexicographic tie-breaks.  Column profiles live in mutable
 (times, levels) list pairs with a leading -inf sentinel; see
-`availability.reserve_step`.
+`availability.reserve_step`.  The decoder's checkpoints keep them as tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
+from typing import NamedTuple
 
 from .availability import find_earliest, reserve_step
 from .model import Instance, PlacedOperation, Schedule
@@ -44,6 +46,9 @@ class CompiledInstance:
     win_starts: list
     win_ends: list
     origin: int = 0
+    # machine tuple of each eligibility mask met so far, filled on use
+    _mask_machines: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_ops(self) -> int:
@@ -124,45 +129,122 @@ def compile_instance(instance: Instance) -> CompiledInstance:
     )
 
 
-def place_sequences(ci: CompiledInstance, seqs: list[list[int]]):
+#: Turns between two checkpoints of a decode; see `place_sequences`.
+_CHECKPOINT_TURNS = 16
+
+
+class _Decode(NamedTuple):
+    """What `place_sequences` returns: the decoded sequences, their total
+    tardiness and per-operation starts, completions and setup flags, the
+    turn at which each operation was placed, and the checkpoints a later
+    decode can resume from.  Nothing in it is mutated after the decode."""
+
+    seqs: list[list[int]]
+    tardiness: int
+    starts: list[int]
+    comps: list[int]
+    setups: list[bool]
+    turn_of: list[int]
+    checkpoints: list[tuple]
+
+
+def _first_changed_turn(base: _Decode, seqs) -> int:
+    """Earliest turn at which decoding `seqs` can differ from `base`.
+
+    Before it every turn picks the same machine and operation as in `base`:
+    a changed machine agrees with its old sequence up to its first differing
+    position d, and the old decode reached position d no earlier than the
+    turn of old[d].  A machine whose new sequence is shorter only drops out
+    of the turn order earlier; one that gains operations past its old end
+    could compete again from the turn after its old last operation.
+    """
+    turn_of = base.turn_of
+    first = len(turn_of)
+    for old, new in zip(base.seqs, seqs):
+        if new is old:
+            continue
+        common = min(len(old), len(new))
+        d = 0
+        while d < common and old[d] == new[d]:
+            d += 1
+        if d < len(old):
+            turn = turn_of[old[d]]
+        elif d == len(new):
+            continue
+        else:
+            turn = turn_of[old[d - 1]] + 1 if d else 0
+        if turn < first:
+            first = turn
+    return first
+
+
+def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
+                    base: _Decode | None = None) -> _Decode:
     """Forward-place fixed per-machine sequences at their earliest starts.
 
     Machines take turns by smallest clock (ties by machine index); each
     front operation is placed at its earliest feasible start and its column
-    occupation booked before the next turn.  Returns (total tardiness,
-    starts, completions, setup flags); raises NoSlotError when a placement
-    cannot fit within `find_earliest`'s search horizon.
-    """
-    n_ops = ci.n_ops
-    starts = [0] * n_ops
-    comps = [0] * n_ops
-    setups = [False] * n_ops
-    job_comp = [None] * len(ci.job_ids)
+    occupation booked before the next turn.  Returns a `_Decode`; raises
+    NoSlotError when a placement cannot fit within `find_earliest`'s search
+    horizon.  `seqs` must not be changed afterwards.
 
-    prof_times, prof_levels = ci.fresh_profiles()
+    Every `_CHECKPOINT_TURNS` turns the decode records a checkpoint: the
+    per-family column profiles, machine clocks, last families, sequence
+    positions and job completions, all as tuples.  With `base`, an earlier
+    decode of the same instance whose unchanged machines are the same list
+    objects in `seqs`, the decode restores the last checkpoint of `base` at
+    or before the first turn that can differ and replays only from there;
+    the result is the one a full decode gives.  `base` is only read, so it
+    stays usable after a NoSlotError.
+    """
+    if base is None:
+        n_ops = ci.n_ops
+        n_machines = len(seqs)
+        starts = [0] * n_ops
+        comps = [0] * n_ops
+        setups = [False] * n_ops
+        turn_of = [0] * n_ops
+        times, levels = ci.fresh_profiles()
+        # job completions start at -inf: a job without operations is never late
+        checkpoints = [(
+            tuple(map(tuple, times)), tuple(map(tuple, levels)),
+            (ci.origin,) * n_machines, (-1,) * n_machines, (0,) * n_machines,
+            (_NEG_INF,) * len(ci.job_ids))]
+        turn = 0
+    else:
+        kept = min(_first_changed_turn(base, seqs) // _CHECKPOINT_TURNS,
+                   len(base.checkpoints) - 1)
+        starts = base.starts[:]
+        comps = base.comps[:]
+        setups = base.setups[:]
+        turn_of = base.turn_of[:]
+        checkpoints = base.checkpoints[:kept + 1]
+        turn = kept * _CHECKPOINT_TURNS
+
+    cp_times, cp_levels, clocks, last_family, pos, job_comp = checkpoints[-1]
+    # Profiles are shared with the checkpoint until first booked.
+    prof_times, prof_levels = list(cp_times), list(cp_levels)
+    owned = [False] * len(prof_times)
+    booked = owned[:]  # families booked since the last checkpoint
+    since_checkpoint = []  # the same families, in booking order
+    clocks, last_family = list(clocks), list(last_family)
+    pos, job_comp = list(pos), list(job_comp)
+    heap = [(clocks[m], m) for m, seq in enumerate(seqs) if pos[m] < len(seq)]
+    heapify(heap)
+    next_checkpoint = turn + _CHECKPOINT_TURNS
+
     win_starts, win_ends = ci.win_starts, ci.win_ends
     proc, setup, family, release = ci.proc, ci.setup, ci.family, ci.release
     job = ci.job
 
-    n_machines = len(seqs)
-    clocks = [ci.origin] * n_machines
-    last_family = [-1] * n_machines
-    pos = [0] * n_machines
-    active = [m for m in range(n_machines) if seqs[m]]
-
-    while active:
-        best_m = active[0]
-        best_clock = clocks[best_m]
-        for m in active[1:]:
-            c = clocks[m]
-            if c < best_clock:
-                best_clock, best_m = c, m
-        m = best_m
+    while heap:
+        clock, m = heap[0]
         seq = seqs[m]
-        o = seq[pos[m]]
+        p = pos[m]
+        o = seq[p]
         f = family[o]
         rel = release[o]
-        t_min = best_clock if best_clock > rel else rel
+        t_min = clock if clock > rel else rel
         needs_setup = f != last_family[m]
         duration = proc[o] + setup[o] if needs_setup else proc[o]
         times, levels = prof_times[f], prof_levels[f]
@@ -172,27 +254,50 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]]):
         else:
             t = find_earliest(None, None, times, levels, t_min, duration)
         c = t + duration
+        if not booked[f]:
+            booked[f] = True
+            since_checkpoint.append(f)
+            if not owned[f]:
+                owned[f] = True
+                times = prof_times[f] = list(times)
+                levels = prof_levels[f] = list(levels)
         reserve_step(times, levels, t, c)
         starts[o] = t
         comps[o] = c
         setups[o] = needs_setup
+        turn_of[o] = turn
         j = job[o]
-        if job_comp[j] is None or c > job_comp[j]:
+        if c > job_comp[j]:
             job_comp[j] = c
         clocks[m] = c
         last_family[m] = f
-        pos[m] += 1
-        if pos[m] == len(seq):
-            active.remove(m)
+        pos[m] = p + 1
+        if p + 1 < len(seq):
+            heapreplace(heap, (c, m))
+        else:
+            heappop(heap)
+        turn += 1
+        if turn == next_checkpoint and heap:
+            next_checkpoint += _CHECKPOINT_TURNS
+            cp_times, cp_levels = list(cp_times), list(cp_levels)
+            for g in since_checkpoint:
+                cp_times[g] = tuple(prof_times[g])
+                cp_levels[g] = tuple(prof_levels[g])
+                booked[g] = False
+            since_checkpoint.clear()
+            cp_times, cp_levels = tuple(cp_times), tuple(cp_levels)
+            checkpoints.append((cp_times, cp_levels, tuple(clocks),
+                                tuple(last_family), tuple(pos),
+                                tuple(job_comp)))
 
     tardiness = 0
     job_due = ci.job_due
     for j, completed in enumerate(job_comp):
-        if completed is not None:
-            late = completed - job_due[j]
-            if late > 0:
-                tardiness += late
-    return tardiness, starts, comps, setups
+        late = completed - job_due[j]
+        if late > 0:
+            tardiness += late
+    return _Decode(seqs, tardiness, starts, comps, setups, turn_of,
+                   checkpoints)
 
 
 def sequences_from_schedule(ci: CompiledInstance, schedule: Schedule) -> list[list[int]]:

@@ -137,7 +137,8 @@ def all_sequences(ci):
 def enumerated_optimum(instance: Instance) -> int:
     """Least total tardiness of `place_sequences` over `all_sequences`."""
     ci = compile_instance(instance)
-    return min(place_sequences(ci, seqs)[0] for seqs in all_sequences(ci))
+    return min(place_sequences(ci, seqs).tardiness
+               for seqs in all_sequences(ci))
 
 
 def micro_instance(rng: random.Random) -> Instance:

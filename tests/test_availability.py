@@ -224,6 +224,7 @@ class TestWeeklyWindows:
         a = weekly_windows(("MON",), 480, 1080, 0, 1440)
         b = weekly_windows((0,), "08:00", "18:00", 0, 1440)
         assert a == b
+        assert weekly_windows(("MON",), "8:00", "18:00", 0, 1440) == a
         last = weekly_windows(("MON",), "23:59", "24:00", 0, 1440)
         assert last.windows == ((1439, 1440),)
 

@@ -2,8 +2,11 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromsched.cli import main
+
+from test_jsonio import instance_docs, maybe
 
 
 def run(capsys, *argv):
@@ -178,3 +181,16 @@ class TestExperimentAndReport:
         for fragment in ("--rule", "atcoee", "--k1", "default 10", "--cooling",
                          "0.95", "--max-iters", "15000"):
             assert fragment in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=maybe(instance_docs), algorithm=st.sampled_from(["lta", "sa"]))
+def test_fuzzed_instances_exit_0_or_2(tmp_path_factory, doc, algorithm):
+    # In-process: a traceback would escape `main` and fail the test.
+    directory = tmp_path_factory.mktemp("fuzz")
+    instance = directory / "instance.json"
+    instance.write_text(json.dumps(doc))
+    code = main(["solve", "--instance", str(instance), "--out",
+                 str(directory / "schedule.json"), "--algorithm", algorithm,
+                 "--max-iters", "50"])
+    assert code in (0, 2)

@@ -118,11 +118,25 @@ def test_semantic_errors_wrapped():
             ({"days": ["MON"], "end": "08:75"}, 1440,
              "end '08:75' has minutes outside 00-59"),
             ({"days": ["MON"], "start": "08:-5"}, 1440,
-             "start '08:-5' has minutes outside 00-59"),
+             "start '08:-5' is not HH:MM"),
             ({"days": ["MON"], "end": "23:60"}, 1440,
              "end '23:60' has minutes outside 00-59"),
             ({"days": ["MON"], "end": "24:30"}, 1440,
              "end '24:30' is outside 00:00-24:00"),
+            ({"days": ["MON"], "start": "+8:00"}, 1440,
+             r"start '\+8:00' is not HH:MM"),
+            ({"days": ["MON"], "start": " 8:00"}, 1440,
+             "start ' 8:00' is not HH:MM"),
+            ({"days": ["MON"], "start": "0_8:00"}, 1440,
+             "start '0_8:00' is not HH:MM"),
+            ({"days": ["MON"], "start": "08:"}, 1440,
+             "start '08:' is not HH:MM"),
+            ({"days": ["MON"], "start": "\uff10\uff18:\uff10\uff10"}, 1440,
+             "start '\uff10\uff18:\uff10\uff10' is not HH:MM"),
+            ({"days": ["MON"], "start": "8"}, 1440, "start '8' is not HH:MM"),
+            ({"days": ["MON"], "end": "8:5"}, 1440, "end '8:5' is not HH:MM"),
+            ({"days": ["MON"], "end": "18:00\n"}, 1440,
+             r"end '18:00\\n' is not HH:MM"),
             ({"days": ["MON"]}, 10**12, "MAX_WEEKLY_SPAN_DAYS"),
             ({"days": ["MON"]}, 10**8, "MAX_WEEKLY_SPAN_DAYS")):
         doc["operator_windows"] = {"weekly": weekly, "from": 0, "until": until}
