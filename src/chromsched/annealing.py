@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
 from .engine import (CompiledInstance, compile_instance, place_sequences,
                      schedule_from_arrays, sequences_from_schedule)
@@ -65,6 +66,8 @@ class Mechanism:
 
 #: The eight move mechanisms.  Rows 0 and 3 are intentionally identical:
 #: row 0 is reserved for the SIMPLE structure, rows 1-7 form OP and OP+PA.
+#: Row 7 (IDEM, LATE) swaps the drawn pack with the pack that follows it on
+#: its machine; it searches no ready-date window as the other rows do.
 MECHANISMS: tuple[Mechanism, ...] = (
     Mechanism(0, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF, DateChoice.UNIF),
     Mechanism(1, MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM, DateChoice.UNIF),
@@ -126,26 +129,21 @@ def initial_temperature(mean_delta: float, accept_prob: float = 0.8) -> float:
 # Internal solution state and proposal machinery.
 
 
-class _PackInfo:
+class _PackInfo(NamedTuple):
     """A pack: a maximal run seq[lo:hi] of same-family operations on one
     machine with no setup or idle gap between consecutive members (a single
     operation is a pack too).  `weight` sums its members' tardiness shares."""
 
-    __slots__ = ("machine", "lo", "hi", "family", "start", "ready", "mask",
-                 "machines", "weight", "index")
-
-    def __init__(self, machine, lo, hi, family, start, ready, mask, machines,
-                 weight, index):
-        self.machine = machine
-        self.lo = lo
-        self.hi = hi
-        self.family = family
-        self.start = start
-        self.ready = ready
-        self.mask = mask
-        self.machines = machines
-        self.weight = weight
-        self.index = index
+    machine: int
+    lo: int
+    hi: int
+    family: int
+    start: int
+    ready: int
+    mask: int
+    machines: tuple[int, ...]
+    weight: float
+    index: int
 
 
 class _Solution:
@@ -240,7 +238,7 @@ def _op_weights(ci: CompiledInstance, comps) -> list[float]:
     job_due = ci.job_due
     for j, ops in enumerate(ci.job_ops):
         due = job_due[j]
-        worst = -1
+        worst = comps[ops[0]]
         for o in ops:
             if comps[o] > worst:
                 worst = comps[o]
@@ -265,159 +263,101 @@ def _draw_index(cum: list[float], total: float, rng: random.Random) -> int:
     return min(idx, len(cum) - 1)
 
 
-def _attempt_op(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
-                rng: random.Random):
-    o1 = _draw_index(sol.op_cum, sol.op_total, rng)
-    m1 = sol.machine_of[o1]
-    ready = ci.release[o1]
-    s1 = sol.starts[o1]
+def _move(seqs, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
+          exchanging: bool):
+    """New per-machine sequences in which the block seqs[m1][lo1:hi1] is
+    inserted before, or exchanged with, the block seqs[m2][lo2:hi2].
+
+    On one machine the second block must be the earlier one (hi2 <= lo1).
+    Machines the move leaves alone keep their list objects: a resumed
+    decode tells changed machines by identity.
+    """
+    if not exchanging:
+        hi2 = lo2  # an insertion exchanges with the empty block at lo2
+    new = list(seqs)
+    a, b = seqs[m1], seqs[m2]
+    if m1 == m2:
+        new[m1] = a[:lo2] + a[lo1:hi1] + a[hi2:lo1] + a[lo2:hi2] + a[hi1:]
+    else:
+        new[m1] = a[:lo1] + b[lo2:hi2] + a[hi1:]
+        new[m2] = b[:lo2] + a[lo1:hi1] + b[hi2:]
+    return new
+
+
+def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
+             rng: random.Random):
+    """One draw of a first item (an operation or a pack) and the move to a
+    second item drawn uniformly from the admissible ones that start between
+    the first item's ready date and its start; None when there is none."""
+    exchanging = mech.move is MoveType.EXCHANGE
+    need_family = mech.same_family
+    by_op = mech.item is ItemKind.OP
+    if by_op:
+        o1 = _draw_index(sol.op_cum, sol.op_total, rng)
+        m1 = sol.machine_of[o1]
+        lo1 = sol.pos_of[o1]
+        hi1 = lo1 + 1
+        ready, s1, fam1 = ci.release[o1], sol.starts[o1], ci.family[o1]
+        eligible = ci.eligible[o1]
+    else:
+        packs, flat, cum, total = sol.pack_data(ci)
+        if total <= 0:
+            return None
+        p1 = flat[_draw_index(cum, total, rng)]
+        m1, lo1, hi1 = p1.machine, p1.lo, p1.hi
+        if mech.machine_choice is MachineChoice.IDEM:
+            per_machine = packs[m1]
+            if p1.index + 1 >= len(per_machine):
+                return None
+            succ = per_machine[p1.index + 1]
+            return _move(sol.seqs, m1, succ.lo, succ.hi, m1, lo1, hi1, True)
+        ready, s1, fam1, eligible = p1.ready, p1.start, p1.family, p1.machines
     if s1 <= ready:
         return None
-    if mech.machine_choice is MachineChoice.IDEM:
-        machines = (m1,)
-    elif mech.machine_choice is MachineChoice.EM:
-        machines = ci.eligible[o1]
+    if mech.machine_choice is MachineChoice.EM:
+        machines = eligible
     else:
-        elig = ci.eligible[o1]
-        machines = (elig[rng.randrange(len(elig))],)
-    fam1 = ci.family[o1]
-    need_family = mech.same_family
-    exchanging = mech.move is MoveType.EXCHANGE
+        machines = (eligible[rng.randrange(len(eligible))],)
     m1_bit = 1 << m1
-    family = ci.family
-    eligible_mask = ci.eligible_mask
-    starts = sol.starts
     cands = []
-    for m in machines:
-        for pos, o2 in enumerate(sol.seqs[m]):
-            st = starts[o2]
-            if st >= s1:
-                break
-            if st < ready:
-                continue
-            if need_family and family[o2] != fam1:
-                continue
-            if exchanging and not eligible_mask[o2] & m1_bit:
-                continue
-            cands.append((st, m, pos))
+    if by_op:
+        family, eligible_mask, starts = ci.family, ci.eligible_mask, sol.starts
+        for m in machines:
+            for pos, o2 in enumerate(sol.seqs[m]):
+                st = starts[o2]
+                if st >= s1:
+                    break
+                if st < ready:
+                    continue
+                if need_family and family[o2] != fam1:
+                    continue
+                if exchanging and not eligible_mask[o2] & m1_bit:
+                    continue
+                cands.append((m, pos, pos + 1))
+    else:
+        for m in machines:
+            for q in packs[m]:
+                if q.start >= s1:
+                    break
+                if q.start < ready:
+                    continue
+                if need_family and q.family != fam1:
+                    continue
+                if exchanging and not q.mask & m1_bit:
+                    continue
+                cands.append((m, q.lo, q.hi))
     if not cands:
         return None
-    if mech.date_choice is DateChoice.LATE:
-        best = cands[0]
-        for c in cands[1:]:
-            if c[0] > best[0]:
-                best = c
-        _, m2, i2 = best
-    else:
-        _, m2, i2 = cands[rng.randrange(len(cands))]
-    i1 = sol.pos_of[o1]
-    new = list(sol.seqs)
-    if exchanging:
-        if m1 == m2:
-            s = list(new[m1])
-            s[i1], s[i2] = s[i2], s[i1]
-            new[m1] = s
-        else:
-            sa, sb = list(new[m1]), list(new[m2])
-            sa[i1], sb[i2] = sb[i2], sa[i1]
-            new[m1], new[m2] = sa, sb
-    else:
-        if m1 == m2:
-            s = list(new[m1])
-            s.pop(i1)
-            s.insert(i2, o1)
-            new[m1] = s
-        else:
-            sa = list(new[m1])
-            sa.pop(i1)
-            sb = list(new[m2])
-            sb.insert(i2, o1)
-            new[m1], new[m2] = sa, sb
-    return new
-
-
-def _attempt_pack(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
-                  rng: random.Random):
-    packs, flat, cum, total = sol.pack_data(ci)
-    if total <= 0:
-        return None
-    p1 = flat[_draw_index(cum, total, rng)]
-    if mech.id == 7:
-        per_machine = packs[p1.machine]
-        if p1.index + 1 >= len(per_machine):
-            return None
-        succ = per_machine[p1.index + 1]
-        seq = sol.seqs[p1.machine]
-        new = list(sol.seqs)
-        new[p1.machine] = (seq[:p1.lo] + seq[succ.lo:succ.hi]
-                           + seq[p1.lo:p1.hi] + seq[succ.hi:])
-        return new
-    if p1.start <= p1.ready:
-        return None
-    if mech.machine_choice is MachineChoice.IDEM:
-        machines = (p1.machine,)
-    elif mech.machine_choice is MachineChoice.EM:
-        machines = p1.machines
-    else:
-        machines = (p1.machines[rng.randrange(len(p1.machines))],)
-    exchanging = mech.move is MoveType.EXCHANGE
-    m1_bit = 1 << p1.machine
-    cands = []
-    for m in machines:
-        for q in packs[m]:
-            if q.start >= p1.start:
-                break
-            if q.start < p1.ready:
-                continue
-            if mech.same_family and q.family != p1.family:
-                continue
-            if exchanging and not q.mask & m1_bit:
-                continue
-            cands.append(q)
-    if not cands:
-        return None
-    if mech.date_choice is DateChoice.LATE:
-        p2 = cands[0]
-        for q in cands[1:]:
-            if q.start > p2.start:
-                p2 = q
-    else:
-        p2 = cands[rng.randrange(len(cands))]
-    new = list(sol.seqs)
-    m1, m2 = p1.machine, p2.machine
-    if exchanging:
-        if m1 == m2:
-            s = sol.seqs[m1]
-            # p2 sits earlier on the same machine: p2.hi <= p1.lo
-            new[m1] = (s[:p2.lo] + s[p1.lo:p1.hi] + s[p2.hi:p1.lo]
-                       + s[p2.lo:p2.hi] + s[p1.hi:])
-        else:
-            sa, sb = sol.seqs[m1], sol.seqs[m2]
-            new[m1] = sa[:p1.lo] + sb[p2.lo:p2.hi] + sa[p1.hi:]
-            new[m2] = sb[:p2.lo] + sa[p1.lo:p1.hi] + sb[p2.hi:]
-    else:
-        block = sol.seqs[m1][p1.lo:p1.hi]
-        if m1 == m2:
-            s = list(sol.seqs[m1])
-            del s[p1.lo:p1.hi]
-            s[p2.lo:p2.lo] = block
-            new[m1] = s
-        else:
-            sa = list(sol.seqs[m1])
-            del sa[p1.lo:p1.hi]
-            sb = list(sol.seqs[m2])
-            sb[p2.lo:p2.lo] = block
-            new[m1], new[m2] = sa, sb
-    return new
+    m2, lo2, hi2 = cands[rng.randrange(len(cands))]
+    return _move(sol.seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging)
 
 
 def _propose(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
-             rng: random.Random, resample_limit: int):
+             rng: random.Random):
     """New per-machine sequences one `mech` move away from `sol`, or None
-    when `resample_limit` draws find no admissible second item."""
-    attempt = _attempt_op if mech.item is ItemKind.OP else _attempt_pack
-    for _ in range(resample_limit):
-        new_seqs = attempt(ci, sol, mech, rng)
+    when `_RESAMPLE_LIMIT` draws find no admissible second item."""
+    for _ in range(_RESAMPLE_LIMIT):
+        new_seqs = _attempt(ci, sol, mech, rng)
         if new_seqs is not None:
             return new_seqs
     return None
@@ -451,11 +391,11 @@ def run_sa(instance: Instance, initial: Schedule,
            params: SaParams | None = None, seed: int = 0) -> SaResult:
     """Anneal from a feasible initial schedule; never returns worse.
 
-    Phase one is a pure descent over `descent_iterations` proposals whose
-    mean absolute tardiness change calibrates the starting temperature so a
-    mean-sized degradation is accepted with `initial_accept_prob`.  The main
-    loop accepts any non-worsening neighbor and worse ones with probability
-    exp(-delta/T), cooling geometrically per plateau.
+    The first `descent_iterations` proposals are a pure descent whose mean
+    absolute tardiness change calibrates the starting temperature so a
+    mean-sized degradation is accepted with `initial_accept_prob`.  After
+    it, any non-worsening neighbor is accepted and worse ones with
+    probability exp(-delta/T), cooling geometrically per plateau.
     """
     params = params or SaParams()
     ci = compile_instance(instance)
@@ -498,55 +438,27 @@ def run_sa(instance: Instance, initial: Schedule,
     def budget_left() -> bool:
         return params.max_iterations is None or iteration < params.max_iterations
 
-    # Descent phase: improvements only, collecting the mean |delta|.
+    t0 = temperature = None  # None while descending
     abs_delta_sum = 0.0
     abs_delta_count = 0
-    while iteration < params.descent_iterations and budget_left():
-        if best_tardiness == 0:
-            return result("optimum", 0.0)
-        iteration += 1
-        mech = mechs[rng.randrange(n_mechs)]
-        new_seqs = _propose(ci, current, mech, rng, _RESAMPLE_LIMIT)
-        if new_seqs is None:
-            proposal_failures += 1
-        else:
-            try:
-                placed = place_sequences(ci, new_seqs, base=current.decode)
-            except NoSlotError:
-                decode_failures += 1
-            else:
-                evaluated += 1
-                new_tardiness = placed.tardiness
-                delta = new_tardiness - current.tardiness
-                abs_delta_sum += abs(delta)
-                abs_delta_count += 1
-                if delta < 0:
-                    accepted += 1
-                    current = _Solution(ci, placed)
-                    if new_tardiness < best_tardiness:
-                        improved += 1
-                        best_tardiness = new_tardiness
-                        best = placed
-        trace.append((iteration, 0.0, current.tardiness, best_tardiness))
-
-    mean_delta = abs_delta_sum / abs_delta_count if abs_delta_count else 0.0
-    # Degenerate neighborhoods (every observed delta zero) get a nominal
-    # temperature; the acceptance rule never consults it for delta <= 0.
-    t0 = initial_temperature(mean_delta, params.initial_accept_prob) if mean_delta > 0 else 1.0
-    temperature = t0
-
-    level_iterations = 0
-    level_acceptances = 0
-    dead_run = 0
+    level_iterations = level_acceptances = dead_run = 0
     while True:
+        if temperature is None and (iteration >= params.descent_iterations
+                                    or not budget_left()):
+            mean_delta = abs_delta_sum / abs_delta_count if abs_delta_count else 0.0
+            # Degenerate neighborhoods (every observed delta zero) get a nominal
+            # temperature; the acceptance rule never consults it for delta <= 0.
+            t0 = temperature = (
+                initial_temperature(mean_delta, params.initial_accept_prob)
+                if mean_delta > 0 else 1.0)
+            level_acceptances = 0  # descent acceptances open no level
         if best_tardiness == 0:
-            return result("optimum", t0)
+            return result("optimum", t0 or 0.0)
         if not budget_left():
             return result("max-iterations", t0)
         iteration += 1
-        level_iterations += 1
         mech = mechs[rng.randrange(n_mechs)]
-        new_seqs = _propose(ci, current, mech, rng, _RESAMPLE_LIMIT)
+        new_seqs = _propose(ci, current, mech, rng)
         if new_seqs is None:
             proposal_failures += 1
         else:
@@ -558,7 +470,14 @@ def run_sa(instance: Instance, initial: Schedule,
                 evaluated += 1
                 new_tardiness = placed.tardiness
                 delta = new_tardiness - current.tardiness
-                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                if temperature is None:
+                    abs_delta_sum += abs(delta)
+                    abs_delta_count += 1
+                    take = delta < 0
+                else:
+                    take = (delta <= 0
+                            or rng.random() < math.exp(-delta / temperature))
+                if take:
                     accepted += 1
                     level_acceptances += 1
                     current = _Solution(ci, placed)
@@ -566,7 +485,11 @@ def run_sa(instance: Instance, initial: Schedule,
                         improved += 1
                         best_tardiness = new_tardiness
                         best = placed
-        trace.append((iteration, temperature, current.tardiness, best_tardiness))
+        trace.append((iteration, temperature or 0.0, current.tardiness,
+                      best_tardiness))
+        if temperature is None:
+            continue
+        level_iterations += 1
         if (level_iterations >= params.plateau_iterations
                 or level_acceptances >= params.plateau_acceptances):
             dead_run = dead_run + 1 if level_acceptances == 0 else 0

@@ -135,6 +135,9 @@ def _rule_params(args) -> RuleParams:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_iters < 0:
+        raise SchedulingError(
+            f"--max-iters must be 0 (unlimited) or more, got {args.max_iters}")
     instance = read_instance(args.instance)
     params = _rule_params(args)
     schedule = run_lta(instance, params, seed=args.seed)

@@ -165,28 +165,27 @@ def job_completion(schedule: Schedule, job: Job) -> int:
     return latest
 
 
-def total_tardiness(schedule: Schedule, instance: Instance) -> int:
-    """Sum over jobs of max(completion - due, 0); always >= 0."""
-    total = 0
+def _tardy_amounts(schedule: Schedule, instance: Instance) -> list[int]:
+    """completion - due of every job that completes after its due date."""
+    amounts = []
     for job in instance.jobs:
         lateness = job_completion(schedule, job) - job.due
         if lateness > 0:
-            total += lateness
-    return total
+            amounts.append(lateness)
+    return amounts
+
+
+def total_tardiness(schedule: Schedule, instance: Instance) -> int:
+    """Sum over jobs of max(completion - due, 0); always >= 0."""
+    return sum(_tardy_amounts(schedule, instance))
 
 
 def schedule_metrics(instance: Instance, schedule: Schedule) -> dict[str, int]:
     """Summary counters: tardiness, late jobs, setups, makespan."""
-    tardiness = 0
-    late = 0
-    for job in instance.jobs:
-        lateness = job_completion(schedule, job) - job.due
-        if lateness > 0:
-            tardiness += lateness
-            late += 1
+    tardy = _tardy_amounts(schedule, instance)
     return {
-        "tardiness": tardiness,
-        "late_jobs": late,
+        "tardiness": sum(tardy),
+        "late_jobs": len(tardy),
         "setups": sum(1 for p in schedule.placements if p.setup_performed),
         "makespan": max((p.completion for p in schedule.placements),
                         default=instance.horizon_origin),

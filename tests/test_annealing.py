@@ -1,15 +1,17 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from chromsched import annealing
 from chromsched.annealing import (DateChoice, ItemKind, MachineChoice,
                                   MECHANISMS, MoveType, SaParams, Structure,
-                                  STRUCTURE_MECHANISMS, _RESAMPLE_LIMIT,
-                                  _draw_index, _op_weights, _propose,
-                                  _Solution, initial_temperature, run_sa)
+                                  STRUCTURE_MECHANISMS, _draw_index, _move,
+                                  _op_weights, _propose, _Solution,
+                                  initial_temperature, run_sa)
 from chromsched.availability import TimeWindowSet
 from chromsched.engine import (compile_instance, place_sequences,
                                schedule_from_arrays, sequences_from_schedule)
@@ -243,6 +245,76 @@ class TestItemSelection:
         # the op finishing on time contributes nothing
         assert weights["j0.1"] == 0.0
 
+    def test_weights_with_a_negative_horizon_origin(self):
+        # both jobs end long before minute -1, 20 and 25 minutes late
+        inst = replace(tiny_instance([
+            ("j0", -10_000, -9_990, [("fA", 30, 0, ("m0",))]),
+            ("j1", -10_000, -9_985, [("fB", 40, 0, ("m1",))]),
+        ], machines=("m0", "m1")), horizon_origin=-10_000)
+        ci, sol = solution(inst, {"m0": ("j0.1",), "m1": ("j1.1",)})
+        assert sol.tardiness == 45
+        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
+        assert weights == {"j0.1": 20.0, "j1.1": 25.0}
+        assert sol.op_total == 45.0
+
+
+def spliced(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging):
+    """Reference block move: cut the first block out, put the second (or
+    nothing, when inserting) in its place, then put the first block where
+    the second was; on one machine the second block is the earlier one, so
+    its position is unchanged by the first cut."""
+    new = [list(seq) for seq in seqs]
+    block = new[m1][lo1:hi1]
+    other = new[m2][lo2:hi2] if exchanging else []
+    new[m1][lo1:hi1] = other
+    new[m2][lo2:lo2 + len(other)] = block
+    return new
+
+
+class TestMove:
+    SEQS = ([0, 1, 2, 3, 4, 5], [6, 7, 8, 9])
+
+    def blocks(self, m, length):
+        return [(lo, lo + length)
+                for lo in range(len(self.SEQS[m]) - length + 1)]
+
+    def test_equals_cut_and_splice(self):
+        seqs = [list(seq) for seq in self.SEQS]
+        checked = 0
+        for exchanging, m1, m2, len1, len2 in product(
+                (False, True), (0, 1), (0, 1), (1, 2, 3), (1, 2, 3)):
+            for (lo1, hi1), (lo2, hi2) in product(self.blocks(m1, len1),
+                                                  self.blocks(m2, len2)):
+                if m1 == m2 and hi2 > lo1:
+                    continue  # the second block must come first on one machine
+                got = _move(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging)
+                assert got == spliced(seqs, m1, lo1, hi1, m2, lo2, hi2,
+                                      exchanging)
+                assert seqs == list(self.SEQS)  # the input is not modified
+                for m in (0, 1):
+                    assert (got[m] is seqs[m]) == (m not in (m1, m2))
+                checked += 1
+        assert checked > 200
+
+    def test_literal_moves(self):
+        seqs = [list(seq) for seq in self.SEQS]
+        # one operation inserted earlier on its machine
+        assert _move(seqs, 0, 4, 5, 0, 1, 2, False) == [
+            [0, 4, 1, 2, 3, 5], [6, 7, 8, 9]]
+        # a two-operation block exchanged with one operation elsewhere
+        assert _move(seqs, 0, 2, 4, 1, 1, 2, True) == [
+            [0, 1, 7, 4, 5], [6, 2, 3, 8, 9]]
+        # a three-operation block inserted before another machine's block
+        assert _move(seqs, 0, 0, 3, 1, 2, 4, False) == [
+            [3, 4, 5], [6, 7, 0, 1, 2, 8, 9]]
+
+    def test_successor_swap(self):
+        # row 7: the pack [3, 5) moves ahead of the pack [1, 3) before it
+        seqs = [[0, 1, 2, 3, 4, 5], [6]]
+        got = _move(seqs, 0, 3, 5, 0, 1, 3, True)
+        assert got == [[0, 3, 4, 1, 2, 5], [6]]
+        assert got[1] is seqs[1]
+
 
 class TestProposeNeighbor:
     def test_mechanism_0_reverses_two_op_machine(self):
@@ -251,8 +323,7 @@ class TestProposeNeighbor:
             ("j1", 0, 5, [("fA", 10, 0, ("m0",))]),  # late, starts second
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
-        got = _propose(ci, sol, MECHANISMS[0], random.Random(0),
-                       _RESAMPLE_LIMIT)
+        got = _propose(ci, sol, MECHANISMS[0], random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j1.1", "j0.1")
 
     def test_mechanism_7_swaps_adjacent_packs(self):
@@ -262,16 +333,14 @@ class TestProposeNeighbor:
             ("j2", 0, 10_000, [("fB", 10, 0, ("m0",))]),
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
-        got = _propose(ci, sol, MECHANISMS[7], random.Random(0),
-                       _RESAMPLE_LIMIT)
+        got = _propose(ci, sol, MECHANISMS[7], random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j2.1", "j0.1", "j1.1")
 
     def test_proposal_failure_when_window_empty(self):
         # the only late op already starts at its release date
         inst = tiny_instance([("j0", 0, 5, [("fA", 10, 0, ("m0",))])])
         ci, sol = solution(inst, {"m0": ("j0.1",)})
-        assert _propose(ci, sol, MECHANISMS[0], random.Random(0),
-                        _RESAMPLE_LIMIT) is None
+        assert _propose(ci, sol, MECHANISMS[0], random.Random(0)) is None
 
     def test_family_constrained_exchange_preserves_family_multisets(self):
         rng = random.Random(5)
@@ -283,7 +352,7 @@ class TestProposeNeighbor:
         attempts = 0
         while proposals < 25 and attempts < 200:
             attempts += 1
-            neighbor = _propose(ci, sol, MECHANISMS[2], rng, _RESAMPLE_LIMIT)
+            neighbor = _propose(ci, sol, MECHANISMS[2], rng)
             if neighbor is None:
                 continue
             proposals += 1
@@ -302,7 +371,7 @@ class TestProposeNeighbor:
         for mech in MECHANISMS:
             produced = 0
             for _ in range(40):
-                neighbor = _propose(ci, sol, mech, rng, _RESAMPLE_LIMIT)
+                neighbor = _propose(ci, sol, mech, rng)
                 if neighbor is None:
                     continue
                 produced += 1
@@ -426,7 +495,7 @@ class TestResumedDecode:
         compared = 0
         for mech in MECHANISMS * 3:
             for _ in range(15):
-                neighbor = _propose(ci, sol, mech, rng, _RESAMPLE_LIMIT)
+                neighbor = _propose(ci, sol, mech, rng)
                 if neighbor is None:
                     continue
                 full = full_or_error(ci, neighbor)
@@ -515,20 +584,41 @@ def sa_fingerprint(res) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-# Computed with the machine-scan decoder that started every decode from
-# scratch; a change to the turn order or its tie-break changes them.
+# Keyed by (instance seed, run seed, SaParams fields set besides
+# max_iterations=1500).  The OP+PA runs were computed with the machine-scan
+# decoder that started every decode from scratch; a change to the turn order
+# or its tie-break changes them.  The others were computed before the
+# descent and the annealing loop became one loop: SIMPLE and OP, a budget
+# that ends inside the descent, no descent, and a run ending on dead levels.
 PINNED_SA_FINGERPRINTS = {
-    (0, 0): "c73e07a0953384bf",
-    (0, 1): "3b2d81b68ccb4225",
-    (2, 0): "56ecb3f6b6d457eb",
-    (2, 1): "59c199211024de98",
+    (0, 0, ()): "c73e07a0953384bf",
+    (0, 1, ()): "3b2d81b68ccb4225",
+    (2, 0, ()): "56ecb3f6b6d457eb",
+    (2, 1, ()): "59c199211024de98",
+    (0, 0, (("structure", Structure.SIMPLE),)): "3e5b5106a5d9e033",
+    (0, 1, (("structure", Structure.OP),)): "ba01abbf7ddae66c",
+    (2, 0, (("max_iterations", 60),)): "5fe4687348ca7d8f",
+    (2, 1, (("descent_iterations", 0),)): "75d6449677c72eca",
+    (0, 0, (("cooling_factor", 0.5), ("plateau_iterations", 50),
+            ("plateau_acceptances", 10), ("dead_levels", 2))):
+        "e34ad326511552c1",
 }
 
 
-@pytest.mark.parametrize("instance_seed,seed", sorted(PINNED_SA_FINGERPRINTS))
-def test_sa_results_match_pinned_fingerprints(instance_seed, seed):
+def pin_id(key):
+    instance_seed, seed, fields = key
+    return "-".join([str(instance_seed), str(seed)]
+                    + [f"{name}={getattr(value, 'value', value)}"
+                       for name, value in fields])
+
+
+@pytest.mark.parametrize("instance_seed,seed,fields", list(PINNED_SA_FINGERPRINTS),
+                         ids=list(map(pin_id, PINNED_SA_FINGERPRINTS)))
+def test_sa_results_match_pinned_fingerprints(instance_seed, seed, fields):
     inst = generate_instance(GenConfig(
         n_jobs=40, n_routings=5, n_machines=3, n_column_types=4,
         seed=instance_seed, unchecked=True))
-    res = run_sa(inst, run_lta(inst), SaParams(max_iterations=1500), seed=seed)
-    assert sa_fingerprint(res) == PINNED_SA_FINGERPRINTS[instance_seed, seed]
+    params = SaParams(**{"max_iterations": 1500, **dict(fields)})
+    res = run_sa(inst, run_lta(inst), params, seed=seed)
+    assert sa_fingerprint(res) == PINNED_SA_FINGERPRINTS[instance_seed, seed,
+                                                         fields]

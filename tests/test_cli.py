@@ -112,6 +112,19 @@ class TestUsageErrors:
         assert code == 2
         assert "jobs" in err
 
+    def test_negative_max_iters_exits_2(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        run(capsys, "generate", "--jobs", "12", "--routings", "4", "--seed",
+            "3", "--unchecked", "--out", str(instance))
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule), "--algorithm", "sa",
+                             "--max-iters", "-1")
+        assert code == 2
+        assert "--max-iters" in err
+        assert out == ""
+        assert not schedule.exists()
+
     def test_huge_weekly_span_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
