@@ -113,6 +113,13 @@ class SaParams:
             raise ValueError("cooling_factor must be in (0, 1)")
         if not 0.0 < self.initial_accept_prob < 1.0:
             raise ValueError("initial_accept_prob must be in (0, 1)")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be None, 0 or more")
+        if self.descent_iterations < 0:
+            raise ValueError("descent_iterations must be 0 or more")
+        for name in ("plateau_iterations", "plateau_acceptances", "dead_levels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be 1 or more")
 
 
 def initial_temperature(mean_delta: float, accept_prob: float = 0.8) -> float:

@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--master-seed", type=int, default=0,
                      help="seed for deriving all run seeds (default 0)")
     exp.add_argument("--parallel", type=int, default=1,
-                     help="worker processes (default 1)")
+                     help="worker processes, at most the CPU count (default 1)")
     exp.add_argument("--unchecked", action="store_true",
                      help="allow loads outside the experimental domains")
     exp.add_argument("--out", required=True, help="output results CSV path")

@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-
-from scipy.stats import f as f_distribution
 
 from .annealing import SaParams, Structure, run_sa
 from .generator import generate_instance
@@ -183,12 +181,17 @@ _SORT_KEY = ("load", "nRoutings", "setupRatio", "flexMean", "algorithm", "seed")
 
 def run_experiment(design, algorithms, parallel: int = 1) -> list[Observation]:
     """One observation per (design point, algorithm); rows come back sorted
-    so output is deterministic regardless of worker count (runtimes aside)."""
+    so output is deterministic regardless of worker count (runtimes aside).
+    `parallel` worker processes are used, at most one per CPU."""
     if not design:
         raise ValueError("empty design")
+    if parallel < 1:
+        raise ValueError(f"parallel must be 1 or more, got {parallel}")
     tasks = [(cfg, seed, spec) for cfg, seed in design for spec in algorithms]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             observations = list(pool.map(_run_one, tasks, chunksize=4))
     else:
         observations = [_run_one(t) for t in tasks]
@@ -198,6 +201,69 @@ def run_experiment(design, algorithms, parallel: int = 1) -> list[Observation]:
 
 # ---------------------------------------------------------------------------
 # Fixed-effects factorial decomposition with F tests.
+
+_CF_EPS = 1e-15
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 10000
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by
+    the modified Lentz method; converges fast for x < (a + 1) / (a + b + 2)."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return h
+    raise ValueError(
+        f"incomplete beta continued fraction did not converge "
+        f"(a={a}, b={b}, x={x})")
+
+
+def _beta_inc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for 0 < x < 1."""
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _f_critical(alpha: float, d1: int, d2: int) -> float:
+    """The f with P(F(d1, d2) > f) = alpha: the upper-alpha critical value
+    of the F distribution.
+
+    The upper tail is P(F > f) = I_y(d2/2, d1/2) with y = d2 / (d2 + d1 f),
+    the regularized incomplete beta function (computed from `math.lgamma`
+    and the modified-Lentz continued fraction, Press et al., *Numerical
+    Recipes*, section 6.4).  It rises with y, so y is found by bisection to
+    full float resolution and f = d2 (1 - y) / (d1 y); solving for the tail
+    keeps small alphas precise.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if d1 < 1 or d2 < 1:
+        raise ValueError(f"degrees of freedom must be 1 or more, got {d1}, {d2}")
+    a, b = d2 / 2.0, d1 / 2.0
+    lo, hi = 0.0, 1.0
+    y = 0.5
+    while lo < y < hi:
+        if _beta_inc(a, b, y) < alpha:
+            lo = y
+        else:
+            hi = y
+        y = 0.5 * (lo + hi)
+    return d2 * (1.0 - y) / (d1 * y)
 
 
 @dataclass(frozen=True)
@@ -381,7 +447,8 @@ def anova_effects(observations, response: str = "logTardiness",
             f_stat = math.inf
         else:
             f_stat = (ss / df) / ms_residual
-        f_crit = float(f_distribution.ppf(1.0 - alpha, df, residual_df))
+        # A single-level factor's term has no degrees of freedom to test.
+        f_crit = _f_critical(alpha, df, residual_df) if df else math.nan
         return f_stat, f_crit
 
     factor_reports = []

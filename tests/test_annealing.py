@@ -111,6 +111,21 @@ class TestInitialTemperature:
             initial_temperature(10.0, 1.0)
 
 
+class TestSaParams:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", -5), ("descent_iterations", -1),
+        ("plateau_iterations", 0), ("plateau_acceptances", 0),
+        ("dead_levels", 0)])
+    def test_refuses_counts_it_cannot_honour(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SaParams(**{field: value})
+
+    def test_unlimited_and_zero_counts_stay_valid(self):
+        SaParams(max_iterations=None)
+        SaParams(max_iterations=0)
+        SaParams(descent_iterations=0)
+
+
 class TestDecode:
     def test_same_family_pair_one_setup(self):
         inst = tiny_instance([

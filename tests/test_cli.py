@@ -125,6 +125,18 @@ class TestUsageErrors:
         assert out == ""
         assert not schedule.exists()
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_1_exits_2(self, tmp_path, capsys, parallel):
+        results = tmp_path / "results.csv"
+        code, out, err = run(capsys, "experiment", "--cells", "1", "--seeds",
+                             "1", "--algorithms", "edd", "--loads", "10",
+                             "--unchecked", "--parallel", parallel, "--out",
+                             str(results))
+        assert code == 2
+        assert "parallel must be 1 or more" in err
+        assert out == ""
+        assert not results.exists()
+
     def test_huge_weekly_span_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -1,11 +1,13 @@
+import concurrent.futures
 import math
 import random
 from dataclasses import replace
 
 import pytest
 
+from chromsched import experiments
 from chromsched.experiments import (AlgorithmSpec, DEFAULT_FACTORS, Observation,
-                                    anova_effects, effect_to_ratio,
+                                    _f_critical, anova_effects, effect_to_ratio,
                                     log_tardiness, parse_algorithm,
                                     read_observations, run_experiment,
                                     write_observations)
@@ -118,6 +120,39 @@ class TestRunExperiment:
                               for o in rows]
         assert strip(serial) == strip(twice)
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs the
+            tasks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool,
+                            raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        design = small_design(cells=1, seeds=1)
+        algos = [parse_algorithm("edd")]
+        rows = run_experiment(design, algos, parallel=5000)
+        assert started == [2]
+        assert len(rows) == 1
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        run_experiment(design, algos, parallel=4)
+        assert started == [2]
+
 
 class TestCsvRoundTrip:
     def test_identity(self, tmp_path):
@@ -229,6 +264,14 @@ class TestAnova:
         assert report.residual_df == 36
         assert report.factor("nRoutings").f_crit == pytest.approx(4.11, abs=0.01)
 
+    def test_single_level_factor_has_no_f_test(self):
+        rows = synthetic_observations(effect_a=1.0, noise=0.01, seed=4)
+        report = anova_effects(rows, factors=("nRoutings", "algorithm"))
+        fe = report.factor("algorithm")
+        assert fe.df == 0 and fe.f_stat == 0.0
+        assert math.isnan(fe.f_crit) and not fe.significant
+        assert report.factor("nRoutings").significant
+
     def test_report_renders(self):
         rows = synthetic_observations(effect_a=0.4, noise=0.02, seed=3)
         report = anova_effects(rows, factors=self.FACTORS)
@@ -238,3 +281,46 @@ class TestAnova:
         csv_rows = report.to_csv_rows()
         kinds = {r[0] for r in csv_rows[1:]}
         assert kinds == {"factor", "level", "interaction"}
+
+
+class TestFCritical:
+    # Upper-alpha F quantiles, to 16 digits (scipy.stats.f.ppf).
+    TABLE = [
+        (0.05, 1, 60, 4.001191376754993),
+        (0.05, 4, 20, 2.8660814020156584),
+        (0.01, 5, 10, 5.636326187669078),
+        (0.05, 1, 1, 161.4476387975882),
+    ]
+
+    @pytest.mark.parametrize("alpha, d1, d2, expected", TABLE)
+    def test_table_values(self, alpha, d1, d2, expected):
+        assert _f_critical(alpha, d1, d2) == pytest.approx(expected, rel=1e-9)
+
+    def test_matches_scipy_on_a_grid(self):
+        stats = pytest.importorskip("scipy.stats")
+        for alpha in (0.1, 0.05, 0.01, 0.001):
+            for d1 in (1, 2, 3, 6, 18, 30, 100):
+                for d2 in (1, 2, 5, 10, 36, 63, 120, 1000, 5000):
+                    expected = float(stats.f.ppf(1.0 - alpha, d1, d2))
+                    assert _f_critical(alpha, d1, d2) == pytest.approx(
+                        expected, rel=1e-9), (alpha, d1, d2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
+    def test_alpha_outside_the_unit_interval_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            _f_critical(alpha, 3, 20)
+        with pytest.raises(ValueError, match="alpha"):
+            anova_effects(synthetic_observations(),
+                          factors=TestAnova.FACTORS, alpha=alpha)
+
+    def test_unconverged_continued_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CF_MAX_TERMS", 2)
+        with pytest.raises(ValueError, match="did not converge"):
+            _f_critical(0.05, 3, 63)
+
+    def test_decreases_as_alpha_grows(self):
+        for d1, d2 in ((1, 1), (3, 63), (18, 63), (1, 5000)):
+            values = [_f_critical(alpha, d1, d2)
+                      for alpha in (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9)]
+            assert values == sorted(values, reverse=True)
+            assert len(set(values)) == len(values)

@@ -1,11 +1,13 @@
-"""No module of the package imports a name it never uses, and the
-package's public names are exactly the pinned list.
+"""No module of the package imports a name it never uses or a module
+outside the standard library, and the package's public names are exactly
+the pinned list.
 
-`__init__.py` is left out of the import check: its imports are the
-package's public re-exports.
+`__init__.py` is left out of the unused-import check: its imports are
+the package's public re-exports.
 """
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -62,6 +64,40 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of the modules `source` imports, anywhere in it,
+    that are neither in the standard library nor relative imports of the
+    package itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        roots = [m.split(".")[0] for m in modules]
+        found += [r for r in roots
+                  if r not in sys.stdlib_module_names and r != "chromsched"]
+    return sorted(found)
+
+
+def test_checker_flags_a_foreign_import():
+    source = ("import math, numpy.linalg\n"
+              "from . import model\n"
+              "from chromsched.model import Instance\n"
+              "def f():\n"
+              "    from scipy.stats import f\n"
+              "    return f\n")
+    assert foreign_imports(source) == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_imports_only_the_standard_library(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert foreign_imports(source) == []
 
 
 #: The package's public API: every name `chromsched` exports that is not a
