@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -235,3 +236,37 @@ class TestRunLta:
             best = enumerated_optimum(inst)
             got = total_tardiness(run_lta(inst), inst)
             assert got >= best
+
+
+# Keyed by (instance seed, algorithm token); run seed 0.  SHA-256 prefixes of
+# repr(run_lta(...).placements) on the instances the SA pins use, computed
+# when candidates still carried Operation objects and machine-id strings.
+PINNED_LTA_FINGERPRINTS = {
+    (0, "random"): "33aec6a79221d3c4",
+    (0, "edd"): "ed3d62666e4c6e14",
+    (0, "atc"): "dd560b177a34dfa7",
+    (0, "atcs"): "74df04ef0b22d2de",
+    (0, "atcoee"): "7cc166c6d319e837",
+    (0, "atcoeef"): "7cc166c6d319e837",
+    (0, "lfm_lfo"): "b14a4a17bb958026",
+    (0, "lfm_atcoee"): "f2a315d201aae635",
+    (2, "random"): "d8d3e1cf8e09e80b",
+    (2, "edd"): "134b01081c5a221b",
+    (2, "atc"): "20bc7cba54ec937a",
+    (2, "atcs"): "1cfe9967c45b2032",
+    (2, "atcoee"): "f791f83edfbeecd1",
+    (2, "atcoeef"): "54dd456404b37fa2",
+    (2, "lfm_lfo"): "c57fa8c453ab1907",
+    (2, "lfm_atcoee"): "f48313ed62dfadaa",
+}
+
+
+@pytest.mark.parametrize("instance_seed,token", list(PINNED_LTA_FINGERPRINTS),
+                         ids=[f"{s}-{t}" for s, t in PINNED_LTA_FINGERPRINTS])
+def test_lta_schedules_match_pinned_fingerprints(instance_seed, token):
+    inst = generate_instance(GenConfig(
+        n_jobs=40, n_routings=5, n_machines=3, n_column_types=4,
+        seed=instance_seed, unchecked=True))
+    schedule = run_lta(inst, parse_algorithm(token).rule_params)
+    digest = hashlib.sha256(repr(schedule.placements).encode()).hexdigest()
+    assert digest[:16] == PINNED_LTA_FINGERPRINTS[instance_seed, token]
