@@ -21,14 +21,12 @@ _NEG_INF = float("-inf")
 
 @dataclass
 class CompiledInstance:
-    instance: Instance
     machine_ids: tuple[str, ...]
     op_ids: tuple[str, ...]
     family_ids: tuple[str, ...]
     job_ids: tuple[str, ...]
     machine_index: dict[str, int]
     op_index: dict[str, int]
-    family_index: dict[str, int]
     # per-operation arrays
     proc: list[int]
     setup: list[int]
@@ -104,14 +102,12 @@ def compile_instance(instance: Instance) -> CompiledInstance:
         eligible_mask.append(mask)
 
     return CompiledInstance(
-        instance=instance,
         machine_ids=machine_ids,
         op_ids=op_ids,
         family_ids=family_ids,
         job_ids=job_ids,
         machine_index=machine_index,
         op_index=op_index,
-        family_index=family_index,
         proc=proc,
         setup=setup,
         family=family,

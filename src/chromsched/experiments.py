@@ -365,7 +365,8 @@ def anova_effects(observations, response: str = "logTardiness",
     Level effect = level mean - grand mean; each F statistic compares the
     term's mean square against the residual (which absorbs higher-order
     interactions and replicate noise).  Failed runs (tardiness < 0) are
-    refused: their logTardiness of 0 would score them as optimal.
+    refused: their logTardiness of 0 would score them as optimal.  So is a
+    single-level factor, whose term has no degrees of freedom to test.
     """
     if not observations:
         raise ValueError("no observations")
@@ -383,6 +384,11 @@ def anova_effects(observations, response: str = "logTardiness",
         key = tuple(values[i] for values in level_values)
         cell_counts[key] = cell_counts.get(key, 0) + 1
     levels_per_factor = [sorted(set(values)) for values in level_values]
+    for factor, levels in zip(factors, levels_per_factor):
+        if len(levels) < 2:
+            raise ValueError(
+                f"factor {factor} has a single level ({levels[0]}) and no "
+                "effect to test; leave it out of --factors")
     full_cells = math.prod(len(l) for l in levels_per_factor)
     if len(cell_counts) != full_cells or len(set(cell_counts.values())) != 1:
         raise ValueError(
@@ -447,9 +453,7 @@ def anova_effects(observations, response: str = "logTardiness",
             f_stat = math.inf
         else:
             f_stat = (ss / df) / ms_residual
-        # A single-level factor's term has no degrees of freedom to test.
-        f_crit = _f_critical(alpha, df, residual_df) if df else math.nan
-        return f_stat, f_crit
+        return f_stat, _f_critical(alpha, df, residual_df)
 
     factor_reports = []
     for factor, effects, ss, df in factor_stats:

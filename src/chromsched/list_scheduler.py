@@ -1,10 +1,11 @@
 """Greedy list scheduler: earliest placements for every (machine, operation)
 pair, one commitment per loop chosen by a priority rule.
 
-Candidate earliest-start times are cached between loops and recomputed only
-where a commitment can change them.  Committing family f on machine m over
-[lo, hi) invalidates
-  * every pair on m, whose clock and last family changed, and
+Each pair's `rules.Candidate` (its earliest timing) is cached between loops
+and recomputed only where a commitment can change it.  Committing family f
+on machine m over [lo, hi) invalidates
+  * every pair on m, whose clock and last family changed (so a cached
+    candidate's `machine_clock` is always its machine's clock), and
   * the pairs of family f on other machines whose cached [start, completion)
     overlaps [lo, hi).
 Every other cached entry stays exact: the commit only lowered f's column
@@ -26,7 +27,7 @@ from .availability import (DEFAULT_SEARCH_DAYS, find_earliest, min_level,
                            reserve_step)
 from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
-from .model import Instance, Operation, PlacedOperation, Schedule
+from .model import Instance, PlacedOperation, Schedule
 from .rules import Candidate, RuleParams, select_assignment
 
 logger = logging.getLogger(__name__)
@@ -39,12 +40,11 @@ class LtaState:
     the unscheduled-set statistics feeding the priority rules."""
 
     ci: CompiledInstance
-    ops: list[Operation]
     clocks: list[int]
     last_family: list[int]
-    # per machine: schedulable op -> (start, completion, setup) or None
-    # when no slot exists within the horizon this round
-    candidates: list[dict[int, tuple[int, int, bool] | None]]
+    # per machine: schedulable op -> its Candidate, or None when no slot
+    # exists within the horizon this round
+    candidates: list[dict[int, Candidate | None]]
     prof_times: list[list]
     prof_levels: list[list[int]]
     unscheduled: set[int]
@@ -60,8 +60,6 @@ class LtaState:
 
 def init_state(instance: Instance) -> LtaState:
     ci = compile_instance(instance)
-    by_id = instance.operations_by_id
-    ops = [by_id[op_id] for op_id in ci.op_ids]
     n_machines = ci.n_machines
     candidates: list[dict] = [{} for _ in range(n_machines)]
     pending = set()
@@ -72,7 +70,6 @@ def init_state(instance: Instance) -> LtaState:
     prof_times, prof_levels = ci.fresh_profiles()
     return LtaState(
         ci=ci,
-        ops=ops,
         clocks=[ci.origin] * n_machines,
         last_family=[-1] * n_machines,
         candidates=candidates,
@@ -109,29 +106,18 @@ def _refresh(state: LtaState) -> None:
                            ci.op_ids[o], ci.machine_ids[m], DEFAULT_SEARCH_DAYS)
             state.candidates[m][o] = None
             continue
-        state.candidates[m][o] = (t, t + duration, needs_setup)
+        state.candidates[m][o] = Candidate(
+            m, o, t, t + duration, needs_setup, clock, ci.job_due[ci.job[o]],
+            ci.proc[o], ci.setup[o], len(ci.eligible[o]))
     state.pending.clear()
-
-
-def _make_candidate(state: LtaState, m: int, o: int,
-                    entry: tuple[int, int, bool]) -> Candidate:
-    ci = state.ci
-    return Candidate(state.ops[o], ci.machine_ids[m], entry[0], entry[1],
-                     entry[2], state.clocks[m], ci.job_due[ci.job[o]],
-                     ci.release[o])
 
 
 def candidate_times(state: LtaState) -> list[Candidate]:
     """All currently feasible (machine, operation) candidates, in
     (machine id, job id, operation id) order."""
     _refresh(state)
-    out = []
-    for m in range(state.ci.n_machines):
-        for o in sorted(state.candidates[m]):
-            entry = state.candidates[m][o]
-            if entry is not None:
-                out.append(_make_candidate(state, m, o, entry))
-    return out
+    return sorted(c for cached in state.candidates
+                  for c in cached.values() if c is not None)
 
 
 def _select_pool(state: LtaState, params: RuleParams,
@@ -154,16 +140,13 @@ def _select_pool(state: LtaState, params: RuleParams,
         # while its clock runs away and starve the rest of the shop.
         law = {
             m: state.clocks[m] + sum(
-                ci.proc[o] / len(ci.eligible[o])
-                for o, e in state.candidates[m].items() if e is not None)
+                e.processing / e.flexibility
+                for e in state.candidates[m].values() if e is not None)
             for m in feasible}
         least = min(law.values())
         chosen = [m for m in feasible if law[m] == least]
-    pool = []
-    for m in chosen:
-        for o, entry in state.candidates[m].items():
-            if entry is not None:
-                pool.append(_make_candidate(state, m, o, entry))
+    pool = [e for m in chosen for e in state.candidates[m].values()
+            if e is not None]
     n = state.n_unscheduled
     return select_assignment(
         pool, params, rng,
@@ -178,21 +161,17 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     A candidate whose pair was invalidated by an earlier commit is stale and
     refused.  Mutates and returns `state`."""
     ci = state.ci
-    m = ci.machine_index[chosen.machine]
-    o = ci.op_index[chosen.operation.id]
-    entry = state.candidates[m].get(o)
-    if ((m, o) in state.pending or entry is None
-            or entry != (chosen.start, chosen.completion,
-                         chosen.setup_required)):
+    m, o = chosen.machine, chosen.op
+    if (m, o) in state.pending or state.candidates[m].get(o) != chosen:
         raise SchedulingError(
-            f"stale candidate {chosen.operation.id}@{chosen.machine}; "
+            f"stale candidate {ci.op_ids[o]}@{ci.machine_ids[m]}; "
             "commit what candidate_times returned for this state")
     f = ci.family[o]
     times, levels = state.prof_times[f], state.prof_levels[f]
     if min_level(times, levels, chosen.start, chosen.completion) < 1:
         raise SchedulingError(
             f"internal inconsistency: column {ci.family_ids[f]} "
-            f"overbooked for {chosen.operation.id}")
+            f"overbooked for {ci.op_ids[o]}")
     reserve_step(times, levels, chosen.start, chosen.completion)
 
     state.clocks[m] = chosen.completion
@@ -211,12 +190,13 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
         if other in state.unscheduled:
             for em in ci.eligible[other]:
                 cached = state.candidates[em][other]
-                if cached is not None and cached[0] < hi and lo < cached[1]:
+                if (cached is not None and cached.start < hi
+                        and lo < cached.completion):
                     pending.add((em, other))
 
     state.placements.append(PlacedOperation(
-        operation_id=chosen.operation.id,
-        machine=chosen.machine,
+        operation_id=ci.op_ids[o],
+        machine=ci.machine_ids[m],
         setup_performed=chosen.setup_required,
         start=chosen.start,
         completion=chosen.completion))

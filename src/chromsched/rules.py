@@ -9,6 +9,9 @@ them (`list_scheduler._select_pool`): FFM to the first-freed machines
 (minimal clock), LFM to the least-loaded ones, a machine's load being its
 clock plus each schedulable operation's processing time divided by the
 operation's number of eligible machines.
+
+A `Candidate` names its machine and operation by `engine.compile_instance`
+indices and carries every number a rule reads, so rules look nothing up.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-from .model import Operation
 
 
 class Rule(str, Enum):
@@ -74,46 +75,49 @@ class RuleParams:
 
 
 class _CandidateFields(NamedTuple):
-    operation: Operation
-    machine: str
+    machine: int
+    op: int
     start: int
     completion: int
     setup_required: bool
     machine_clock: int
     due: int
-    release: int = 0
+    processing: int
+    setup: int
+    flexibility: int
 
 
 class Candidate(_CandidateFields):
-    """A possible (operation, machine) assignment with its earliest timing.
+    """A possible assignment of operation `op` to `machine`, both indices of
+    the `CompiledInstance`, with its earliest timing.
 
     `start` is the setup start when `setup_required`, else the processing
     start; `machine_clock` is the machine's availability date when the
-    candidate was computed; `release` and `due` are the owning job's dates.
-
-    An immutable named tuple: the list scheduler builds one for every pool
-    entry on every loop, and a tuple costs a fraction of a frozen dataclass
-    to build.  Like any tuple it compares equal to a tuple of the same fields.
+    candidate was computed; `due` is the owning job's due date; `processing`
+    and `setup` are the operation's durations and `flexibility` its number
+    of eligible machines.  An immutable named tuple whose natural order,
+    (machine, op) first, is the (machine id, job id, operation id) order.
     """
 
     __slots__ = ()
 
-    def __new__(cls, operation: Operation, machine: str, start: int,
-                completion: int, setup_required: bool, machine_clock: int,
-                due: int, release: int = 0):
+    def __new__(cls, machine: int, op: int, start: int, completion: int,
+                setup_required: bool, machine_clock: int, due: int,
+                processing: int, setup: int, flexibility: int):
         if completion <= start:
             raise ValueError(
-                f"candidate {operation.id}@{machine}: empty interval")
-        return tuple.__new__(cls, (operation, machine, start, completion,
-                                   setup_required, machine_clock, due, release))
+                f"candidate op {op} on machine {machine}: empty interval")
+        return tuple.__new__(cls, (machine, op, start, completion,
+                                   setup_required, machine_clock, due,
+                                   processing, setup, flexibility))
 
 
 def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
     """(1/p) * exp(-slack / (k1 * p_bar)) with slack clamped at zero."""
-    slack = c.due - c.operation.processing - c.machine_clock
+    slack = c.due - c.processing - c.machine_clock
     if slack < 0:
         slack = 0
-    return math.exp(-slack / (params.k1 * p_bar)) / c.operation.processing
+    return math.exp(-slack / (params.k1 * p_bar)) / c.processing
 
 
 def atcs_priority(c: Candidate, p_bar: float, s_bar: float,
@@ -124,7 +128,7 @@ def atcs_priority(c: Candidate, p_bar: float, s_bar: float,
     operation) pays nothing.
     """
     base = atc_priority(c, p_bar, params)
-    s_eff = c.operation.setup if c.setup_required else 0
+    s_eff = c.setup if c.setup_required else 0
     if s_eff == 0 or s_bar <= 0:
         return base
     return base * math.exp(-s_eff / (params.k2 * s_bar))
@@ -139,20 +143,16 @@ def atcoee_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
     span = c.completion - c.machine_clock
     if span <= 0:
         raise ValueError(
-            f"candidate {c.operation.id}@{c.machine}: completion before clock")
-    oee = c.operation.processing / span
+            f"candidate op {c.op} on machine {c.machine}: completion before clock")
+    oee = c.processing / span
     return atc_priority(c, p_bar, params) * math.exp(oee / params.k2)
 
 
 def atcoeef_priority(c: Candidate, p_bar: float, total_machines: int,
                      params: RuleParams) -> float:
     """ATCOEE times exp(-Fl/k3), Fl = |eligible| / total machine count."""
-    flexibility = len(c.operation.eligible) / total_machines
-    return atcoee_priority(c, p_bar, params) * math.exp(-flexibility / params.k3)
-
-
-def _canonical_key(c: Candidate) -> tuple[str, str, str]:
-    return (c.machine, c.operation.job_id, c.operation.id)
+    fl = c.flexibility / total_machines
+    return atcoee_priority(c, p_bar, params) * math.exp(-fl / params.k3)
 
 
 def select_assignment(candidates: list[Candidate], params: RuleParams,
@@ -163,13 +163,13 @@ def select_assignment(candidates: list[Candidate], params: RuleParams,
     `candidates` is the pool the machine policy has already narrowed; the
     rule alone decides among them.  `p_bar`/`s_bar` are the mean processing
     and setup durations over the not-yet-scheduled operations.  Ties break
-    on (machine id, job id, operation id) so selection is deterministic for
-    a given rng state.
+    on candidate order, (machine, op) first, so selection is deterministic
+    for a given rng state.
     """
     if not candidates:
         raise ValueError("empty candidate list")
 
-    pool = sorted(candidates, key=_canonical_key)
+    pool = sorted(candidates)
 
     rule = params.rule
     if rule is Rule.RANDOM:
@@ -177,7 +177,7 @@ def select_assignment(candidates: list[Candidate], params: RuleParams,
     if rule is Rule.EDD:
         return min(pool, key=lambda c: c.due)
     if rule is Rule.LFO:
-        return min(pool, key=lambda c: len(c.operation.eligible))
+        return min(pool, key=lambda c: c.flexibility)
 
     if rule is Rule.ATC:
         score = lambda c: atc_priority(c, p_bar, params)

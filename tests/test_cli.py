@@ -191,6 +191,18 @@ class TestExperimentAndReport:
         assert out == ""
         assert "1 of 32 observations are failed runs" in err
 
+    def test_report_refuses_single_level_factor(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        code, _, _ = run(capsys, "experiment", "--cells", "16", "--seeds",
+                         "2", "--algorithms", "edd", "--loads", "10",
+                         "--unchecked", "--out", str(results))
+        assert code == 0
+        code, out, err = run(capsys, "report", "--results", str(results))
+        assert code == 2
+        assert out == ""
+        assert "factor algorithm has a single level" in err
+        assert "--factors" in err
+
     def test_partial_cells(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         code, out, _ = run(capsys, "experiment", "--cells", "3", "--seeds",

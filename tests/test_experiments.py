@@ -1,5 +1,4 @@
 import concurrent.futures
-import math
 import random
 from dataclasses import replace
 
@@ -265,12 +264,13 @@ class TestAnova:
         assert report.factor("nRoutings").f_crit == pytest.approx(4.11, abs=0.01)
 
     def test_single_level_factor_has_no_f_test(self):
+        # its term has no degrees of freedom, so the analysis is refused
         rows = synthetic_observations(effect_a=1.0, noise=0.01, seed=4)
-        report = anova_effects(rows, factors=("nRoutings", "algorithm"))
-        fe = report.factor("algorithm")
-        assert fe.df == 0 and fe.f_stat == 0.0
-        assert math.isnan(fe.f_crit) and not fe.significant
-        assert report.factor("nRoutings").significant
+        with pytest.raises(ValueError, match="factor algorithm has a single "
+                           "level.*leave it out of --factors"):
+            anova_effects(rows, factors=("nRoutings", "algorithm"))
+        assert anova_effects(rows, factors=("nRoutings",)).factor(
+            "nRoutings").significant
 
     def test_report_renders(self):
         rows = synthetic_observations(effect_a=0.4, noise=0.02, seed=3)

@@ -65,7 +65,7 @@ class TestCandidateTimes:
     def test_one_candidate_per_eligible_machine(self):
         inst = tiny_instance([[("fA", 20, 10, ("m0", "m1"))]])
         cands = candidate_times(init_state(inst))
-        assert sorted(c.machine for c in cands) == ["m0", "m1"]
+        assert [c.machine for c in cands] == [0, 1]
 
 
 class TestCommit:
@@ -74,13 +74,12 @@ class TestCommit:
                               [("fB", 30, 5, ("m0", "m1"))]])
         state = init_state(inst)
         cands = candidate_times(state)
-        chosen = next(c for c in cands if c.operation.id == "j0.1"
-                      and c.machine == "m0")
+        chosen = next(c for c in cands if (c.op, c.machine) == (0, 0))
         commit_assignment(state, chosen)
         assert all(0 not in state.candidates[m] for m in range(2))
         assert state.clocks[0] == chosen.completion
         remaining = candidate_times(state)
-        assert {c.operation.id for c in remaining} == {"j1.1"}
+        assert {c.op for c in remaining} == {1}
 
     def test_repends_exactly_the_overlapping_same_family_pairs(self):
         # One fA unit.  After j0.1 books [40, 70) on m0, the fA candidates

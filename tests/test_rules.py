@@ -12,16 +12,20 @@ from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
                               atcs_priority, select_assignment)
 
 
-def cand(op_id="j0.1", machine="m0", p=100, s=20, due=300, clock=0, start=None,
-         setup=True, eligible=("m0",), job="j0"):
+def cand(op=0, machine=0, p=100, s=20, due=300, clock=0, start=None,
+         setup=True, flexibility=1):
     if start is None:
         start = clock
     completion = start + p + (s if setup else 0)
     return Candidate(
-        operation=Operation(id=op_id, job_id=job, family="fA", processing=p,
-                            setup=s, eligible=frozenset(eligible)),
-        machine=machine, start=start, completion=completion,
-        setup_required=setup, machine_clock=clock, due=due)
+        machine=machine, op=op, start=start, completion=completion,
+        setup_required=setup, machine_clock=clock, due=due, processing=p,
+        setup=s, flexibility=flexibility)
+
+
+def ids(state, c):
+    """A list-scheduler candidate's (operation id, machine id)."""
+    return state.ci.op_ids[c.op], state.ci.machine_ids[c.machine]
 
 
 def one_op_jobs(specs, machines):
@@ -117,20 +121,19 @@ class TestAtcoee:
 
 class TestAtcoeef:
     def test_full_flexibility_penalty(self):
-        machines = tuple(f"m{i}" for i in range(10))
-        c = cand(eligible=machines)
+        c = cand(flexibility=10)
         params = RuleParams(k1=1, k2=1, k3=2)
         assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
             atcoee_priority(c, 100.0, params) * math.exp(-1 / 2), rel=1e-12)
 
     def test_fractional_flexibility(self):
-        c = cand(eligible=("m0", "m1"))
+        c = cand(flexibility=2)
         params = RuleParams(k1=1, k2=1, k3=1)
         assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
             atcoee_priority(c, 100.0, params) * math.exp(-0.2), rel=1e-12)
 
     def test_large_k3_recovers_atcoee(self):
-        c = cand(eligible=("m0", "m1"))
+        c = cand(flexibility=2)
         params = RuleParams(k1=1, k2=1, k3=1e15)
         assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
             atcoee_priority(c, 100.0, RuleParams(k1=1, k2=1)), rel=1e-12)
@@ -170,12 +173,12 @@ class TestSelectAssignment:
                             ("c", 10_000, ("m1",))], machines=("m0", "m1"))
         state = init_state(inst)
         (first,) = [c for c in candidate_times(state)
-                    if c.operation.id == "c.1"]
+                    if ids(state, c)[0] == "c.1"]
         commit_assignment(state, first)  # m1 now frees at 120, m0 at 0
         got = policy_then_rule(state, RuleParams())
         # m0 frees first even though its job is laxer; ATCOEE alone would
         # take the overdue a.1, which also needs no setup on m1
-        assert (got.operation.id, got.machine) == ("b.1", "m0")
+        assert ids(state, got) == ("b.1", "m0")
 
     def test_lfm_lfo_trace(self):
         # loads (clock + p / |eligible| per schedulable op): m0 100/3 + 100,
@@ -188,20 +191,19 @@ class TestSelectAssignment:
                             ("e", 10_000, ("m2",))],
                            machines=("m0", "m1", "m2"))
         params = RuleParams(rule=Rule.LFO, machine_policy=MachinePolicy.LFM)
-        got = policy_then_rule(init_state(inst), params)
-        assert (got.operation.id, got.machine) == ("d.1", "m1")
+        state = init_state(inst)
+        got = policy_then_rule(state, params)
+        assert ids(state, got) == ("d.1", "m1")
 
     def test_edd_picks_earliest_due(self):
-        pool = [cand(op_id="a.1", job="a", due=500),
-                cand(op_id="b.1", job="b", due=200)]
+        pool = [cand(op=0, due=500), cand(op=1, due=200)]
         params = RuleParams(rule=Rule.EDD)
         got = select_assignment(pool, params, random.Random(0),
                                 p_bar=100.0, s_bar=10.0, total_machines=2)
         assert got.due == 200
 
     def test_random_rule_deterministic_per_seed(self):
-        pool = [cand(op_id_, job=op_id_.split(".")[0])
-                for op_id_ in ("a.1", "b.1", "c.1")]
+        pool = [cand(op=o) for o in range(3)]
         params = RuleParams(rule=Rule.RANDOM)
         first = select_assignment(list(pool), params, random.Random(42),
                                   p_bar=100.0, s_bar=10.0, total_machines=2)
@@ -214,8 +216,7 @@ class TestSelectAssignment:
         rng = random.Random(9)
         params = RuleParams(rule=Rule.ATCOEE)
         for _ in range(50):
-            pool = [cand(op_id=f"j{i}.1", job=f"j{i}",
-                         p=rng.randint(1, 500), s=rng.randint(0, 300),
+            pool = [cand(op=i, p=rng.randint(1, 500), s=rng.randint(0, 300),
                          due=rng.randint(0, 5000), clock=0,
                          start=rng.randint(0, 100),
                          setup=bool(rng.getrandbits(1)))
@@ -226,12 +227,17 @@ class TestSelectAssignment:
             assert atcoee_priority(got, 250.0, params) == pytest.approx(best)
 
     def test_tie_breaks_lexicographic(self):
-        a = cand(op_id="a.1", job="a", machine="m0")
-        b = cand(op_id="b.1", job="b", machine="m0")
+        # index order is (machine id, job id, operation id) order
+        a = cand(op=0, machine=1)
+        b = cand(op=1, machine=1)
+        c = cand(op=2, machine=0)
         params = RuleParams(rule=Rule.ATC)  # identical scores
         got = select_assignment([b, a], params, random.Random(0),
                                 p_bar=100.0, s_bar=10.0, total_machines=2)
-        assert got.operation.id == "a.1"
+        assert got.op == 0
+        got = select_assignment([a, c], params, random.Random(0),
+                                p_bar=100.0, s_bar=10.0, total_machines=2)
+        assert got is c  # machine before operation
 
 
 class TestLabels:
