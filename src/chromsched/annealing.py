@@ -41,11 +41,6 @@ class MachineChoice(str, Enum):
     UNIF = "unif"
 
 
-class DateChoice(str, Enum):
-    UNIF = "unif"
-    LATE = "late"
-
-
 class Structure(str, Enum):
     SIMPLE = "simple"
     OP = "op"
@@ -61,22 +56,21 @@ class Mechanism:
     item: ItemKind
     same_family: bool
     machine_choice: MachineChoice
-    date_choice: DateChoice
 
 
 #: The eight move mechanisms.  Rows 0 and 3 are intentionally identical:
 #: row 0 is reserved for the SIMPLE structure, rows 1-7 form OP and OP+PA.
-#: Row 7 (IDEM, LATE) swaps the drawn pack with the pack that follows it on
+#: Row 7 (IDEM) swaps the drawn pack with the pack that follows it on
 #: its machine; it searches no ready-date window as the other rows do.
 MECHANISMS: tuple[Mechanism, ...] = (
-    Mechanism(0, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF, DateChoice.UNIF),
-    Mechanism(1, MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM, DateChoice.UNIF),
-    Mechanism(2, MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM, DateChoice.UNIF),
-    Mechanism(3, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF, DateChoice.UNIF),
-    Mechanism(4, MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM, DateChoice.UNIF),
-    Mechanism(5, MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM, DateChoice.UNIF),
-    Mechanism(6, MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF, DateChoice.UNIF),
-    Mechanism(7, MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM, DateChoice.LATE),
+    Mechanism(0, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
+    Mechanism(1, MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM),
+    Mechanism(2, MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM),
+    Mechanism(3, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
+    Mechanism(4, MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM),
+    Mechanism(5, MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM),
+    Mechanism(6, MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF),
+    Mechanism(7, MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM),
 )
 
 STRUCTURE_MECHANISMS: dict[Structure, tuple[int, ...]] = {

@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -21,12 +22,24 @@ from .annealing import SaParams, Structure, run_sa
 from .generator import generate_instance
 from .list_scheduler import run_lta
 from .model import total_tardiness
-from .rules import MachinePolicy, Rule, RuleParams
+from .rules import RULE_CONSTANTS, MachinePolicy, Rule, RuleParams
 
 logger = logging.getLogger(__name__)
 
-CSV_COLUMNS = ("load", "nRoutings", "setupRatio", "flexMean", "algorithm",
-               "seed", "tardiness", "logTardiness", "runtimeMs")
+#: The results CSV, one row per run: (column, `Observation` field, parser).
+_COLUMNS = (
+    ("load", "load", int),
+    ("nRoutings", "n_routings", int),
+    ("setupRatio", "setup_ratio", float),
+    ("flexMean", "flex_mean", float),
+    ("algorithm", "algorithm", str),
+    ("seed", "seed", int),
+    ("tardiness", "tardiness", int),
+    ("logTardiness", "log_tardiness", float),
+    ("runtimeMs", "runtime_ms", float),
+)
+CSV_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
+_FIELDS = {column: field for column, field, _ in _COLUMNS}
 
 
 def log_tardiness(tardiness: int) -> float:
@@ -58,44 +71,33 @@ class Observation:
     runtime_ms: float
 
     def value(self, column: str):
-        return {
-            "load": self.load,
-            "nRoutings": self.n_routings,
-            "setupRatio": self.setup_ratio,
-            "flexMean": self.flex_mean,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "tardiness": self.tardiness,
-            "logTardiness": self.log_tardiness,
-            "runtimeMs": self.runtime_ms,
-        }[column]
+        return getattr(self, _FIELDS[column])
 
 
 def write_observations(observations, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for obs in observations:
-            writer.writerow([obs.value(c) for c in CSV_COLUMNS])
+        writer.writerows([obs.value(c) for c in CSV_COLUMNS]
+                         for obs in observations)
 
 
 def read_observations(path) -> list[Observation]:
     out = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+        reader = csv.reader(handle)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ValueError(f"{path}: expected columns {','.join(CSV_COLUMNS)}")
-        for row in reader:
-            out.append(Observation(
-                load=int(row["load"]),
-                n_routings=int(row["nRoutings"]),
-                setup_ratio=float(row["setupRatio"]),
-                flex_mean=float(row["flexMean"]),
-                algorithm=row["algorithm"],
-                seed=int(row["seed"]),
-                tardiness=int(row["tardiness"]),
-                log_tardiness=float(row["logTardiness"]),
-                runtime_ms=float(row["runtimeMs"])))
+        for row in filter(None, reader):  # blank lines carry no row
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(_COLUMNS)} values, got {len(row)}")
+            try:
+                out.append(Observation(**{
+                    field: parse(text)
+                    for (_, field, parse), text in zip(_COLUMNS, row)}))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
@@ -122,8 +124,10 @@ _SA_TOKENS = {
 
 
 def parse_algorithm(token: str) -> AlgorithmSpec:
-    """Parse CLI-style tokens: rule names with optional dotted constants
-    ('atcoee', 'atcs.1.1', 'lfm_lfo') or annealing presets ('op_pa_sa')."""
+    """Parse CLI-style tokens: an optional 'lfm_' prefix, a rule name and up
+    to as many dot-separated whole-number constants as the rule reads
+    (`rules.RULE_CONSTANTS`; 'atcoee', 'atcs.1.1', 'lfm_lfo'), or an
+    annealing preset ('op_pa_sa')."""
     token = token.strip().lower()
     if token in _SA_TOKENS:
         label, structure, cooling, max_iters = _SA_TOKENS[token]
@@ -131,25 +135,23 @@ def parse_algorithm(token: str) -> AlgorithmSpec:
                       max_iterations=max_iters)
         return AlgorithmSpec(label=label, rule_params=RuleParams(),
                              sa_params=sa)
-    policy = MachinePolicy.FFM
-    name = token
-    if name.startswith("lfm_"):
-        policy = MachinePolicy.LFM
-        name = name[4:]
-    parts = name.split(".")
+    policy = MachinePolicy.LFM if token.startswith("lfm_") else MachinePolicy.FFM
+    rule_name, *constants = token.removeprefix("lfm_").split(".")
     try:
-        rule = Rule(parts[0])
+        rule = Rule(rule_name)
     except ValueError:
         raise ValueError(f"unknown algorithm {token!r}") from None
-    ks = [float(p) for p in parts[1:]]
-    if len(ks) > 3:
-        raise ValueError(f"too many constants in {token!r}")
-    defaults = RuleParams()
-    params = RuleParams(
-        rule=rule, machine_policy=policy,
-        k1=ks[0] if len(ks) > 0 else defaults.k1,
-        k2=ks[1] if len(ks) > 1 else defaults.k2,
-        k3=ks[2] if len(ks) > 2 else defaults.k3)
+    names = RULE_CONSTANTS[rule]
+    if len(constants) > len(names) or not all(
+            c.isascii() and c.isdigit() for c in constants):
+        raise ValueError(
+            f"algorithm {token!r}: {rule.value} takes at most {len(names)} "
+            f"whole-number constants ({', '.join(names) or 'none'})")
+    try:
+        params = RuleParams(rule=rule, machine_policy=policy, **{
+            k: float(c) for k, c in zip(names, constants)})
+    except ValueError as exc:
+        raise ValueError(f"algorithm {token!r}: {exc}") from None
     return AlgorithmSpec(label=params.label(), rule_params=params)
 
 
@@ -176,17 +178,19 @@ def _run_one(task):
         runtime_ms=runtime_ms)
 
 
-_SORT_KEY = ("load", "nRoutings", "setupRatio", "flexMean", "algorithm", "seed")
-
-
 def run_experiment(design, algorithms, parallel: int = 1) -> list[Observation]:
     """One observation per (design point, algorithm); rows come back sorted
-    so output is deterministic regardless of worker count (runtimes aside).
+    by every column but the runtime, so output is deterministic regardless
+    of worker count (runtimes aside).  Algorithms must have distinct labels.
     `parallel` worker processes are used, at most one per CPU."""
     if not design:
         raise ValueError("empty design")
     if parallel < 1:
         raise ValueError(f"parallel must be 1 or more, got {parallel}")
+    labels = [spec.label for spec in algorithms]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"two algorithms share the label {label!r}")
     tasks = [(cfg, seed, spec) for cfg, seed in design for spec in algorithms]
     workers = min(parallel, os.cpu_count() or 1)
     if workers > 1:
@@ -195,7 +199,8 @@ def run_experiment(design, algorithms, parallel: int = 1) -> list[Observation]:
             observations = list(pool.map(_run_one, tasks, chunksize=4))
     else:
         observations = [_run_one(t) for t in tasks]
-    observations.sort(key=lambda o: tuple(o.value(c) for c in _SORT_KEY))
+    observations.sort(key=lambda o: tuple(
+        o.value(c) for c in CSV_COLUMNS if c != "runtimeMs"))
     return observations
 
 
@@ -366,10 +371,21 @@ def anova_effects(observations, response: str = "logTardiness",
     term's mean square against the residual (which absorbs higher-order
     interactions and replicate noise).  Failed runs (tardiness < 0) are
     refused: their logTardiness of 0 would score them as optimal.  So is a
-    single-level factor, whose term has no degrees of freedom to test.
+    single-level factor, whose term has no degrees of freedom to test, and
+    a response or factor that is not a results column.
     """
     if not observations:
         raise ValueError("no observations")
+    numeric = [c for c, _, parse in _COLUMNS if parse is not str]
+    if response not in numeric:
+        raise ValueError(f"response {response!r} is not a numeric results "
+                         f"column; the numeric columns are {','.join(numeric)}")
+    for factor in factors:
+        if factor not in CSV_COLUMNS:
+            raise ValueError(f"factor {factor!r} is not a results column; "
+                             f"the columns are {','.join(CSV_COLUMNS)}")
+    if len(set(factors)) != len(factors):
+        raise ValueError(f"a factor is listed twice in {','.join(factors)}")
     failed = sum(1 for o in observations if o.tardiness < 0)
     if failed:
         raise ValueError(
@@ -377,19 +393,17 @@ def anova_effects(observations, response: str = "logTardiness",
             "(tardiness < 0); rerun or drop them before the analysis")
     y = [float(o.value(response)) for o in observations]
     n = len(y)
-    level_values = [[o.value(f) for o in observations] for f in factors]
+    level_values = {f: [o.value(f) for o in observations] for f in factors}
 
-    cell_counts: dict[tuple, int] = {}
-    for i in range(n):
-        key = tuple(values[i] for values in level_values)
-        cell_counts[key] = cell_counts.get(key, 0) + 1
-    levels_per_factor = [sorted(set(values)) for values in level_values]
-    for factor, levels in zip(factors, levels_per_factor):
-        if len(levels) < 2:
+    cell_counts = Counter(tuple(values[i] for values in level_values.values())
+                          for i in range(n))
+    levels = {f: sorted(set(values)) for f, values in level_values.items()}
+    for factor in factors:
+        if len(levels[factor]) < 2:
             raise ValueError(
-                f"factor {factor} has a single level ({levels[0]}) and no "
-                "effect to test; leave it out of --factors")
-    full_cells = math.prod(len(l) for l in levels_per_factor)
+                f"factor {factor} has a single level ({levels[factor][0]}) "
+                "and no effect to test; leave it out of --factors")
+    full_cells = math.prod(len(l) for l in levels.values())
     if len(cell_counts) != full_cells or len(set(cell_counts.values())) != 1:
         raise ValueError(
             "unbalanced design: subset the observations to a full factorial "
@@ -398,83 +412,57 @@ def anova_effects(observations, response: str = "logTardiness",
     grand_mean = sum(y) / n
     ss_total = sum((v - grand_mean) ** 2 for v in y)
 
-    def level_means(fi: int) -> dict:
-        sums: dict = {}
-        counts: dict = {}
-        for value, response_value in zip(level_values[fi], y):
-            sums[value] = sums.get(value, 0.0) + response_value
-            counts[value] = counts.get(value, 0) + 1
-        return {k: sums[k] / counts[k] for k in sums}, counts
+    # One pass per term, main effects first: the pairs reuse their means.
+    level_mean: dict[tuple[str, object], float] = {}
+    term_stats = []
+    for term in [(f,) for f in factors] + list(combinations(factors, 2)):
+        groups: dict[tuple, list[float]] = {}
+        for key, value in zip(zip(*(level_values[f] for f in term)), y):
+            groups.setdefault(key, []).append(value)
+        effects = {}
+        for key, values in groups.items():
+            mean = sum(values) / len(values)
+            if len(term) == 1:
+                level_mean[term[0], key[0]] = mean
+                effects[key] = mean - grand_mean
+            else:
+                a_mean = level_mean[term[0], key[0]]
+                b_mean = level_mean[term[1], key[1]]
+                effects[key] = mean - a_mean - b_mean + grand_mean
+        ss = sum(len(groups[key]) * e ** 2 for key, e in effects.items())
+        df = math.prod(len(levels[f]) - 1 for f in term)
+        term_stats.append((term, effects, ss, df))
 
-    factor_stats = []
-    ss_terms = 0.0
-    df_terms = 0
-    for fi, factor in enumerate(factors):
-        means, counts = level_means(fi)
-        effects = {k: means[k] - grand_mean for k in means}
-        ss = sum(counts[k] * effects[k] ** 2 for k in effects)
-        df = len(means) - 1
-        factor_stats.append((factor, effects, ss, df))
-        ss_terms += ss
-        df_terms += df
-
-    interaction_stats = []
-    for ai, bi in combinations(range(len(factors)), 2):
-        a_means, _ = level_means(ai)
-        b_means, _ = level_means(bi)
-        cell_sum: dict = {}
-        cell_n: dict = {}
-        for i in range(n):
-            key = (level_values[ai][i], level_values[bi][i])
-            cell_sum[key] = cell_sum.get(key, 0.0) + y[i]
-            cell_n[key] = cell_n.get(key, 0) + 1
-        cells = {}
-        ss = 0.0
-        for key, total in cell_sum.items():
-            mean = total / cell_n[key]
-            inter = mean - a_means[key[0]] - b_means[key[1]] + grand_mean
-            cells[key] = inter
-            ss += cell_n[key] * inter ** 2
-        df = (len(a_means) - 1) * (len(b_means) - 1)
-        interaction_stats.append(((factors[ai], factors[bi]), cells, ss, df))
-        ss_terms += ss
-        df_terms += df
-
-    residual_df = n - 1 - df_terms
+    residual_df = n - 1 - sum(df for _, _, _, df in term_stats)
     if residual_df <= 0:
         raise ValueError("no residual degrees of freedom: add replicates")
-    ss_residual = max(ss_total - ss_terms, 0.0)
-    ms_residual = ss_residual / residual_df
+    ss_terms = sum(ss for _, _, ss, _ in term_stats)
+    ms_residual = max(ss_total - ss_terms, 0.0) / residual_df
 
-    def f_test(ss: float, df: int):
+    factor_reports = []
+    interaction_reports = []
+    for term, effects, ss, df in term_stats:
         if ss <= 0.0:
             f_stat = 0.0
         elif ms_residual <= 0.0:
             f_stat = math.inf
         else:
             f_stat = (ss / df) / ms_residual
-        return f_stat, _f_critical(alpha, df, residual_df)
-
-    factor_reports = []
-    for factor, effects, ss, df in factor_stats:
-        f_stat, f_crit = f_test(ss, df)
-        ordered = tuple(sorted(effects.items(), key=lambda kv: str(kv[0])))
-        factor_reports.append(FactorEffect(
-            factor=factor, effects=ordered,
-            max_abs_effect=max(abs(e) for _, e in ordered),
-            f_stat=f_stat, f_crit=f_crit,
-            significant=f_stat > f_crit, df=df))
-
-    interaction_reports = []
-    for pair, cells, ss, df in interaction_stats:
-        f_stat, f_crit = f_test(ss, df)
-        ordered = tuple(sorted(cells.items(), key=lambda kv: (str(kv[0][0]),
-                                                              str(kv[0][1]))))
-        interaction_reports.append(InteractionEffect(
-            factors=pair, cells=ordered,
-            max_abs_interaction=max(abs(e) for _, e in ordered),
-            f_stat=f_stat, f_crit=f_crit,
-            significant=f_stat > f_crit, df=df))
+        f_crit = _f_critical(alpha, df, residual_df)
+        ordered = sorted(effects.items(),
+                         key=lambda kv: tuple(str(level) for level in kv[0]))
+        largest = max(abs(e) for _, e in ordered)
+        if len(term) == 1:
+            factor_reports.append(FactorEffect(
+                factor=term[0],
+                effects=tuple((key[0], e) for key, e in ordered),
+                max_abs_effect=largest, f_stat=f_stat, f_crit=f_crit,
+                significant=f_stat > f_crit, df=df))
+        else:
+            interaction_reports.append(InteractionEffect(
+                factors=term, cells=tuple(ordered),
+                max_abs_interaction=largest, f_stat=f_stat, f_crit=f_crit,
+                significant=f_stat > f_crit, df=df))
 
     return EffectReport(
         response=response, n=n, grand_mean=grand_mean,

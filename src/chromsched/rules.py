@@ -38,9 +38,22 @@ class MachinePolicy(str, Enum):
     LFM = "lfm"
 
 
+#: The scaling constants each rule reads, in the order an algorithm token
+#: gives them: 'atcoee.2.5' is ATCOEE with k1=2, k2=5.
+RULE_CONSTANTS: dict[Rule, tuple[str, ...]] = {
+    Rule.RANDOM: (),
+    Rule.EDD: (),
+    Rule.ATC: ("k1",),
+    Rule.ATCS: ("k1", "k2"),
+    Rule.ATCOEE: ("k1", "k2"),
+    Rule.ATCOEEF: ("k1", "k2", "k3"),
+    Rule.LFO: (),
+}
+
+
 @dataclass(frozen=True)
 class RuleParams:
-    """Rule choice plus the k1/k2/k3 scaling constants (all > 0).
+    """Rule choice plus the k1/k2/k3 scaling constants (all finite, > 0).
 
     k1 scales the slack horizon (in mean processing times), k2 the setup or
     efficiency exponent, k3 the flexibility exponent.  Defaults are the
@@ -54,24 +67,18 @@ class RuleParams:
     k3: float = 10.0
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0 or self.k3 <= 0:
-            raise ValueError("k1, k2, k3 must be positive")
+        if not all(0 < k < math.inf for k in (self.k1, self.k2, self.k3)):
+            raise ValueError("k1, k2, k3 must be positive and finite")
 
     def label(self) -> str:
-        """Canonical name, e.g. 'atcoee.10.1' or 'lfm_lfo'."""
+        """Canonical name: the optional 'lfm_' prefix, the rule and the
+        constants it reads, e.g. 'atcoee.10.1', 'atc.10' or 'lfm_lfo'."""
         def fmt(k: float) -> str:
             return str(int(k)) if float(k).is_integer() else str(k)
 
-        rule = self.rule.value
-        if self.machine_policy is MachinePolicy.LFM:
-            rule = f"lfm_{rule}"
-        if self.rule in (Rule.ATC,):
-            return rule
-        if self.rule in (Rule.ATCS, Rule.ATCOEE):
-            return f"{rule}.{fmt(self.k1)}.{fmt(self.k2)}"
-        if self.rule is Rule.ATCOEEF:
-            return f"{rule}.{fmt(self.k1)}.{fmt(self.k2)}.{fmt(self.k3)}"
-        return rule
+        prefix = "lfm_" if self.machine_policy is MachinePolicy.LFM else ""
+        return ".".join([prefix + self.rule.value] + [
+            fmt(getattr(self, name)) for name in RULE_CONSTANTS[self.rule]])
 
 
 class _CandidateFields(NamedTuple):

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from chromsched import annealing
-from chromsched.annealing import (DateChoice, ItemKind, MachineChoice,
-                                  MECHANISMS, MoveType, SaParams, Structure,
+from chromsched.annealing import (ItemKind, MachineChoice, MECHANISMS,
+                                  MoveType, SaParams, Structure,
                                   STRUCTURE_MECHANISMS, _draw_index, _move,
                                   _op_weights, _propose, _Solution,
                                   initial_temperature, run_sa)
@@ -71,24 +71,24 @@ def pack_ops(ci, sol, pack):
 
 
 class TestMechanismTable:
-    # frozen rows: (move, item, family-constrained, machine, date)
+    # frozen rows: (move, item, family-constrained, machine)
     EXPECTED = {
-        0: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF, DateChoice.UNIF),
-        1: (MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM, DateChoice.UNIF),
-        2: (MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM, DateChoice.UNIF),
-        3: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF, DateChoice.UNIF),
-        4: (MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM, DateChoice.UNIF),
-        5: (MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM, DateChoice.UNIF),
-        6: (MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF, DateChoice.UNIF),
-        7: (MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM, DateChoice.LATE),
+        0: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
+        1: (MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM),
+        2: (MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM),
+        3: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
+        4: (MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM),
+        5: (MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM),
+        6: (MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF),
+        7: (MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM),
     }
 
     @pytest.mark.parametrize("mech_id", sorted(EXPECTED))
     def test_row(self, mech_id):
         mech = MECHANISMS[mech_id]
         assert mech.id == mech_id
-        assert (mech.move, mech.item, mech.same_family, mech.machine_choice,
-                mech.date_choice) == self.EXPECTED[mech_id]
+        assert (mech.move, mech.item, mech.same_family,
+                mech.machine_choice) == self.EXPECTED[mech_id]
 
     def test_structure_sets(self):
         assert STRUCTURE_MECHANISMS[Structure.SIMPLE] == (0,)

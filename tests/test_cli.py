@@ -137,6 +137,21 @@ class TestUsageErrors:
         assert out == ""
         assert not results.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--k1", "nan"), ("--k2", "inf")])
+    def test_non_finite_rule_constant_exits_2(self, tmp_path, capsys, flag,
+                                              value):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        run(capsys, "generate", "--jobs", "10", "--unchecked", "--out",
+            str(instance))
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule), "--rule", "atcoeef",
+                             flag, value)
+        assert code == 2
+        assert "positive and finite" in err
+        assert out == ""
+        assert not schedule.exists()
+
     def test_huge_weekly_span_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -202,6 +217,35 @@ class TestExperimentAndReport:
         assert out == ""
         assert "factor algorithm has a single level" in err
         assert "--factors" in err
+
+    def test_experiment_refuses_a_shared_label(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        code, out, err = run(capsys, "experiment", "--cells", "1", "--seeds",
+                             "1", "--algorithms", "atcoee,atcoee.10.1",
+                             "--loads", "10", "--unchecked", "--out",
+                             str(results))
+        assert code == 2
+        assert "share the label 'atcoee.10.1'" in err
+        assert out == ""
+        assert not results.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--response", "bogus"), ("--factors", "algorithm,bogus"),
+        ("--response", "algorithm")])
+    def test_report_refuses_a_column_it_cannot_use(self, tmp_path, capsys,
+                                                   flag, value):
+        results = tmp_path / "results.csv"
+        code, _, _ = run(capsys, "experiment", "--cells", "16", "--seeds",
+                         "2", "--algorithms", "atcoee,edd", "--loads", "10",
+                         "--unchecked", "--out", str(results))
+        assert code == 0
+        code, out, err = run(capsys, "report", "--results", str(results),
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{value.split(',')[-1]!r} is not a" in err
+        assert "columns are load,nRoutings,setupRatio,flexMean," in err
+        assert "Traceback" not in err
 
     def test_partial_cells(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

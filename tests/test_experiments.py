@@ -1,8 +1,10 @@
 import concurrent.futures
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chromsched import experiments
 from chromsched.experiments import (AlgorithmSpec, DEFAULT_FACTORS, Observation,
@@ -12,7 +14,7 @@ from chromsched.experiments import (AlgorithmSpec, DEFAULT_FACTORS, Observation,
                                     write_observations)
 from chromsched.generator import generate_design
 from chromsched.model import validate_schedule, total_tardiness
-from chromsched.rules import MachinePolicy, Rule
+from chromsched.rules import MachinePolicy, Rule, RuleParams
 
 
 class TestEffectToRatio:
@@ -57,6 +59,34 @@ class TestParseAlgorithm:
     def test_unknown_token_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             parse_algorithm("simulated_magic")
+
+    # The constants each rule reads, in token order.
+    READS = {Rule.RANDOM: (), Rule.EDD: (), Rule.LFO: (), Rule.ATC: ("k1",),
+             Rule.ATCS: ("k1", "k2"), Rule.ATCOEE: ("k1", "k2"),
+             Rule.ATCOEEF: ("k1", "k2", "k3")}
+
+    @given(rule=st.sampled_from(Rule), policy=st.sampled_from(MachinePolicy),
+           ks=st.lists(st.integers(min_value=1, max_value=10**6),
+                       min_size=3, max_size=3))
+    def test_label_round_trip(self, rule, policy, ks):
+        params = RuleParams(rule=rule, machine_policy=policy,
+                            **dict(zip(self.READS[rule], ks)))
+        spec = parse_algorithm(params.label())
+        assert spec.rule_params == params
+        assert spec.label == params.label()
+
+    def test_default_atc_reads_k1(self):
+        assert parse_algorithm("atc").label == "atc.10"
+        assert parse_algorithm("atc.5").rule_params.k1 == 5.0
+        assert parse_algorithm("lfm_atcoeef.1").label == "lfm_atcoeef.1.1.10"
+
+    @pytest.mark.parametrize("token", [
+        "edd.3", "lfm_lfo.1", "atcs.1.2.3", "atc.0.5", "atc.nan", "atc.inf",
+        "atc.x", "atc.", "atc.+1", "atc.1e3", "atc.-1", "atc.0",
+        "atc.\u0663", "atc.\u00b2", "atc." + "9" * 400])
+    def test_malformed_constants_refused_naming_the_token(self, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            parse_algorithm(token)
 
 
 def small_design(cells=4, seeds=2):
@@ -108,6 +138,16 @@ class TestRunExperiment:
         assert len(rows) == 1
         assert rows[0].tardiness == -1
         assert rows[0].log_tardiness == 0.0
+
+    def test_shared_label_refused_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_lta",
+                            lambda *args, **kwargs: calls.append(args))
+        algos = [parse_algorithm("atcoee"), parse_algorithm("edd"),
+                 parse_algorithm("atcoee.10.1")]
+        with pytest.raises(ValueError, match="share the label 'atcoee.10.1'"):
+            run_experiment(small_design(cells=1, seeds=1), algos)
+        assert calls == []
 
     def test_parallel_matches_serial(self):
         design = small_design(cells=2, seeds=1)
@@ -169,6 +209,19 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected columns"):
+            read_observations(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("140,10,0.5,2.0,edd,7,12", "bad.csv:3: expected 9 values, got 7"),
+        ("140,10,0.5,2.0,edd,7,12,1.0,5.0,9", "expected 9 values, got 10"),
+        ("140,10,half,2.0,edd,7,12,1.0,5.0", "bad.csv:3: could not convert"),
+    ])
+    def test_malformed_row_cites_its_line(self, tmp_path, row, message):
+        good = "140,10,0.5,2.0,edd,6,12,1.0,5.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(experiments.CSV_COLUMNS), good,
+                                   row]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_observations(path)
 
 
@@ -271,6 +324,18 @@ class TestAnova:
             anova_effects(rows, factors=("nRoutings", "algorithm"))
         assert anova_effects(rows, factors=("nRoutings",)).factor(
             "nRoutings").significant
+
+    @pytest.mark.parametrize("response, factors, message", [
+        ("bogus", FACTORS, "response 'bogus' is not a numeric results column"),
+        ("algorithm", FACTORS, "response 'algorithm' is not a numeric"),
+        ("logTardiness", ("nRoutings", "bogus"),
+         "factor 'bogus' is not a results column"),
+        ("logTardiness", ("nRoutings", "nRoutings"), "listed twice"),
+    ])
+    def test_unknown_columns_refused(self, response, factors, message):
+        rows = synthetic_observations()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            anova_effects(rows, response=response, factors=factors)
 
     def test_report_renders(self):
         rows = synthetic_observations(effect_a=0.4, noise=0.02, seed=3)

@@ -244,9 +244,26 @@ class TestLabels:
     def test_canonical_labels(self):
         assert RuleParams().label() == "atcoee.10.1"
         assert RuleParams(rule=Rule.ATCS, k1=1, k2=1).label() == "atcs.1.1"
-        assert RuleParams(rule=Rule.ATC).label() == "atc"
+        assert RuleParams(rule=Rule.ATC).label() == "atc.10"
         assert RuleParams(rule=Rule.ATCOEEF).label() == "atcoeef.10.1.10"
         assert RuleParams(rule=Rule.LFO,
                           machine_policy=MachinePolicy.LFM).label() == "lfm_lfo"
         assert RuleParams(rule=Rule.EDD).label() == "edd"
         assert RuleParams(rule=Rule.RANDOM).label() == "random"
+
+    def test_labels_carry_exactly_the_constants_the_rule_reads(self):
+        ks = dict(k1=2, k2=3, k3=4)
+        assert RuleParams(rule=Rule.ATC, **ks).label() == "atc.2"
+        assert RuleParams(rule=Rule.ATCS, **ks).label() == "atcs.2.3"
+        assert RuleParams(rule=Rule.ATCOEE, **ks).label() == "atcoee.2.3"
+        assert RuleParams(rule=Rule.ATCOEEF, **ks).label() == "atcoeef.2.3.4"
+        for rule in (Rule.EDD, Rule.LFO, Rule.RANDOM):
+            assert RuleParams(rule=rule, **ks).label() == rule.value
+
+
+class TestRuleParams:
+    @pytest.mark.parametrize("name", ["k1", "k2", "k3"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_refuses_constants_not_positive_and_finite(self, name, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RuleParams(**{name: bad})
