@@ -15,8 +15,7 @@ from .experiments import (AlgorithmSpec, EffectReport, Observation,
 from .generator import GenConfig, generate_design, generate_instance
 from .jsonio import (read_instance, read_schedule, write_instance,
                      write_schedule)
-from .list_scheduler import (LtaState, candidate_times, commit_assignment,
-                             init_state, run_lta)
+from .list_scheduler import run_lta
 from .model import (ColumnType, Instance, Job, Operation, PlacedOperation,
                     Schedule, Violation, job_completion, schedule_metrics,
                     total_tardiness, validate_schedule)

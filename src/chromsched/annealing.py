@@ -82,41 +82,31 @@ STRUCTURE_MECHANISMS: dict[Structure, tuple[int, ...]] = {
 #: Draws of a first item a proposal makes before it counts as failed.
 _RESAMPLE_LIMIT = 50
 
+#: The fixed annealing schedule; `run_sa` says how it reads each constant.
+_DESCENT_ITERATIONS = 100
+_PLATEAU_ITERATIONS = 400
+_PLATEAU_ACCEPTANCES = 80
+_DEAD_LEVELS = 3
+_INITIAL_ACCEPT_PROB = 0.8
+
 
 @dataclass(frozen=True)
 class SaParams:
-    """Annealing schedule and neighborhood-structure parameters.
-
-    A temperature level ends after `plateau_iterations` proposals or
-    `plateau_acceptances` accepted ones; the run stops after `dead_levels`
-    consecutive levels without any acceptance, at `max_iterations` total
-    (descent included; None = unlimited), or at zero tardiness.
-    """
+    """Neighborhood structure, cooling factor and iteration budget
+    (`max_iterations`, descent included; None = unlimited)."""
 
     structure: Structure = Structure.OP_PA
     cooling_factor: float = 0.95
-    descent_iterations: int = 100
-    plateau_iterations: int = 400
-    plateau_acceptances: int = 80
-    initial_accept_prob: float = 0.8
     max_iterations: int | None = 15000
-    dead_levels: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
-        if not 0.0 < self.initial_accept_prob < 1.0:
-            raise ValueError("initial_accept_prob must be in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be None, 0 or more")
-        if self.descent_iterations < 0:
-            raise ValueError("descent_iterations must be 0 or more")
-        for name in ("plateau_iterations", "plateau_acceptances", "dead_levels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be 1 or more")
 
 
-def initial_temperature(mean_delta: float, accept_prob: float = 0.8) -> float:
+def initial_temperature(mean_delta: float, accept_prob: float) -> float:
     """Temperature making a mean-sized degradation acceptable with the
     given probability: solves exp(-mean_delta/T) = accept_prob."""
     if mean_delta <= 0:
@@ -392,11 +382,14 @@ def run_sa(instance: Instance, initial: Schedule,
            params: SaParams | None = None, seed: int = 0) -> SaResult:
     """Anneal from a feasible initial schedule; never returns worse.
 
-    The first `descent_iterations` proposals are a pure descent whose mean
+    The first `_DESCENT_ITERATIONS` proposals are a pure descent whose mean
     absolute tardiness change calibrates the starting temperature so a
-    mean-sized degradation is accepted with `initial_accept_prob`.  After
+    mean-sized degradation is accepted with `_INITIAL_ACCEPT_PROB`.  After
     it, any non-worsening neighbor is accepted and worse ones with
-    probability exp(-delta/T), cooling geometrically per plateau.
+    probability exp(-delta/T), cooling geometrically per level.  A level
+    ends after `_PLATEAU_ITERATIONS` proposals or `_PLATEAU_ACCEPTANCES`
+    acceptances; the run stops after `_DEAD_LEVELS` levels in a row with no
+    acceptance, at `params.max_iterations`, or at zero tardiness.
     """
     params = params or SaParams()
     ci = compile_instance(instance)
@@ -444,13 +437,13 @@ def run_sa(instance: Instance, initial: Schedule,
     abs_delta_count = 0
     level_iterations = level_acceptances = dead_run = 0
     while True:
-        if temperature is None and (iteration >= params.descent_iterations
+        if temperature is None and (iteration >= _DESCENT_ITERATIONS
                                     or not budget_left()):
             mean_delta = abs_delta_sum / abs_delta_count if abs_delta_count else 0.0
             # Degenerate neighborhoods (every observed delta zero) get a nominal
             # temperature; the acceptance rule never consults it for delta <= 0.
             t0 = temperature = (
-                initial_temperature(mean_delta, params.initial_accept_prob)
+                initial_temperature(mean_delta, _INITIAL_ACCEPT_PROB)
                 if mean_delta > 0 else 1.0)
             level_acceptances = 0  # descent acceptances open no level
         if best_tardiness == 0:
@@ -491,12 +484,12 @@ def run_sa(instance: Instance, initial: Schedule,
         if temperature is None:
             continue
         level_iterations += 1
-        if (level_iterations >= params.plateau_iterations
-                or level_acceptances >= params.plateau_acceptances):
+        if (level_iterations >= _PLATEAU_ITERATIONS
+                or level_acceptances >= _PLATEAU_ACCEPTANCES):
             dead_run = dead_run + 1 if level_acceptances == 0 else 0
             levels_completed += 1
             temperature *= params.cooling_factor
             level_iterations = 0
             level_acceptances = 0
-            if dead_run >= params.dead_levels:
+            if dead_run >= _DEAD_LEVELS:
                 return result("dead-levels", t0)

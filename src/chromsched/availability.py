@@ -118,18 +118,16 @@ def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
         levels[k] -= 1
 
 
-def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
-                  horizon=None):
+def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
     """Smallest t >= t_min with a free unit over [t, t+duration).
 
     When `wstarts`/`wends` are given, t itself must additionally fall inside
     one of those windows (the occupation interval need not).  Raises
-    NoSlotError past `horizon` (default t_min + DEFAULT_SEARCH_DAYS days).
+    NoSlotError past the horizon t_min + DEFAULT_SEARCH_DAYS days.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    if horizon is None:
-        horizon = t_min + DEFAULT_SEARCH_DAYS * MINUTES_PER_DAY
+    horizon = t_min + DEFAULT_SEARCH_DAYS * MINUTES_PER_DAY
     n = len(times)
     nw = len(wstarts) if wstarts is not None else 0
     t = t_min

@@ -138,14 +138,16 @@ def _cmd_solve(args) -> int:
     if args.max_iters < 0:
         raise SchedulingError(
             f"--max-iters must be 0 (unlimited) or more, got {args.max_iters}")
-    instance = read_instance(args.instance)
+    if args.trace and args.algorithm != "sa":
+        raise SchedulingError("--trace needs --algorithm sa")
+    sa_params = SaParams(
+        structure=Structure(args.structure),
+        cooling_factor=args.cooling,
+        max_iterations=args.max_iters if args.max_iters > 0 else None)
     params = _rule_params(args)
+    instance = read_instance(args.instance)
     schedule = run_lta(instance, params, seed=args.seed)
     if args.algorithm == "sa":
-        sa_params = SaParams(
-            structure=Structure(args.structure),
-            cooling_factor=args.cooling,
-            max_iterations=args.max_iters if args.max_iters > 0 else None)
         result = run_sa(instance, schedule, sa_params, seed=args.seed)
         schedule = result.schedule
         if args.trace:

@@ -271,6 +271,10 @@ def _f_critical(alpha: float, d1: int, d2: int) -> float:
     return d2 * (1.0 - y) / (d1 * y)
 
 
+#: Significance level of every F test in a report; its headers print it.
+_ALPHA = 0.05
+
+
 @dataclass(frozen=True)
 class FactorEffect:
     factor: str
@@ -323,7 +327,7 @@ class EffectReport:
             f"residual df={self.residual_df}, residual MS={self.residual_ms:.6g})",
             "",
             f"{'factor':<22}{'max|effect|':>12}{'F':>12}"
-            f"{'F crit 5%':>12}  significant",
+            f"{f'F crit {_ALPHA:.0%}':>12}  significant",
         ]
         for fe in self.factors:
             lines.append(
@@ -337,7 +341,7 @@ class EffectReport:
         lines.append("")
         lines.append(
             f"{'interaction':<30}{'max|int|':>10}{'F':>12}"
-            f"{'F crit 5%':>12}  significant")
+            f"{f'F crit {_ALPHA:.0%}':>12}  significant")
         for ie in self.interactions:
             name = " x ".join(ie.factors)
             lines.append(
@@ -364,18 +368,21 @@ DEFAULT_FACTORS = ("algorithm", "nRoutings", "setupRatio", "flexMean")
 
 
 def anova_effects(observations, response: str = "logTardiness",
-                  factors=DEFAULT_FACTORS, alpha: float = 0.05) -> EffectReport:
+                  factors=DEFAULT_FACTORS) -> EffectReport:
     """Balanced fixed-effects decomposition with main and two-way terms.
 
     Level effect = level mean - grand mean; each F statistic compares the
     term's mean square against the residual (which absorbs higher-order
-    interactions and replicate noise).  Failed runs (tardiness < 0) are
-    refused: their logTardiness of 0 would score them as optimal.  So is a
-    single-level factor, whose term has no degrees of freedom to test, and
-    a response or factor that is not a results column.
+    interactions and replicate noise) at the 5 % level, `_ALPHA`.  Failed
+    runs (tardiness < 0) are refused: their logTardiness of 0 would score
+    them as optimal.  So is an empty factor list, a single-level factor,
+    whose term has no degrees of freedom to test, and a response or factor
+    that is not a results column.
     """
     if not observations:
         raise ValueError("no observations")
+    if not factors:
+        raise ValueError("no factors given: there is nothing to test")
     numeric = [c for c, _, parse in _COLUMNS if parse is not str]
     if response not in numeric:
         raise ValueError(f"response {response!r} is not a numeric results "
@@ -448,7 +455,7 @@ def anova_effects(observations, response: str = "logTardiness",
             f_stat = math.inf
         else:
             f_stat = (ss / df) / ms_residual
-        f_crit = _f_critical(alpha, df, residual_df)
+        f_crit = _f_critical(_ALPHA, df, residual_df)
         ordered = sorted(effects.items(),
                          key=lambda kv: tuple(str(level) for level in kv[0]))
         largest = max(abs(e) for _, e in ordered)

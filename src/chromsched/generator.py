@@ -14,6 +14,7 @@ next 30% get 2, the rest 1.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,8 @@ class GenConfig:
             raise ValueError("need at least one machine and one column type")
         if not 0.0 < self.setup_ratio < 1.0:
             raise ValueError("setup_ratio must be in (0, 1)")
+        if math.isnan(self.flex_mean):
+            raise ValueError("flex_mean must be a number, got nan")
         if self.unchecked:
             return
         if self.n_jobs not in JOB_COUNTS:

@@ -83,11 +83,10 @@ def init_state(instance: Instance) -> LtaState:
 
 
 def _refresh(state: LtaState) -> None:
-    """Recompute the earliest timing of every invalidated (machine, op) pair."""
+    """Recompute the earliest timing of every invalidated (machine, op) pair.
+    Each must still be open, so a refresh has to run between two commits."""
     ci = state.ci
     for m, o in state.pending:
-        if o not in state.candidates[m]:
-            continue
         f = ci.family[o]
         clock = state.clocks[m]
         rel = ci.release[o]
@@ -110,14 +109,6 @@ def _refresh(state: LtaState) -> None:
             m, o, t, t + duration, needs_setup, clock, ci.job_due[ci.job[o]],
             ci.proc[o], ci.setup[o], len(ci.eligible[o]))
     state.pending.clear()
-
-
-def candidate_times(state: LtaState) -> list[Candidate]:
-    """All currently feasible (machine, operation) candidates, in
-    (machine id, job id, operation id) order."""
-    _refresh(state)
-    return sorted(c for cached in state.candidates
-                  for c in cached.values() if c is not None)
 
 
 def _select_pool(state: LtaState, params: RuleParams,
@@ -158,14 +149,10 @@ def _select_pool(state: LtaState, params: RuleParams,
 def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     """Commit one selected candidate: book the column, advance the machine
     clock and family, drop the operation everywhere and refresh statistics.
-    A candidate whose pair was invalidated by an earlier commit is stale and
-    refused.  Mutates and returns `state`."""
+    `chosen` must be current: what `_select_pool` returned after the last
+    `_refresh`.  Mutates and returns `state`."""
     ci = state.ci
     m, o = chosen.machine, chosen.op
-    if (m, o) in state.pending or state.candidates[m].get(o) != chosen:
-        raise SchedulingError(
-            f"stale candidate {ci.op_ids[o]}@{ci.machine_ids[m]}; "
-            "commit what candidate_times returned for this state")
     f = ci.family[o]
     times, levels = state.prof_times[f], state.prof_levels[f]
     if min_level(times, levels, chosen.start, chosen.completion) < 1:

@@ -129,7 +129,9 @@ def _placement_oracle_batch(args):
         setup = rng.randint(0, 6 * 60)
         processing = rng.randint(1, DAY)
         with_setup = rng.random() < 0.5
-        limit = 30 * DAY
+        # Bookings end by day 28 and windows by day 31, so a scan to day 31
+        # sees every start the default search horizon allows.
+        limit = 31 * DAY
         duration = (setup + processing) if with_setup else processing
         expected = scan_earliest(t_min, duration, windows, capacity, bookings,
                                  limit, with_setup)
@@ -137,10 +139,10 @@ def _placement_oracle_batch(args):
             if with_setup:
                 got = find_earliest([a for a, _ in window_set],
                                     [b for _, b in window_set],
-                                    times, levels, t_min, duration, limit)
+                                    times, levels, t_min, duration)
             else:
                 got = find_earliest(None, None, times, levels, t_min,
-                                    duration, limit)
+                                    duration)
         except NoSlotError:
             got = None
         if got != expected:

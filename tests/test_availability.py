@@ -156,8 +156,8 @@ class TestEarliestStart:
         starts, ends = window_arrays(tws((0, 10)))
         booked = profile(1, (0, 2000))
         with pytest.raises(NoSlotError) as err:
-            find_earliest(starts, ends, *booked, 0, 10 + 10, 1000)
-        assert err.value.horizon == 1000
+            find_earliest(starts, ends, *booked, 0, 10 + 10)
+        assert err.value.horizon == 366 * 1440
 
     def test_matches_minute_scan_randomized(self):
         rng = random.Random(7)
@@ -182,12 +182,13 @@ class TestEarliestStart:
             t_min = rng.randint(0, 300)
             setup = rng.randint(0, 30)
             processing = rng.randint(1, 60)
-            limit = 1500
+            # every window ends before minute 1000, so a scan to 1500 sees
+            # every start the default horizon allows
             expected = scan_earliest(t_min, setup + processing,
-                                     windows, capacity, bookings, limit, True)
+                                     windows, capacity, bookings, 1500, True)
             try:
                 got = find_earliest(starts, ends, times, levels, t_min,
-                                    setup + processing, limit)
+                                    setup + processing)
             except NoSlotError:
                 got = None
             assert got == expected, (trial, t_min, setup, processing,

@@ -125,6 +125,42 @@ class TestUsageErrors:
         assert out == ""
         assert not schedule.exists()
 
+    @pytest.mark.parametrize("algorithm", ["lta", "sa"])
+    def test_bad_cooling_exits_2_before_reading(self, tmp_path, capsys,
+                                                algorithm):
+        # the instance does not exist: the flags are checked first
+        schedule = tmp_path / "s.json"
+        code, out, err = run(capsys, "solve", "--instance",
+                             str(tmp_path / "missing.json"), "--out",
+                             str(schedule), "--algorithm", algorithm,
+                             "--cooling", "1.5")
+        assert code == 2
+        assert "cooling_factor must be in (0, 1)" in err
+        assert out == ""
+        assert not schedule.exists()
+
+    def test_trace_without_annealing_exits_2(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        trace = tmp_path / "t.csv"
+        run(capsys, "generate", "--jobs", "10", "--unchecked", "--out",
+            str(instance))
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule), "--trace", str(trace))
+        assert code == 2
+        assert "--trace needs --algorithm sa" in err
+        assert out == ""
+        assert not schedule.exists() and not trace.exists()
+
+    def test_nan_flex_mean_exits_2(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        code, out, err = run(capsys, "generate", "--flex-mean", "nan",
+                             "--unchecked", "--out", str(instance))
+        assert code == 2
+        assert "flex_mean" in err
+        assert out == ""
+        assert not instance.exists()
+
     @pytest.mark.parametrize("parallel", ["0", "-3"])
     def test_parallel_below_1_exits_2(self, tmp_path, capsys, parallel):
         results = tmp_path / "results.csv"
@@ -217,6 +253,19 @@ class TestExperimentAndReport:
         assert out == ""
         assert "factor algorithm has a single level" in err
         assert "--factors" in err
+
+    @pytest.mark.parametrize("factors", ["", ","])
+    def test_report_refuses_no_factors(self, tmp_path, capsys, factors):
+        results = tmp_path / "results.csv"
+        code, _, _ = run(capsys, "experiment", "--cells", "16", "--seeds",
+                         "2", "--algorithms", "atcoee,edd", "--loads", "10",
+                         "--unchecked", "--out", str(results))
+        assert code == 0
+        code, out, err = run(capsys, "report", "--results", str(results),
+                             "--factors", factors)
+        assert code == 2
+        assert out == ""
+        assert "nothing to test" in err
 
     def test_experiment_refuses_a_shared_label(self, tmp_path, capsys):
         results = tmp_path / "results.csv"

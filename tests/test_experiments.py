@@ -331,6 +331,7 @@ class TestAnova:
         ("logTardiness", ("nRoutings", "bogus"),
          "factor 'bogus' is not a results column"),
         ("logTardiness", ("nRoutings", "nRoutings"), "listed twice"),
+        ("logTardiness", (), "no factors given: there is nothing to test"),
     ])
     def test_unknown_columns_refused(self, response, factors, message):
         rows = synthetic_observations()
@@ -374,9 +375,6 @@ class TestFCritical:
     def test_alpha_outside_the_unit_interval_refused(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             _f_critical(alpha, 3, 20)
-        with pytest.raises(ValueError, match="alpha"):
-            anova_effects(synthetic_observations(),
-                          factors=TestAnova.FACTORS, alpha=alpha)
 
     def test_unconverged_continued_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "_CF_MAX_TERMS", 2)

@@ -21,6 +21,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="flex_mean"):
             GenConfig(flex_mean=3)
 
+    @pytest.mark.parametrize("unchecked", [False, True])
+    def test_nan_flex_mean_refused(self, unchecked):
+        with pytest.raises(ValueError, match="flex_mean"):
+            GenConfig(flex_mean=math.nan, unchecked=unchecked)
+
     def test_unchecked_allows_scaling(self):
         cfg = GenConfig(n_jobs=12, n_routings=3, setup_ratio=0.6, flex_mean=3,
                         unchecked=True)

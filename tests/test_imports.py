@@ -1,12 +1,14 @@
 """No module of the package imports a name it never uses or a module
-outside the standard library, and the package's public names are exactly
-the pinned list.
+outside the standard library, and the package's public names and its
+settings are exactly the pinned lists.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public re-exports.
 """
 
 import ast
+import dataclasses
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -106,14 +108,14 @@ def test_imports_only_the_standard_library(module):
 PUBLIC_NAMES = [
     "AlgorithmSpec", "Candidate", "ColumnType", "EffectReport", "GenConfig",
     "IncompleteScheduleError", "Instance", "InstanceFormatError", "Job",
-    "LtaState", "MECHANISMS", "MachinePolicy", "Mechanism", "NoSlotError",
+    "MECHANISMS", "MachinePolicy", "Mechanism", "NoSlotError",
     "Observation", "Operation", "PlacedOperation", "Rule", "RuleParams",
     "SaParams", "SaResult", "Schedule", "SchedulingError", "Structure",
     "TimeWindowSet", "Violation", "anova_effects", "atc_priority",
-    "atcoee_priority", "atcoeef_priority", "atcs_priority", "candidate_times",
-    "commit_assignment", "effect_to_ratio", "generate_design",
-    "generate_instance", "init_state", "initial_temperature", "job_completion",
-    "parse_algorithm", "read_instance", "read_schedule", "run_experiment",
+    "atcoee_priority", "atcoeef_priority", "atcs_priority",
+    "effect_to_ratio", "generate_design", "generate_instance",
+    "initial_temperature", "job_completion", "parse_algorithm",
+    "read_instance", "read_schedule", "run_experiment",
     "run_lta", "run_sa", "schedule_metrics", "select_assignment",
     "total_tardiness", "validate_schedule", "weekly_windows", "write_instance",
     "write_schedule",
@@ -125,3 +127,26 @@ def test_public_api_is_pinned():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == sorted(PUBLIC_NAMES)
+
+
+#: Every setting a caller can pass: the fields of the parameter records and
+#: the parameters of `anova_effects`.  Adding or removing a setting means
+#: editing this table.
+SETTINGS = {
+    chromsched.SaParams: ["structure", "cooling_factor", "max_iterations"],
+    chromsched.RuleParams: ["rule", "machine_policy", "k1", "k2", "k3"],
+    chromsched.GenConfig: ["n_jobs", "n_routings", "setup_ratio", "flex_mean",
+                           "n_machines", "n_column_types", "seed",
+                           "unchecked"],
+    chromsched.anova_effects: ["observations", "response", "factors"],
+}
+
+
+@pytest.mark.parametrize("owner", list(SETTINGS),
+                         ids=[owner.__name__ for owner in SETTINGS])
+def test_settings_are_pinned(owner):
+    if dataclasses.is_dataclass(owner):
+        names = [f.name for f in dataclasses.fields(owner)]
+    else:
+        names = list(inspect.signature(owner).parameters)
+    assert names == SETTINGS[owner]

@@ -5,11 +5,10 @@ from dataclasses import replace
 import pytest
 
 from chromsched.availability import TimeWindowSet
-from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
-from chromsched.list_scheduler import (candidate_times, commit_assignment,
-                                       init_state, run_lta)
+from chromsched.list_scheduler import (_refresh, commit_assignment, init_state,
+                                       run_lta)
 from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
@@ -33,6 +32,14 @@ def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)
         column_types=tuple(ColumnType(f, u) for f, u in columns),
         operator_windows=windows or TimeWindowSet.always(),
         jobs=tuple(jobs))
+
+
+def candidate_times(state):
+    """Every feasible (machine, operation) candidate of `state` after a
+    refresh, in (machine id, job id, operation id) order."""
+    _refresh(state)
+    return sorted(c for cached in state.candidates
+                  for c in cached.values() if c is not None)
 
 
 class TestCandidateTimes:
@@ -99,27 +106,6 @@ class TestCommit:
         assert [(c.start, c.completion) for c in after] == [
             (70, 100), (10, 40), (70, 100), (70, 100)]
         assert after[1] == cands[2] and after[3] == cands[4]
-
-    def test_stale_candidate_rejected(self):
-        inst = tiny_instance([[("fA", 20, 10, ("m0", "m1"))],
-                              [("fA", 30, 5, ("m0", "m1"))]])
-        state = init_state(inst)
-        cands = candidate_times(state)
-        chosen = cands[0]
-        commit_assignment(state, chosen)
-        with pytest.raises(Exception, match="stale|candidate"):
-            commit_assignment(state, chosen)
-        # two candidates of one list on the same machine: the first commit
-        # moves m0's clock, so the second's cached timing is stale
-        inst = tiny_instance([[("fA", 20, 10, ("m0",))],
-                              [("fB", 30, 5, ("m0",))]], machines=("m0",))
-        state = init_state(inst)
-        first, second = candidate_times(state)
-        assert (first.start, second.start) == (0, 0)
-        commit_assignment(state, first)
-        with pytest.raises(SchedulingError, match="stale"):
-            commit_assignment(state, second)
-        assert len(state.placements) == 1
 
 
 class TestRunLta:

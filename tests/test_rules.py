@@ -4,12 +4,14 @@ import random
 import pytest
 
 from chromsched.availability import TimeWindowSet
-from chromsched.list_scheduler import (_refresh, _select_pool, candidate_times,
+from chromsched.list_scheduler import (_refresh, _select_pool,
                                        commit_assignment, init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation
 from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
                               atc_priority, atcoee_priority, atcoeef_priority,
                               atcs_priority, select_assignment)
+
+from test_list_scheduler import candidate_times
 
 
 def cand(op=0, machine=0, p=100, s=20, due=300, clock=0, start=None,
