@@ -361,7 +361,11 @@ def _propose(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
 @dataclass
 class SaResult:
     """Best schedule found plus run statistics and the per-iteration trace
-    (iteration, temperature, current tardiness, best tardiness)."""
+    (iteration, temperature, current tardiness, best tardiness).
+
+    The trace is kept as three parallel columns, one entry per iteration,
+    so row i is iteration i + 1; `trace` builds the rows.
+    """
 
     schedule: Schedule
     tardiness: int
@@ -375,7 +379,14 @@ class SaResult:
     decode_failures: int
     levels_completed: int
     termination: str
-    trace: list[tuple[int, float, int, int]] = field(repr=False, default_factory=list)
+    _temperatures: list[float] = field(repr=False, default_factory=list)
+    _currents: list[int] = field(repr=False, default_factory=list)
+    _bests: list[int] = field(repr=False, default_factory=list)
+
+    @property
+    def trace(self) -> list[tuple[int, float, int, int]]:
+        return list(zip(range(1, len(self._temperatures) + 1),
+                        self._temperatures, self._currents, self._bests))
 
 
 def run_sa(instance: Instance, initial: Schedule,
@@ -400,7 +411,9 @@ def run_sa(instance: Instance, initial: Schedule,
     initial_tardiness = total_tardiness(initial, instance)
     best_tardiness = initial_tardiness
     best = None  # None = the initial schedule as given, else a decode
-    trace: list[tuple[int, float, int, int]] = []
+    temperatures: list[float] = []
+    currents: list[int] = []
+    bests: list[int] = []
     evaluated = accepted = improved = 0
     proposal_failures = decode_failures = 0
     levels_completed = 0
@@ -418,7 +431,8 @@ def run_sa(instance: Instance, initial: Schedule,
             iterations=iteration, evaluated=evaluated, accepted=accepted,
             improved=improved, proposal_failures=proposal_failures,
             decode_failures=decode_failures, levels_completed=levels_completed,
-            termination=termination, trace=trace)
+            termination=termination, _temperatures=temperatures,
+            _currents=currents, _bests=bests)
 
     if initial_tardiness == 0:
         return result("optimum", 0.0)
@@ -479,8 +493,9 @@ def run_sa(instance: Instance, initial: Schedule,
                         improved += 1
                         best_tardiness = new_tardiness
                         best = placed
-        trace.append((iteration, temperature or 0.0, current.tardiness,
-                      best_tardiness))
+        temperatures.append(temperature or 0.0)
+        currents.append(current.tardiness)
+        bests.append(best_tardiness)
         if temperature is None:
             continue
         level_iterations += 1

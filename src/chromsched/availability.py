@@ -20,8 +20,10 @@ from .errors import NoSlotError
 
 MINUTES_PER_DAY = 1440
 
-#: Default search span for earliest-start queries, in days past t_min.
+#: Default search span for earliest-start queries past t_min, in days and
+#: in minutes.
 DEFAULT_SEARCH_DAYS = 366
+SEARCH_SPAN_MINUTES = DEFAULT_SEARCH_DAYS * MINUTES_PER_DAY
 
 #: Longest horizon `weekly_windows` expands, in days.  Generated instances
 #: span under 80 days; ten years of daily windows is a few thousand intervals.
@@ -118,26 +120,22 @@ def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
         levels[k] -= 1
 
 
-def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
-    """Smallest t >= t_min with a free unit over [t, t+duration).
+def free_run(wstarts, wends, times, levels, t: int, horizon: int):
+    """Earliest t' in [t, horizon] with a free unit, and the end of that
+    free run: (t', first breakpoint after t' whose level is below one, or
+    +inf).
 
-    When `wstarts`/`wends` are given, t itself must additionally fall inside
-    one of those windows (the occupation interval need not).  Raises
-    NoSlotError past the horizon t_min + DEFAULT_SEARCH_DAYS days.
+    When `wstarts`/`wends` are given, t' must additionally fall inside one
+    of those windows.  Raises NoSlotError when no such t' exists.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    horizon = t_min + DEFAULT_SEARCH_DAYS * MINUTES_PER_DAY
     n = len(times)
-    nw = len(wstarts) if wstarts is not None else 0
-    t = t_min
     while t <= horizon:
         if wstarts is not None:
             i = bisect_right(wstarts, t) - 1
             if i < 0 or t >= wends[i]:
                 i += 1
-                if i >= nw:
-                    raise NoSlotError(t_min, horizon, "operator windows exhausted")
+                if i >= len(wstarts):
+                    raise NoSlotError(t, horizon, "operator windows exhausted")
                 t = wstarts[i]
                 if t > horizon:
                     break
@@ -147,26 +145,39 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
             while j < n and levels[j] < 1:
                 j += 1
             if j >= n:
-                raise NoSlotError(t_min, horizon, "column booked out")
+                raise NoSlotError(t, horizon, "column booked out")
             t = times[j]
             continue
-        end = t + duration
-        k = j
-        feasible = True
-        while k + 1 < n and times[k + 1] < end:
-            k += 1
-            if levels[k] < 1:
-                k += 1
-                while k < n and levels[k] < 1:
-                    k += 1
-                if k >= n:
-                    raise NoSlotError(t_min, horizon, "column booked out")
-                t = times[k]
-                feasible = False
-                break
-        if feasible:
-            return t
-    raise NoSlotError(t_min, horizon)
+        j += 1
+        while j < n and levels[j] >= 1:
+            j += 1
+        return t, (times[j] if j < n else math.inf)
+    raise NoSlotError(t, horizon)
+
+
+def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
+    """Smallest t >= t_min with a free unit over [t, t+duration).
+
+    When `wstarts`/`wends` are given, t itself must additionally fall inside
+    one of those windows (the occupation interval need not).  Raises
+    NoSlotError past the horizon t_min + DEFAULT_SEARCH_DAYS days.
+
+    A start inside a free run that ends before t + duration fails, and so
+    does every later start in that run, so the search resumes at the run's
+    end.
+    """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    horizon = t_min + SEARCH_SPAN_MINUTES
+    t = t_min
+    try:
+        while True:
+            t, end = free_run(wstarts, wends, times, levels, t, horizon)
+            if t + duration <= end:
+                return t
+            t = end
+    except NoSlotError as exc:
+        raise NoSlotError(t_min, horizon, exc.detail) from None
 
 
 # ---------------------------------------------------------------------------

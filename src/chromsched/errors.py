@@ -11,6 +11,7 @@ class NoSlotError(SchedulingError):
     def __init__(self, t_min: int, horizon: int, detail: str = ""):
         self.t_min = t_min
         self.horizon = horizon
+        self.detail = detail
         msg = f"no feasible start in [{t_min}, {horizon}]"
         if detail:
             msg = f"{msg}: {detail}"

@@ -4,17 +4,27 @@ pair, one commitment per loop chosen by a priority rule.
 Each pair's `rules.Candidate` (its earliest timing) is cached between loops
 and recomputed only where a commitment can change it.  Committing family f
 on machine m over [lo, hi) invalidates
-  * every pair on m, whose clock and last family changed (so a cached
+  * machine m, whose clock and last family changed: m joins the set of
+    stale machines, and every open pair on it is recomputed (so a cached
     candidate's `machine_clock` is always its machine's clock), and
   * the pairs of family f on other machines whose cached [start, completion)
-    overlaps [lo, hi).
+    overlaps [lo, hi): these are pending one by one.
 Every other cached entry stays exact: the commit only lowered f's column
 capacity on [lo, hi), and the other machines' clocks, families and search
 horizons did not change.  A start that was infeasible stays infeasible, and
 a cached interval clear of [lo, hi) stays feasible, so it is still the
-earliest; a pair with no slot in its horizon still has none.  The result is
-bit-identical to recomputing every open pair each loop (the full-recompute
-reference in the tests).
+earliest; a pair with no slot in its horizon still has none.
+
+The refresh works machine by machine.  All of a machine's operations of
+one family that share t_min = max(clock, release) search the same step
+function from the same point under the same window rule (a setup is due
+exactly when the family differs from the machine's last one), so one
+`availability.free_run` probe serves them all: it gives the earliest
+admissible point t0 with a free unit and the end of that free run.  Every
+point before t0 fails whatever the duration, so when t0 + duration fits in
+the run, t0 is the earliest start; otherwise `find_earliest` searches on.
+The result is bit-identical to recomputing every open pair with its own
+search each loop (the full-recompute reference in the tests).
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .availability import (DEFAULT_SEARCH_DAYS, find_earliest, min_level,
-                           reserve_step)
+from .availability import (DEFAULT_SEARCH_DAYS, SEARCH_SPAN_MINUTES,
+                           find_earliest, free_run, min_level, reserve_step)
 from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, PlacedOperation, Schedule
@@ -50,7 +60,13 @@ class LtaState:
     unscheduled: set[int]
     p_sum: int
     s_sum: int
+    # machines whose every open pair needs a refresh, and single pairs
+    # elsewhere that do
+    stale: set[int]
     pending: set[tuple[int, int]]
+    # per operation: its job's due date and its number of eligible machines
+    due: list[int]
+    flexibility: list[int]
     placements: list[PlacedOperation] = field(default_factory=list)
 
     @property
@@ -62,11 +78,9 @@ def init_state(instance: Instance) -> LtaState:
     ci = compile_instance(instance)
     n_machines = ci.n_machines
     candidates: list[dict] = [{} for _ in range(n_machines)]
-    pending = set()
     for o in range(ci.n_ops):
         for m in ci.eligible[o]:
             candidates[m][o] = None
-            pending.add((m, o))
     prof_times, prof_levels = ci.fresh_profiles()
     return LtaState(
         ci=ci,
@@ -78,37 +92,73 @@ def init_state(instance: Instance) -> LtaState:
         unscheduled=set(range(ci.n_ops)),
         p_sum=sum(ci.proc),
         s_sum=sum(ci.setup),
-        pending=pending,
+        stale=set(range(n_machines)),
+        pending=set(),
+        due=[ci.job_due[j] for j in ci.job],
+        flexibility=[len(machines) for machines in ci.eligible],
     )
 
 
 def _refresh(state: LtaState) -> None:
-    """Recompute the earliest timing of every invalidated (machine, op) pair.
-    Each must still be open, so a refresh has to run between two commits."""
-    ci = state.ci
+    """Recompute the earliest timing of every open pair on a stale machine
+    and of every pending pair.  Each must still be open, so a refresh has to
+    run between two commits."""
+    stale = state.stale
+    work = {m: state.candidates[m] for m in stale}
     for m, o in state.pending:
-        f = ci.family[o]
-        clock = state.clocks[m]
-        rel = ci.release[o]
+        if m not in stale:
+            work.setdefault(m, []).append(o)
+    for m, ops in work.items():
+        _refresh_machine(state, m, ops)
+    stale.clear()
+    state.pending.clear()
+
+
+def _refresh_machine(state: LtaState, m: int, ops) -> None:
+    """Recompute the candidates of the open operations `ops` on machine `m`,
+    one `free_run` probe per (family, t_min)."""
+    ci = state.ci
+    clock = state.clocks[m]
+    last = state.last_family[m]
+    cached = state.candidates[m]
+    family, release, proc, setup = ci.family, ci.release, ci.proc, ci.setup
+    due, flexibility = state.due, state.flexibility
+    windows = ci.win_starts, ci.win_ends
+    new, candidate = tuple.__new__, Candidate
+    # (f, t_min) -> (t0, run end, the search arguments before t_min)
+    probes: dict[tuple[int, int], tuple] = {}
+    for o in ops:
+        f = family[o]
+        rel = release[o]
         t_min = clock if clock > rel else rel
-        needs_setup = f != state.last_family[m]
-        duration = ci.proc[o] + ci.setup[o] if needs_setup else ci.proc[o]
-        times, levels = state.prof_times[f], state.prof_levels[f]
-        try:
-            if needs_setup:
-                t = find_earliest(ci.win_starts, ci.win_ends, times, levels,
-                                  t_min, duration)
-            else:
-                t = find_earliest(None, None, times, levels, t_min, duration)
-        except NoSlotError:
+        needs_setup = f != last
+        duration = proc[o] + setup[o] if needs_setup else proc[o]
+        probe = probes.get((f, t_min))
+        if probe is None:
+            wstarts, wends = windows if needs_setup else (None, None)
+            column = (wstarts, wends, state.prof_times[f], state.prof_levels[f])
+            try:
+                t0, run_end = free_run(*column, t_min,
+                                       t_min + SEARCH_SPAN_MINUTES)
+            except NoSlotError:
+                t0 = run_end = None
+            probe = probes[f, t_min] = (t0, run_end, column)
+        t, run_end, column = probe
+        if t is not None and t + duration > run_end:
+            try:
+                t = find_earliest(*column, t_min, duration)
+            except NoSlotError:
+                t = None
+        if t is None:
             logger.warning("no slot for %s on %s within %d days; retrying later",
                            ci.op_ids[o], ci.machine_ids[m], DEFAULT_SEARCH_DAYS)
-            state.candidates[m][o] = None
+            cached[o] = None
             continue
-        state.candidates[m][o] = Candidate(
-            m, o, t, t + duration, needs_setup, clock, ci.job_due[ci.job[o]],
-            ci.proc[o], ci.setup[o], len(ci.eligible[o]))
-    state.pending.clear()
+        # processing is positive (a model invariant), so the interval is
+        # never empty and the constructor's check is skipped
+        cached[o] = new(candidate, (
+            m, o, t, t + duration, needs_setup, clock, due[o], proc[o],
+            setup[o], flexibility[o]))
 
 
 def _select_pool(state: LtaState, params: RuleParams,
@@ -116,8 +166,9 @@ def _select_pool(state: LtaState, params: RuleParams,
     """Narrow the candidates to the machine policy's machines, then let the
     rule pick among them."""
     ci = state.ci
+    # a Candidate is a non-empty tuple, so only None entries are falsy
     feasible = [m for m in range(ci.n_machines)
-                if any(e is not None for e in state.candidates[m].values())]
+                if any(state.candidates[m].values())]
     if not feasible:
         raise SchedulingError(
             "no feasible candidate on any machine within the search horizon")
@@ -169,9 +220,8 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     state.p_sum -= ci.proc[o]
     state.s_sum -= ci.setup[o]
 
+    state.stale.add(m)
     pending = state.pending
-    for other in state.candidates[m]:
-        pending.add((m, other))
     lo, hi = chosen.start, chosen.completion
     for other in ci.family_ops[f]:
         if other in state.unscheduled:

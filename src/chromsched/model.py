@@ -111,12 +111,13 @@ class Instance:
         return sum(len(j.operations) for j in self.jobs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedOperation:
     """One operation fixed on a machine.
 
     `start` is the setup start when `setup_performed`, else the processing
     start; `completion` covers setup plus processing in the former case.
+    Slotted: a schedule holds one per operation.
     """
 
     operation_id: str
@@ -133,8 +134,9 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "placements", tuple(self.placements))
 
-    @cached_property
+    @property
     def by_operation(self) -> dict[str, PlacedOperation]:
+        """A new dict per call; the schedule keeps only its placements."""
         return {p.operation_id: p for p in self.placements}
 
 
@@ -153,7 +155,10 @@ class Violation:
 
 def job_completion(schedule: Schedule, job: Job) -> int:
     """Completion of a job = max completion over its placed operations."""
-    by_op = schedule.by_operation
+    return _job_completion(schedule.by_operation, job)
+
+
+def _job_completion(by_op: dict[str, PlacedOperation], job: Job) -> int:
     latest = None
     for op in job.operations:
         placed = by_op.get(op.id)
@@ -168,8 +173,9 @@ def job_completion(schedule: Schedule, job: Job) -> int:
 def _tardy_amounts(schedule: Schedule, instance: Instance) -> list[int]:
     """completion - due of every job that completes after its due date."""
     amounts = []
+    by_op = schedule.by_operation
     for job in instance.jobs:
-        lateness = job_completion(schedule, job) - job.due
+        lateness = _job_completion(by_op, job) - job.due
         if lateness > 0:
             amounts.append(lateness)
     return amounts

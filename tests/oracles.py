@@ -5,21 +5,23 @@ a bound from the instance alone; none of it shares code with the
 implementations under test.  The exceptions are `enumerated_optimum`,
 which scores every enumerated encoding with the annealer's own decoder, so
 its optimum is the best schedule that decoder can reach, and
-`run_lta_full_recompute`, which reuses the list scheduler's loop and
-differs from it only in recomputing every candidate each loop, so it checks
-the scheduler's cache invalidation and nothing else.
+`run_lta_full_recompute`, which reuses the list scheduler's selection and
+commit but computes every open candidate each loop with its own
+`find_earliest` search, so it checks the scheduler's cache invalidation and
+shared probes and nothing else.
 """
 
 import math
 import random
 from itertools import permutations
 
-from chromsched.availability import TimeWindowSet
+from chromsched.availability import TimeWindowSet, find_earliest
 from chromsched.engine import compile_instance, place_sequences
-from chromsched.list_scheduler import (_refresh, _select_pool,
-                                       commit_assignment, init_state)
+from chromsched.errors import NoSlotError
+from chromsched.list_scheduler import (_select_pool, commit_assignment,
+                                       init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation, Schedule
-from chromsched.rules import RuleParams
+from chromsched.rules import Candidate, RuleParams
 
 
 def window_contains(windows, t) -> bool:
@@ -42,6 +44,20 @@ def scan_earliest(t_min, duration, windows, capacity, bookings, limit,
                for u in range(t, t + duration)):
             return t
     return None
+
+
+def scan_free_run(t_min, windows, capacity, bookings, limit,
+                  need_window) -> tuple | None:
+    """Minute-scan: the first free (and, when `need_window`, in-window)
+    minute t in [t_min, limit] and the first minute at or after it with no
+    free unit (inf when none up to `limit`), or None."""
+    t = scan_earliest(t_min, 1, windows, capacity, bookings, limit,
+                      need_window)
+    if t is None:
+        return None
+    end = next((u for u in range(t, limit + 1)
+                if profile_level_at(capacity, bookings, u) < 1), math.inf)
+    return t, end
 
 
 def scan_schedule_violations(instance: Instance, schedule: Schedule,
@@ -221,17 +237,35 @@ def lower_bound(instance: Instance) -> int | float:
 
 def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
                            seed: int = 0) -> Schedule:
-    """`run_lta` with no cache invalidation: every open (machine, operation)
-    pair is marked pending, and so recomputed, before each selection."""
+    """`run_lta` with no cache: before each selection, every open (machine,
+    operation) candidate is computed afresh with its own `find_earliest`
+    search and built through the checked `Candidate` constructor."""
     params = params or RuleParams()
     state = init_state(instance)
+    ci = state.ci
     rng = random.Random(seed)
-    all_pairs = [(m, o) for m in range(state.ci.n_machines)
-                 for o in state.candidates[m]]
-    for _ in range(state.ci.n_ops):
-        state.pending.update(
-            (m, o) for m, o in all_pairs if o in state.unscheduled)
-        _refresh(state)
+    for _ in range(ci.n_ops):
+        for m, cached in enumerate(state.candidates):
+            clock = state.clocks[m]
+            for o in cached:
+                f = ci.family[o]
+                t_min = max(clock, ci.release[o])
+                needs_setup = f != state.last_family[m]
+                duration = ci.proc[o] + (ci.setup[o] if needs_setup else 0)
+                windows = ((ci.win_starts, ci.win_ends) if needs_setup
+                           else (None, None))
+                try:
+                    t = find_earliest(*windows, state.prof_times[f],
+                                      state.prof_levels[f], t_min, duration)
+                except NoSlotError:
+                    cached[o] = None
+                    continue
+                cached[o] = Candidate(
+                    m, o, t, t + duration, needs_setup, clock,
+                    ci.job_due[ci.job[o]], ci.proc[o], ci.setup[o],
+                    len(ci.eligible[o]))
+        state.stale.clear()
+        state.pending.clear()
         commit_assignment(state, _select_pool(state, params, rng))
     return Schedule(tuple(sorted(
         state.placements, key=lambda p: (p.start, p.machine, p.operation_id))))

@@ -453,6 +453,14 @@ class TestRunSa:
         bests = [b for _, _, _, b in res.trace]
         assert all(x >= y for x, y in zip(bests, bests[1:]))
 
+    def test_trace_rows_count_the_iterations(self):
+        inst = self.make_loaded_instance(2)
+        res = run_sa(inst, run_lta(inst), SaParams(max_iterations=300), seed=5)
+        assert len(res.trace) == res.iterations
+        assert [row[0] for row in res.trace] == list(
+            range(1, res.iterations + 1))
+        assert all(type(row) is tuple and len(row) == 4 for row in res.trace)
+
     def test_optimum_short_circuits(self):
         inst = tiny_instance([("j0", 0, 10_000, [("fA", 10, 5, ("m0",))])])
         initial = run_lta(inst)

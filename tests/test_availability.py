@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS, TimeWindowSet,
-                                     WORKDAYS, find_earliest, min_level,
-                                     reserve_step, weekly_windows)
+from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS,
+                                     SEARCH_SPAN_MINUTES, TimeWindowSet,
+                                     WORKDAYS, find_earliest, free_run,
+                                     min_level, reserve_step, weekly_windows)
 from chromsched.errors import NoSlotError
 
-from oracles import profile_level_at, scan_earliest
+from oracles import profile_level_at, scan_earliest, scan_free_run
 
 
 def tws(*pairs):
@@ -34,6 +35,15 @@ def profile(capacity, *bookings):
 
 def level_at(times, levels, t):
     return min_level(times, levels, t, t + 1)
+
+
+def probe(wstarts, wends, times, levels, t_min):
+    """`free_run` from t_min over the default horizon, None for no slot."""
+    try:
+        return free_run(wstarts, wends, times, levels, t_min,
+                        t_min + SEARCH_SPAN_MINUTES)
+    except NoSlotError:
+        return None
 
 
 class TestTimeWindowSet:
@@ -118,6 +128,8 @@ class TestCapacityProfile:
             # level; the earliest-start query must see through them
             assert find_earliest(None, None, times, levels, a, d) == \
                 scan_earliest(a, d, [], capacity, booked, 200, False)
+            assert probe(None, None, times, levels, a) == \
+                scan_free_run(a, [], capacity, booked, 200, False)
 
 
 class TestEarliestStart:
@@ -193,6 +205,9 @@ class TestEarliestStart:
                 got = None
             assert got == expected, (trial, t_min, setup, processing,
                                      windows, bookings)
+            assert probe(starts, ends, times, levels, t_min) == scan_free_run(
+                t_min, windows, capacity, bookings, 1500, True), (
+                trial, t_min, windows, bookings)
 
     def test_minimality_property(self):
         # returned start is feasible and every earlier minute is not

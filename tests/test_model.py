@@ -107,6 +107,18 @@ class TestTotalTardiness:
         assert total_tardiness(sched, inst) == expected
 
 
+class TestScheduleMemory:
+    def test_placement_has_no_instance_dict(self):
+        assert not hasattr(placed("j0.1", "m0", True, 0, 100), "__dict__")
+
+    def test_checks_cache_nothing_on_the_schedule(self):
+        inst = make_instance([job("j0", 0, 100, ("fA", 90, 20, ("m0",)))])
+        sched = Schedule((placed("j0.1", "m0", True, 0, 110),))
+        assert validate_schedule(inst, sched) == []
+        assert total_tardiness(sched, inst) == 10
+        assert vars(sched) == {"placements": sched.placements}
+
+
 class TestValidateSchedule:
     def test_empty_instance_vacuous(self):
         inst = make_instance([])
