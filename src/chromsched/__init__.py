@@ -17,8 +17,8 @@ from .jsonio import (read_instance, read_schedule, write_instance,
                      write_schedule)
 from .list_scheduler import run_lta
 from .model import (ColumnType, Instance, Job, Operation, PlacedOperation,
-                    Schedule, Violation, job_completion, schedule_metrics,
-                    total_tardiness, validate_schedule)
+                    Schedule, Violation, schedule_metrics, total_tardiness,
+                    validate_schedule)
 from .rules import (Candidate, MachinePolicy, Rule, RuleParams, atc_priority,
                     atcoee_priority, atcoeef_priority, atcs_priority,
                     select_assignment)

@@ -20,11 +20,6 @@ from .errors import NoSlotError
 
 MINUTES_PER_DAY = 1440
 
-#: Default search span for earliest-start queries past t_min, in days and
-#: in minutes.
-DEFAULT_SEARCH_DAYS = 366
-SEARCH_SPAN_MINUTES = DEFAULT_SEARCH_DAYS * MINUTES_PER_DAY
-
 #: Longest horizon `weekly_windows` expands, in days.  Generated instances
 #: span under 80 days; ten years of daily windows is a few thousand intervals.
 MAX_WEEKLY_SPAN_DAYS = 3660
@@ -120,47 +115,46 @@ def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
         levels[k] -= 1
 
 
-def free_run(wstarts, wends, times, levels, t: int, horizon: int):
-    """Earliest t' in [t, horizon] with a free unit, and the end of that
-    free run: (t', first breakpoint after t' whose level is below one, or
-    +inf).
+def free_run(wstarts, wends, times, levels, t: int):
+    """Earliest t' >= t with a free unit, and the end of that free run:
+    (t', first breakpoint after t' whose level is below one, or +inf).
 
     When `wstarts`/`wends` are given, t' must additionally fall inside one
-    of those windows.  Raises NoSlotError when no such t' exists.
+    of those windows; NoSlotError is raised when no window is left.  Without
+    them a t' always exists: every booking is finite, so the profile's last
+    level is its full capacity, at least one.  Each step moves t to a later
+    breakpoint or window start, and there are finitely many of both, so the
+    search ends.
     """
     n = len(times)
-    while t <= horizon:
+    while True:
         if wstarts is not None:
             i = bisect_right(wstarts, t) - 1
             if i < 0 or t >= wends[i]:
                 i += 1
                 if i >= len(wstarts):
-                    raise NoSlotError(t, horizon, "operator windows exhausted")
+                    raise NoSlotError(t, "operator windows exhausted")
                 t = wstarts[i]
-                if t > horizon:
-                    break
         j = bisect_right(times, t) - 1
         if levels[j] < 1:
+            # the last level is free, so this stops inside the profile
             j += 1
-            while j < n and levels[j] < 1:
+            while levels[j] < 1:
                 j += 1
-            if j >= n:
-                raise NoSlotError(t, horizon, "column booked out")
             t = times[j]
             continue
         j += 1
         while j < n and levels[j] >= 1:
             j += 1
         return t, (times[j] if j < n else math.inf)
-    raise NoSlotError(t, horizon)
 
 
 def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
     """Smallest t >= t_min with a free unit over [t, t+duration).
 
     When `wstarts`/`wends` are given, t itself must additionally fall inside
-    one of those windows (the occupation interval need not).  Raises
-    NoSlotError past the horizon t_min + DEFAULT_SEARCH_DAYS days.
+    one of those windows (the occupation interval need not); NoSlotError is
+    raised when no window is left for it.
 
     A start inside a free run that ends before t + duration fails, and so
     does every later start in that run, so the search resumes at the run's
@@ -168,16 +162,15 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    horizon = t_min + SEARCH_SPAN_MINUTES
     t = t_min
     try:
         while True:
-            t, end = free_run(wstarts, wends, times, levels, t, horizon)
+            t, end = free_run(wstarts, wends, times, levels, t)
             if t + duration <= end:
                 return t
             t = end
     except NoSlotError as exc:
-        raise NoSlotError(t_min, horizon, exc.detail) from None
+        raise NoSlotError(t_min, exc.detail) from None
 
 
 # ---------------------------------------------------------------------------

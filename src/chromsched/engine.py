@@ -181,8 +181,8 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     Machines take turns by smallest clock (ties by machine index); each
     front operation is placed at its earliest feasible start and its column
     occupation booked before the next turn.  Returns a `_Decode`; raises
-    NoSlotError when a placement cannot fit within `find_earliest`'s search
-    horizon.  `seqs` must not be changed afterwards.
+    NoSlotError when an operation that needs a setup has no operator window
+    left.  `seqs` must not be changed afterwards.
 
     Every `_CHECKPOINT_TURNS` turns the decode records a checkpoint: the
     per-family column profiles, machine clocks, last families, sequence

@@ -6,16 +6,12 @@ class SchedulingError(Exception):
 
 
 class NoSlotError(SchedulingError):
-    """No feasible start time exists within the searched horizon."""
+    """No feasible start exists at or after `t_min`; `detail` says why."""
 
-    def __init__(self, t_min: int, horizon: int, detail: str = ""):
+    def __init__(self, t_min: int, detail: str):
         self.t_min = t_min
-        self.horizon = horizon
         self.detail = detail
-        msg = f"no feasible start in [{t_min}, {horizon}]"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+        super().__init__(f"no feasible start from {t_min}: {detail}")
 
 
 class IncompleteScheduleError(SchedulingError):

@@ -10,10 +10,15 @@ on machine m over [lo, hi) invalidates
   * the pairs of family f on other machines whose cached [start, completion)
     overlaps [lo, hi): these are pending one by one.
 Every other cached entry stays exact: the commit only lowered f's column
-capacity on [lo, hi), and the other machines' clocks, families and search
-horizons did not change.  A start that was infeasible stays infeasible, and
-a cached interval clear of [lo, hi) stays feasible, so it is still the
-earliest; a pair with no slot in its horizon still has none.
+capacity on [lo, hi), and the other machines' clocks and families did not
+change.  A start that was infeasible stays infeasible, and a cached
+interval clear of [lo, hi) stays feasible, so it is still the earliest; a
+pair with no slot still has none.
+
+A pair has no slot only when it needs a setup and no operator window is
+left at or after its t_min: without a window rule the search always ends
+in a free run (see `availability.free_run`).  Such a pair is retried on
+later loops, where a same-family commit on its machine can drop the setup.
 
 The refresh works machine by machine.  All of a machine's operations of
 one family that share t_min = max(clock, release) search the same step
@@ -33,8 +38,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .availability import (DEFAULT_SEARCH_DAYS, SEARCH_SPAN_MINUTES,
-                           find_earliest, free_run, min_level, reserve_step)
+from .availability import find_earliest, free_run, min_level, reserve_step
 from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, PlacedOperation, Schedule
@@ -52,8 +56,8 @@ class LtaState:
     ci: CompiledInstance
     clocks: list[int]
     last_family: list[int]
-    # per machine: schedulable op -> its Candidate, or None when no slot
-    # exists within the horizon this round
+    # per machine: schedulable op -> its Candidate, or None when no
+    # operator window is left for its setup this round
     candidates: list[dict[int, Candidate | None]]
     prof_times: list[list]
     prof_levels: list[list[int]]
@@ -138,8 +142,7 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
             wstarts, wends = windows if needs_setup else (None, None)
             column = (wstarts, wends, state.prof_times[f], state.prof_levels[f])
             try:
-                t0, run_end = free_run(*column, t_min,
-                                       t_min + SEARCH_SPAN_MINUTES)
+                t0, run_end = free_run(*column, t_min)
             except NoSlotError:
                 t0 = run_end = None
             probe = probes[f, t_min] = (t0, run_end, column)
@@ -150,8 +153,8 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
             except NoSlotError:
                 t = None
         if t is None:
-            logger.warning("no slot for %s on %s within %d days; retrying later",
-                           ci.op_ids[o], ci.machine_ids[m], DEFAULT_SEARCH_DAYS)
+            logger.warning("no operator window left for the setup of %s on "
+                           "%s; retrying later", ci.op_ids[o], ci.machine_ids[m])
             cached[o] = None
             continue
         # processing is positive (a model invariant), so the interval is
@@ -171,7 +174,8 @@ def _select_pool(state: LtaState, params: RuleParams,
                 if any(state.candidates[m].values())]
     if not feasible:
         raise SchedulingError(
-            "no feasible candidate on any machine within the search horizon")
+            "no open operation can be placed on any machine: no operator "
+            "window is left for its setup")
     if params.machine_policy.value == "ffm":
         best = min(state.clocks[m] for m in feasible)
         chosen = [m for m in feasible if state.clocks[m] == best]

@@ -153,12 +153,8 @@ class Violation:
         return f"[{self.constraint}] {ops}: {self.detail}"
 
 
-def job_completion(schedule: Schedule, job: Job) -> int:
-    """Completion of a job = max completion over its placed operations."""
-    return _job_completion(schedule.by_operation, job)
-
-
 def _job_completion(by_op: dict[str, PlacedOperation], job: Job) -> int:
+    """Completion of a job = max completion over its placed operations."""
     latest = None
     for op in job.operations:
         placed = by_op.get(op.id)

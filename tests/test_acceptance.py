@@ -130,7 +130,7 @@ def _placement_oracle_batch(args):
         processing = rng.randint(1, DAY)
         with_setup = rng.random() < 0.5
         # Bookings end by day 28 and windows by day 31, so a scan to day 31
-        # sees every start the default search horizon allows.
+        # sees every start the search can return.
         limit = 31 * DAY
         duration = (setup + processing) if with_setup else processing
         expected = scan_earliest(t_min, duration, windows, capacity, bookings,

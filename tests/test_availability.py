@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS,
-                                     SEARCH_SPAN_MINUTES, TimeWindowSet,
-                                     WORKDAYS, find_earliest, free_run,
-                                     min_level, reserve_step, weekly_windows)
+from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS, MINUTES_PER_DAY,
+                                     TimeWindowSet, WORKDAYS, find_earliest,
+                                     free_run, min_level, reserve_step,
+                                     weekly_windows)
 from chromsched.errors import NoSlotError
 
 from oracles import profile_level_at, scan_earliest, scan_free_run
@@ -38,10 +38,9 @@ def level_at(times, levels, t):
 
 
 def probe(wstarts, wends, times, levels, t_min):
-    """`free_run` from t_min over the default horizon, None for no slot."""
+    """`free_run` from t_min, None for no slot."""
     try:
-        return free_run(wstarts, wends, times, levels, t_min,
-                        t_min + SEARCH_SPAN_MINUTES)
+        return free_run(wstarts, wends, times, levels, t_min)
     except NoSlotError:
         return None
 
@@ -131,6 +130,24 @@ class TestCapacityProfile:
             assert probe(None, None, times, levels, a) == \
                 scan_free_run(a, [], capacity, booked, 200, False)
 
+    @given(st.lists(st.tuples(st.integers(-50, 200), st.integers(1, 60)),
+                    max_size=12),
+           st.integers(1, 3))
+    def test_accepted_bookings_keep_the_last_level_full(self, raw, capacity):
+        # Every booking `min_level` accepts is finite, so the profile keeps
+        # its -inf sentinel and ends at full capacity: a search without
+        # windows always finds a free run, whatever point it starts from.
+        times, levels = [-math.inf], [capacity]
+        for a, d in raw:
+            if min_level(times, levels, a, a + d) >= 1:
+                reserve_step(times, levels, a, a + d)
+        assert times[0] == -math.inf
+        assert levels[-1] == capacity
+        for t in range(-52, 263):
+            start, end = free_run(None, None, times, levels, t)
+            assert start >= t and end > start
+            assert level_at(times, levels, start) >= 1
+
 
 class TestEarliestStart:
     def test_unconstrained(self):
@@ -164,12 +181,22 @@ class TestEarliestStart:
         starts, ends = window_arrays(tws((0, 5)))
         assert find_earliest(starts, ends, *profile(1), 0, 60 + 60) == 0
 
-    def test_no_slot_carries_horizon(self):
+    def test_no_slot_names_t_min_and_cause(self):
         starts, ends = window_arrays(tws((0, 10)))
         booked = profile(1, (0, 2000))
         with pytest.raises(NoSlotError) as err:
-            find_earliest(starts, ends, *booked, 0, 10 + 10)
-        assert err.value.horizon == 366 * 1440
+            find_earliest(starts, ends, *booked, 3, 10 + 10)
+        assert err.value.t_min == 3
+        assert err.value.detail == "operator windows exhausted"
+
+    def test_a_window_two_years_away_is_found(self):
+        # the search has no horizon: it runs until a window fits or none
+        # is left
+        far = 2 * 365 * MINUTES_PER_DAY
+        starts, ends = window_arrays(tws((far, far + 60)))
+        booked = profile(1, (0, 500))
+        assert find_earliest(starts, ends, *booked, 0, 30 + 60) == far
+        assert free_run(starts, ends, *booked, 0) == (far, math.inf)
 
     def test_matches_minute_scan_randomized(self):
         rng = random.Random(7)
@@ -195,7 +222,7 @@ class TestEarliestStart:
             setup = rng.randint(0, 30)
             processing = rng.randint(1, 60)
             # every window ends before minute 1000, so a scan to 1500 sees
-            # every start the default horizon allows
+            # every start the search can return
             expected = scan_earliest(t_min, setup + processing,
                                      windows, capacity, bookings, 1500, True)
             try:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromsched.cli import main
+from chromsched.jsonio import write_instance
 
 from test_jsonio import instance_docs, maybe
+from test_list_scheduler import no_window_left_instance
 
 
 def run(capsys, *argv):
@@ -111,6 +113,18 @@ class TestUsageErrors:
                            str(tmp_path / "s.json"))
         assert code == 2
         assert "jobs" in err
+
+    def test_no_window_left_exits_2_with_the_cause(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        write_instance(no_window_left_instance(), instance)
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule))
+        assert code == 2
+        assert out == ""
+        assert ("chromsched: no open operation can be placed on any machine: "
+                "no operator window is left for its setup") in err
+        assert not schedule.exists()
 
     def test_negative_max_iters_exits_2(self, tmp_path, capsys):
         instance = tmp_path / "instance.json"

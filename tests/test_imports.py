@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses or a module
-outside the standard library, and the package's public names and its
-settings are exactly the pinned lists.
+outside the standard library, defines a name nothing reads, and the
+package's public names and its settings are exactly the pinned lists.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public re-exports.
@@ -26,7 +26,7 @@ def _used_names(tree: ast.AST) -> set[str]:
     annotations; `a.b.c` counts as a use of `a`."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -102,6 +102,74 @@ def test_imports_only_the_standard_library(module):
     assert foreign_imports(source) == []
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class or
+    constants."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` of every module-level function, class and constant in
+    `sources` (module name -> source, `__init__` included) that no other
+    statement of its module reads, that no module reads through a relative
+    import, and that `__init__` neither defines nor re-exports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    live = set()
+    for module, tree in trees.items():
+        reads = _used_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                for alias in node.names:
+                    if (module == "__init__"
+                            or (alias.asname or alias.name) in reads):
+                        live.add((source, alias.name))
+    dead = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        reads = [_used_names(stmt) for stmt in tree.body]
+        for i, stmt in enumerate(tree.body):
+            for name in _defined(stmt):
+                if (module, name) in live or any(
+                        name in used for j, used in enumerate(reads) if j != i):
+                    continue
+                dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def test_checker_flags_a_dead_definition():
+    sources = {
+        "__init__": "from .a import public\n__version__ = '1'\n",
+        "a": ("from .b import helper\n"
+              "LIMIT = 3\n"
+              "SPAN = LIMIT * 2\n"
+              "def public(x: 'Shape') -> int:\n"
+              "    return helper(x) + LIMIT\n"
+              "def recursive(n):\n"
+              "    return recursive(n - 1) if n else 0\n"
+              "class Shape:\n"
+              "    pass\n"),
+        "b": ("def helper(x):\n"
+              "    return x\n"
+              "def unused():\n"
+              "    return helper(1)\n"),
+    }
+    assert dead_definitions(sources) == ["a.SPAN", "a.recursive", "b.unused"]
+
+
+def test_no_dead_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert dead_definitions(sources) == []
+
+
 #: The package's public API: every name `chromsched` exports that is not a
 #: submodule and does not start with an underscore.  Adding or removing a
 #: public name means editing this list.
@@ -114,7 +182,7 @@ PUBLIC_NAMES = [
     "TimeWindowSet", "Violation", "anova_effects", "atc_priority",
     "atcoee_priority", "atcoeef_priority", "atcs_priority",
     "effect_to_ratio", "generate_design", "generate_instance",
-    "initial_temperature", "job_completion", "parse_algorithm",
+    "initial_temperature", "parse_algorithm",
     "read_instance", "read_schedule", "run_experiment",
     "run_lta", "run_sa", "schedule_metrics", "select_assignment",
     "total_tardiness", "validate_schedule", "weekly_windows", "write_instance",

@@ -1,10 +1,12 @@
 import hashlib
+import logging
 import random
 from dataclasses import replace
 
 import pytest
 
 from chromsched.availability import TimeWindowSet
+from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.list_scheduler import (_refresh, commit_assignment, init_state,
@@ -32,6 +34,13 @@ def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)
         column_types=tuple(ColumnType(f, u) for f, u in columns),
         operator_windows=windows or TimeWindowSet.always(),
         jobs=tuple(jobs))
+
+
+def no_window_left_instance():
+    """One machine with one operator window [0, 10): whichever of the two
+    operations goes first, the other's setup finds no window left."""
+    return tiny_instance([[("fA", 20, 5, ("m0",))], [("fB", 20, 5, ("m0",))]],
+                         machines=("m0",), windows=TimeWindowSet(((0, 10),)))
 
 
 def candidate_times(state):
@@ -124,6 +133,14 @@ class TestRunLta:
         assert sum(p.setup_performed for p in schedule.placements) == 1
         by_start = sorted(schedule.placements, key=lambda p: p.start)
         assert by_start[1].start == by_start[0].completion
+
+    def test_no_window_left_raises_and_names_the_cause(self, caplog):
+        with caplog.at_level(logging.WARNING, "chromsched.list_scheduler"):
+            with pytest.raises(SchedulingError,
+                               match="no operator window is left"):
+                run_lta(no_window_left_instance())
+        assert ("no operator window left for the setup of j1.1 on m0; "
+                "retrying later") in [r.getMessage() for r in caplog.records]
 
     def test_feasible_for_every_rule_and_seed(self):
         inst = generate_instance(GenConfig(n_jobs=10, n_routings=5, seed=2,

@@ -3,7 +3,7 @@ import pytest
 from chromsched.availability import TimeWindowSet
 from chromsched.errors import IncompleteScheduleError
 from chromsched.model import (ColumnType, Instance, Job, Operation,
-                              PlacedOperation, Schedule, job_completion,
+                              PlacedOperation, Schedule, _job_completion,
                               schedule_metrics, total_tardiness,
                               validate_schedule)
 
@@ -56,7 +56,7 @@ class TestJobCompletion:
     def test_single_op(self):
         inst = make_instance([job("j0", 0, 50, ("fA", 80, 20, ("m0",)))])
         sched = Schedule((placed("j0.1", "m0", True, 0, 100),))
-        assert job_completion(sched, inst.jobs[0]) == 100
+        assert _job_completion(sched.by_operation, inst.jobs[0]) == 100
 
     def test_max_of_two(self):
         inst = make_instance([job("j0", 0, 50,
@@ -64,7 +64,7 @@ class TestJobCompletion:
                                   ("fB", 200, 50, ("m1",)))])
         sched = Schedule((placed("j0.1", "m0", True, 0, 100),
                           placed("j0.2", "m1", True, 0, 250)))
-        assert job_completion(sched, inst.jobs[0]) == 250
+        assert _job_completion(sched.by_operation, inst.jobs[0]) == 250
 
     def test_unplaced_op_is_error(self):
         inst = make_instance([job("j0", 0, 50,
@@ -72,7 +72,7 @@ class TestJobCompletion:
                                   ("fB", 200, 50, ("m1",)))])
         sched = Schedule((placed("j0.1", "m0", True, 0, 100),))
         with pytest.raises(IncompleteScheduleError, match="j0.2"):
-            job_completion(sched, inst.jobs[0])
+            _job_completion(sched.by_operation, inst.jobs[0])
 
 
 class TestTotalTardiness:
@@ -102,8 +102,9 @@ class TestTotalTardiness:
         ])
         sched = Schedule((placed("j0.1", "m0", True, 0, 110),
                           placed("j1.1", "m1", True, 0, 110)))
-        expected = sum(max(job_completion(sched, j) - j.due, 0)
-                       for j in inst.jobs)
+        expected = sum(
+            max(_job_completion(sched.by_operation, j) - j.due, 0)
+            for j in inst.jobs)
         assert total_tardiness(sched, inst) == expected
 
 
