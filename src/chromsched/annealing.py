@@ -142,7 +142,7 @@ class _Solution:
     base the next proposal's decode resumes from."""
 
     __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
-                 "machine_of", "pos_of", "op_cum", "op_total",
+                 "machine_of", "op_cum", "op_total",
                  "_packs", "_packs_flat", "_pack_cum", "_pack_total")
 
     def __init__(self, ci: CompiledInstance, decode):
@@ -152,15 +152,7 @@ class _Solution:
         self.starts = decode.starts
         self.comps = decode.comps
         self.setups = decode.setups
-        n = ci.n_ops
-        machine_of = [0] * n
-        pos_of = [0] * n
-        for m, seq in enumerate(decode.seqs):
-            for pos, o in enumerate(seq):
-                machine_of[o] = m
-                pos_of[o] = pos
-        self.machine_of = machine_of
-        self.pos_of = pos_of
+        self.machine_of = decode.machine_of
         weights = _op_weights(ci, decode.comps)
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
@@ -286,7 +278,7 @@ def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
     if by_op:
         o1 = _draw_index(sol.op_cum, sol.op_total, rng)
         m1 = sol.machine_of[o1]
-        lo1 = sol.pos_of[o1]
+        lo1 = sol.seqs[m1].index(o1)
         hi1 = lo1 + 1
         ready, s1, fam1 = ci.release[o1], sol.starts[o1], ci.family[o1]
         eligible = ci.eligible[o1]
@@ -365,6 +357,11 @@ class SaResult:
 
     The trace is kept as three parallel columns, one entry per iteration,
     so row i is iteration i + 1; `trace` builds the rows.
+
+    `termination` is "optimum", "max-iterations" or "dead-levels" (see
+    `run_sa`), or "initial-decode" when the initial schedule's per-machine
+    sequences do not decode: the search never starts, and the initial
+    schedule comes back with `decode_failures` 1.
     """
 
     schedule: Schedule
@@ -437,8 +434,12 @@ def run_sa(instance: Instance, initial: Schedule,
     if initial_tardiness == 0:
         return result("optimum", 0.0)
 
-    current = _Solution(
-        ci, place_sequences(ci, sequences_from_schedule(ci, initial)))
+    try:
+        decoded = place_sequences(ci, sequences_from_schedule(ci, initial))
+    except NoSlotError:
+        decode_failures = 1
+        return result("initial-decode", 0.0)
+    current = _Solution(ci, decoded)
     if current.tardiness < best_tardiness:
         best_tardiness = current.tardiness
         best = current.decode

@@ -133,7 +133,8 @@ def free_run(wstarts, wends, times, levels, t: int):
             if i < 0 or t >= wends[i]:
                 i += 1
                 if i >= len(wstarts):
-                    raise NoSlotError(t, "operator windows exhausted")
+                    raise NoSlotError(
+                        f"no operator window left at or after minute {t}")
                 t = wstarts[i]
         j = bisect_right(times, t) - 1
         if levels[j] < 1:
@@ -163,14 +164,11 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
     if duration <= 0:
         raise ValueError("duration must be positive")
     t = t_min
-    try:
-        while True:
-            t, end = free_run(wstarts, wends, times, levels, t)
-            if t + duration <= end:
-                return t
-            t = end
-    except NoSlotError as exc:
-        raise NoSlotError(t_min, exc.detail) from None
+    while True:
+        t, end = free_run(wstarts, wends, times, levels, t)
+        if t + duration <= end:
+            return t
+        t = end
 
 
 # ---------------------------------------------------------------------------

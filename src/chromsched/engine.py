@@ -131,47 +131,48 @@ _CHECKPOINT_TURNS = 16
 
 class _Decode(NamedTuple):
     """What `place_sequences` returns: the decoded sequences, their total
-    tardiness and per-operation starts, completions and setup flags, the
-    turn at which each operation was placed, and the checkpoints a later
-    decode can resume from.  Nothing in it is mutated after the decode."""
+    tardiness and per-operation starts, completions, setup flags and
+    machines, and the checkpoints a later decode can resume from.  Nothing
+    in it is mutated after the decode."""
 
     seqs: list[list[int]]
     tardiness: int
     starts: list[int]
     comps: list[int]
     setups: list[bool]
-    turn_of: list[int]
+    machine_of: list[int]
     checkpoints: list[tuple]
 
 
-def _first_changed_turn(base: _Decode, seqs) -> int:
-    """Earliest turn at which decoding `seqs` can differ from `base`.
+def _last_shared_checkpoint(base: _Decode, seqs) -> int:
+    """Index of the last checkpoint of `base` that decoding `seqs` also
+    passes through.
 
-    Before it every turn picks the same machine and operation as in `base`:
-    a changed machine agrees with its old sequence up to its first differing
-    position d, and the old decode reached position d no earlier than the
-    turn of old[d].  A machine whose new sequence is shorter only drops out
-    of the turn order earlier; one that gains operations past its old end
-    could compete again from the turn after its old last operation.
+    A changed machine agrees with its old sequence up to its first
+    differing position d, so every turn picks the same machine and
+    operation as in `base` while no changed machine has placed past d.  A
+    machine whose new sequence is shorter only drops out of the turn order
+    earlier; one that gains operations past its old end could compete
+    again once its old last operation is placed, so its limit is d - 1.
+    Checkpoint 0, taken before the first turn, is always shared.
     """
-    turn_of = base.turn_of
-    first = len(turn_of)
-    for old, new in zip(base.seqs, seqs):
+    checkpoints = base.checkpoints
+    kept = len(checkpoints) - 1
+    for m, (old, new) in enumerate(zip(base.seqs, seqs)):
         if new is old:
             continue
         common = min(len(old), len(new))
         d = 0
         while d < common and old[d] == new[d]:
             d += 1
-        if d < len(old):
-            turn = turn_of[old[d]]
-        elif d == len(new):
-            continue
-        else:
-            turn = turn_of[old[d - 1]] + 1 if d else 0
-        if turn < first:
-            first = turn
-    return first
+        if d == len(old):
+            if d == len(new):
+                continue
+            d -= 1
+        # field 4 of a checkpoint is the machines' sequence positions
+        while kept and checkpoints[kept][4][m] > d:
+            kept -= 1
+    return kept
 
 
 def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
@@ -189,9 +190,9 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     positions and job completions, all as tuples.  With `base`, an earlier
     decode of the same instance whose unchanged machines are the same list
     objects in `seqs`, the decode restores the last checkpoint of `base` at
-    or before the first turn that can differ and replays only from there;
-    the result is the one a full decode gives.  `base` is only read, so it
-    stays usable after a NoSlotError.
+    which no changed machine has passed its first differing position, and
+    replays only from there; the result is the one a full decode gives.
+    `base` is only read, so it stays usable after a NoSlotError.
     """
     if base is None:
         n_ops = ci.n_ops
@@ -199,7 +200,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         starts = [0] * n_ops
         comps = [0] * n_ops
         setups = [False] * n_ops
-        turn_of = [0] * n_ops
+        machine_of = [0] * n_ops
         times, levels = ci.fresh_profiles()
         # job completions start at -inf: a job without operations is never late
         checkpoints = [(
@@ -208,12 +209,11 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
             (_NEG_INF,) * len(ci.job_ids))]
         turn = 0
     else:
-        kept = min(_first_changed_turn(base, seqs) // _CHECKPOINT_TURNS,
-                   len(base.checkpoints) - 1)
+        kept = _last_shared_checkpoint(base, seqs)
         starts = base.starts[:]
         comps = base.comps[:]
         setups = base.setups[:]
-        turn_of = base.turn_of[:]
+        machine_of = base.machine_of[:]
         checkpoints = base.checkpoints[:kept + 1]
         turn = kept * _CHECKPOINT_TURNS
 
@@ -261,7 +261,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         starts[o] = t
         comps[o] = c
         setups[o] = needs_setup
-        turn_of[o] = turn
+        machine_of[o] = m
         j = job[o]
         if c > job_comp[j]:
             job_comp[j] = c
@@ -292,7 +292,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         late = completed - job_due[j]
         if late > 0:
             tardiness += late
-    return _Decode(seqs, tardiness, starts, comps, setups, turn_of,
+    return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
                    checkpoints)
 
 

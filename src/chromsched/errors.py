@@ -6,12 +6,7 @@ class SchedulingError(Exception):
 
 
 class NoSlotError(SchedulingError):
-    """No feasible start exists at or after `t_min`; `detail` says why."""
-
-    def __init__(self, t_min: int, detail: str):
-        self.t_min = t_min
-        self.detail = detail
-        super().__init__(f"no feasible start from {t_min}: {detail}")
+    """No operator window is left for a setup to start in."""
 
 
 class IncompleteScheduleError(SchedulingError):

@@ -34,7 +34,6 @@ search each loop (the full-recompute reference in the tests).
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 
@@ -43,8 +42,6 @@ from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, PlacedOperation, Schedule
 from .rules import Candidate, RuleParams, select_assignment
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -153,8 +150,6 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
             except NoSlotError:
                 t = None
         if t is None:
-            logger.warning("no operator window left for the setup of %s on "
-                           "%s; retrying later", ci.op_ids[o], ci.machine_ids[m])
             cached[o] = None
             continue
         # processing is positive (a model invariant), so the interval is
@@ -173,9 +168,12 @@ def _select_pool(state: LtaState, params: RuleParams,
     feasible = [m for m in range(ci.n_machines)
                 if any(state.candidates[m].values())]
     if not feasible:
+        first = min(state.unscheduled)
+        machines = ", ".join(ci.machine_ids[m] for m in ci.eligible[first])
         raise SchedulingError(
             "no open operation can be placed on any machine: no operator "
-            "window is left for its setup")
+            f"window is left for the setup of {state.n_unscheduled} open "
+            f"operation(s), first {ci.op_ids[first]} on {machines}")
     if params.machine_policy.value == "ffm":
         best = min(state.clocks[m] for m in feasible)
         chosen = [m for m in feasible if state.clocks[m] == best]

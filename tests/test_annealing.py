@@ -40,6 +40,17 @@ def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
                     jobs=tuple(jobs))
 
 
+def undecodable_initial_instance():
+    """Two machines share one fA unit; operators work [0, 50).  LTA runs
+    j1.1 on m1 first (tardiness 5), but the decoder's tie on equal clocks
+    gives m0 the first turn: j0.1 holds the column until 105, after the
+    last window, so j1.1's setup finds none."""
+    return tiny_instance([("j0", 0, 1000, [("fA", 100, 5, ("m0",))]),
+                          ("j1", 0, 10, [("fA", 10, 5, ("m1",))])],
+                         machines=("m0", "m1"), columns=(("fA", 1),),
+                         windows=TimeWindowSet(((0, 50),)))
+
+
 def solution(inst, mapping):
     """The annealer's solution state for per-machine sequences of operation
     ids (machines left out run nothing), decoded as `run_sa` decodes it."""
@@ -469,6 +480,17 @@ class TestRunSa:
         assert res.iterations == 0
         assert res.schedule == initial
 
+    def test_initial_schedule_that_does_not_decode_comes_back(self):
+        inst = undecodable_initial_instance()
+        initial = run_lta(inst)
+        assert validate_schedule(inst, initial) == []
+        res = run_sa(inst, initial, SaParams(), seed=0)
+        assert res.termination == "initial-decode"
+        assert res.decode_failures == 1
+        assert (res.iterations, res.evaluated, res.trace) == (0, 0, [])
+        assert res.schedule == initial
+        assert res.tardiness == res.initial_tardiness == 5
+
     def test_micro_instances_reach_enumerated_optimum(self):
         # scaled-down sibling of the acceptance micro-optimality gate
         rng = random.Random(99)
@@ -491,7 +513,7 @@ class TestRunSa:
 
 def decode_fields(decoded):
     return (decoded.tardiness, decoded.starts, decoded.comps, decoded.setups,
-            decoded.turn_of, decoded.checkpoints)
+            decoded.machine_of, decoded.checkpoints)
 
 
 def full_or_error(ci, seqs):
@@ -548,6 +570,24 @@ class TestResumedDecode:
             assert (decode_fields(place_sequences(ci, refilled, base=resumed))
                     == full_or_error(ci, refilled))
 
+    def test_resumes_from_the_last_checkpoint_before_the_change(self):
+        # On one machine turn and position coincide: moving the last
+        # operation to position p shares the checkpoints taken at turns
+        # 0, 16, ..., up to p and none after.
+        inst = tiny_instance([(f"a{i:02d}", 0, 10_000,
+                               [("fA" if i % 3 else "fB", 20, 5, ("m0",))])
+                              for i in range(60)])
+        ci = compile_instance(inst)
+        seq = list(range(ci.n_ops))
+        base = place_sequences(ci, [seq])
+        assert len(base.checkpoints) == 4
+        for p in (0, 1, 15, 16, 17, 31, 32, 47, 48, 58):
+            moved = [seq[:p] + seq[-1:] + seq[p:-1]]
+            resumed = place_sequences(ci, moved, base=base)
+            assert [resumed.checkpoints[k] is base.checkpoints[k]
+                    for k in range(4)] == [k <= p // 16 for k in range(4)], p
+            assert decode_fields(resumed) == full_or_error(ci, moved)
+
     def test_no_slot_error_leaves_base_usable(self):
         # One machine and one operator window [0, 1000): the 20 fA ops run
         # back to back from 0, and the fB op's setup must start before 1000.
@@ -560,7 +600,8 @@ class TestResumedDecode:
         b = ci.op_index["b.1"]
         base = place_sequences(ci, [a[:17] + [b] + a[17:]])
         before = decode_fields(base)
-        assert base.turn_of[b] == 17  # past the first checkpoint at turn 16
+        # b, at position 17, is past the first checkpoint's position
+        assert base.checkpoints[1][4] == (16,)
         late_b = [a + [b]]  # b's setup would start at 1005
         with pytest.raises(NoSlotError):
             place_sequences(ci, late_b)

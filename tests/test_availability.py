@@ -181,13 +181,14 @@ class TestEarliestStart:
         starts, ends = window_arrays(tws((0, 5)))
         assert find_earliest(starts, ends, *profile(1), 0, 60 + 60) == 0
 
-    def test_no_slot_names_t_min_and_cause(self):
+    def test_no_slot_names_the_minute_the_windows_ran_out(self):
+        # from 3 the column is booked until 2000, after the last window
         starts, ends = window_arrays(tws((0, 10)))
         booked = profile(1, (0, 2000))
         with pytest.raises(NoSlotError) as err:
             find_earliest(starts, ends, *booked, 3, 10 + 10)
-        assert err.value.t_min == 3
-        assert err.value.detail == "operator windows exhausted"
+        assert str(err.value) == (
+            "no operator window left at or after minute 2000")
 
     def test_a_window_two_years_away_is_found(self):
         # the search has no horizon: it runs until a window fits or none

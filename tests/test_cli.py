@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chromsched.cli import main
 from chromsched.jsonio import write_instance
 
+from test_annealing import undecodable_initial_instance
 from test_jsonio import instance_docs, maybe
 from test_list_scheduler import no_window_left_instance
 
@@ -71,6 +72,20 @@ class TestGenerateSolveValidate:
         assert rows[0] == ["iteration", "temperature", "current", "best"]
         assert len(rows) > 1
 
+    def test_sa_keeps_an_initial_schedule_that_does_not_decode(self, tmp_path,
+                                                               capsys):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        write_instance(undecodable_initial_instance(), instance)
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule), "--algorithm", "sa")
+        assert (code, err) == (0, "")
+        assert "decode_failures=1 levels=0 termination=initial-decode" in out
+        assert "tardiness=5 " in out
+        code, out, _ = run(capsys, "validate", "--instance", str(instance),
+                           "--schedule", str(schedule))
+        assert (code, out.strip()) == (0, "OK")
+
     def test_validate_reports_violations(self, tmp_path, capsys):
         instance = tmp_path / "instance.json"
         schedule = tmp_path / "schedule.json"
@@ -122,8 +137,9 @@ class TestUsageErrors:
                              "--out", str(schedule))
         assert code == 2
         assert out == ""
-        assert ("chromsched: no open operation can be placed on any machine: "
-                "no operator window is left for its setup") in err
+        assert err == ("chromsched: no open operation can be placed on any "
+                       "machine: no operator window is left for the setup of "
+                       "1 open operation(s), first j1.1 on m0\n")
         assert not schedule.exists()
 
     def test_negative_max_iters_exits_2(self, tmp_path, capsys):

@@ -1,13 +1,19 @@
+import random
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from chromsched.availability import TimeWindowSet
 from chromsched.errors import IncompleteScheduleError
+from chromsched.list_scheduler import run_lta
 from chromsched.model import (ColumnType, Instance, Job, Operation,
                               PlacedOperation, Schedule, _job_completion,
                               schedule_metrics, total_tardiness,
                               validate_schedule)
 
-from oracles import scan_schedule_violations
+from oracles import micro_instance, scan_schedule_violations
+from test_oracles import SPARSE_WINDOWS
 
 
 def make_instance(jobs, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -200,7 +206,6 @@ class TestValidateSchedule:
         assert "unplaced-operation" in tags
 
     def test_agrees_with_minute_scan(self):
-        import random
         rng = random.Random(11)
         for _ in range(40):
             inst = make_instance([
@@ -220,23 +225,91 @@ class TestValidateSchedule:
             fast = validate_schedule(inst, sched)
             slow_tags = scan_schedule_violations(inst, sched, 700)
             slow_mapped = set(slow_tags) - {"setup-flag"}
-            fast_mapped = set()
-            for v in fast:
-                fast_mapped.add({
-                    "machine-overlap": "machine-overlap",
-                    "column-capacity": "column-capacity",
-                    "setup-outside-window": "setup-window",
-                    "starts-before-release": "release",
-                    "ineligible-machine": "eligibility",
-                    "duration-mismatch": "duration",
-                    "setup-flag": "setup-flag",
-                    "unplaced-operation": "coverage",
-                    "duplicate-placement": "coverage",
-                    "unknown-operation": "coverage",
-                }[v.constraint])
+            fast_mapped = {SCAN_TAG[v.constraint] for v in fast}
             assert slow_mapped <= fast_mapped
             if not fast:
                 assert not slow_tags
+
+    def test_agrees_with_minute_scan_both_ways_on_mutated_schedules(self):
+        # LTA micro schedules, each also with one placement's start shifted,
+        # setup flag flipped, machine changed or completion off by one; half
+        # of the instances have sparse operator windows.
+        rng = random.Random(5)
+        checked = set()
+        for index in range(100):
+            inst = micro_instance(rng)
+            if index % 2:
+                inst = replace(inst, operator_windows=SPARSE_WINDOWS)
+            base = run_lta(inst).placements
+            for mutation in (None, "shift", "flip", "machine", "completion"):
+                placements = list(base)
+                if mutation is not None:
+                    i = rng.randrange(len(placements))
+                    placements[i] = mutate(inst, placements[i], mutation, rng)
+                sched = Schedule(tuple(placements))
+                fast = validate_schedule(inst, sched)
+                horizon = max(p.completion for p in placements)
+                slow = set(scan_schedule_violations(inst, sched, horizon))
+                overlapping = overlapping_machines(placements)
+                if overlapping:
+                    # on a machine whose placements overlap the two checkers
+                    # may order them differently, so compare setup flags on
+                    # the other machines only
+                    rest = Schedule(tuple(p for p in placements
+                                          if p.machine not in overlapping))
+                    slow.discard("setup-flag")
+                    if "setup-flag" in scan_schedule_violations(inst, rest,
+                                                                horizon):
+                        slow.add("setup-flag")
+                    on_machine = {p.operation_id: p.machine for p in placements}
+                    fast = [v for v in fast if v.constraint != "setup-flag"
+                            or on_machine[v.placements[0]] not in overlapping]
+                fast_tags = {SCAN_TAG[v.constraint] for v in fast}
+                assert fast_tags == slow, (index, mutation, placements)
+                checked |= slow
+        assert checked == {"machine-overlap", "column-capacity",
+                           "setup-window", "release", "eligibility",
+                           "duration", "setup-flag"}
+
+
+#: The minute scan's tag for each validator constraint.
+SCAN_TAG = {
+    "machine-overlap": "machine-overlap",
+    "column-capacity": "column-capacity",
+    "setup-outside-window": "setup-window",
+    "starts-before-release": "release",
+    "ineligible-machine": "eligibility",
+    "duration-mismatch": "duration",
+    "setup-flag": "setup-flag",
+    "unplaced-operation": "coverage",
+    "duplicate-placement": "coverage",
+    "unknown-operation": "coverage",
+}
+
+
+def mutate(inst, p, mutation, rng):
+    """`p` with one field changed the way `mutation` names."""
+    op = inst.operations_by_id[p.operation_id]
+    if mutation == "shift":
+        delta = rng.choice((-1, 1)) * rng.randint(1, 120)
+        return placed(p.operation_id, p.machine, p.setup_performed,
+                      p.start + delta, p.completion + delta)
+    if mutation == "flip":
+        setup = not p.setup_performed
+        return placed(p.operation_id, p.machine, setup, p.start,
+                      p.start + op.processing + (op.setup if setup else 0))
+    if mutation == "machine":
+        machine = "m1" if p.machine == "m0" else "m0"
+        return placed(p.operation_id, machine, p.setup_performed, p.start,
+                      p.completion)
+    return placed(p.operation_id, p.machine, p.setup_performed, p.start,
+                  p.completion + rng.choice((-1, 1)))
+
+
+def overlapping_machines(placements):
+    return {a.machine for a, b in combinations(placements, 2)
+            if a.machine == b.machine and a.start < b.completion
+            and b.start < a.completion}
 
 
 class TestMetrics:
