@@ -115,17 +115,27 @@ def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
         levels[k] -= 1
 
 
-def free_run(wstarts, wends, times, levels, t: int):
-    """Earliest t' >= t with a free unit, and the end of that free run:
-    (t', first breakpoint after t' whose level is below one, or +inf).
+def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
+    """Earliest start t >= t_min with a free unit over [t, t + duration),
+    and the end of the free run that holds it (the first breakpoint after t
+    whose level is below one, or +inf).
 
-    When `wstarts`/`wends` are given, t' must additionally fall inside one
-    of those windows; NoSlotError is raised when no window is left.  Without
-    them a t' always exists: every booking is finite, so the profile's last
-    level is its full capacity, at least one.  Each step moves t to a later
-    breakpoint or window start, and there are finitely many of both, so the
-    search ends.
+    When `wstarts`/`wends` are given, t itself must additionally fall inside
+    one of those windows (the occupation interval need not); NoSlotError is
+    raised when no window is left for it.  Times are whole minutes, so a
+    one-minute search gives the earliest admissible free point, before
+    which no duration can start.
+
+    A start inside a free run that ends before t + duration fails, and so
+    does every later start in that run, so the search resumes at the run's
+    end.  Each step moves t to a later breakpoint or window start, and there
+    are finitely many of both, so the search ends.  Without windows it
+    always finds a start: every booking is finite, so the profile's last
+    level is its full capacity, at least one.
     """
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    t = t_min
     n = len(times)
     while True:
         if wstarts is not None:
@@ -147,27 +157,9 @@ def free_run(wstarts, wends, times, levels, t: int):
         j += 1
         while j < n and levels[j] >= 1:
             j += 1
-        return t, (times[j] if j < n else math.inf)
-
-
-def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
-    """Smallest t >= t_min with a free unit over [t, t+duration).
-
-    When `wstarts`/`wends` are given, t itself must additionally fall inside
-    one of those windows (the occupation interval need not); NoSlotError is
-    raised when no window is left for it.
-
-    A start inside a free run that ends before t + duration fails, and so
-    does every later start in that run, so the search resumes at the run's
-    end.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    t = t_min
-    while True:
-        t, end = free_run(wstarts, wends, times, levels, t)
+        end = times[j] if j < n else math.inf
         if t + duration <= end:
-            return t
+            return t, end
         t = end
 
 

@@ -246,9 +246,9 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         times, levels = prof_times[f], prof_levels[f]
         if needs_setup:
             t = find_earliest(win_starts, win_ends, times, levels,
-                              t_min, duration)
+                              t_min, duration)[0]
         else:
-            t = find_earliest(None, None, times, levels, t_min, duration)
+            t = find_earliest(None, None, times, levels, t_min, duration)[0]
         c = t + duration
         if not booked[f]:
             booked[f] = True

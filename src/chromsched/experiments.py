@@ -276,9 +276,12 @@ _ALPHA = 0.05
 
 
 @dataclass(frozen=True)
-class FactorEffect:
-    factor: str
-    effects: tuple[tuple[object, float], ...]
+class TermEffect:
+    """One ANOVA term: a main effect (one factor) or a two-way interaction.
+    `effects` pairs a level tuple, one level per factor, with its effect."""
+
+    factors: tuple[str, ...]
+    effects: tuple[tuple[tuple, float], ...]
     max_abs_effect: float
     f_stat: float
     f_crit: float
@@ -287,40 +290,26 @@ class FactorEffect:
 
 
 @dataclass(frozen=True)
-class InteractionEffect:
-    factors: tuple[str, str]
-    cells: tuple[tuple[tuple[object, object], float], ...]
-    max_abs_interaction: float
-    f_stat: float
-    f_crit: float
-    significant: bool
-    df: int
-
-
-@dataclass(frozen=True)
 class EffectReport:
+    """`terms` holds the main effects in factor order, then the pairs."""
+
     response: str
     n: int
     grand_mean: float
-    factors: tuple[FactorEffect, ...]
-    interactions: tuple[InteractionEffect, ...]
+    terms: tuple[TermEffect, ...]
     residual_df: int
     residual_ms: float
 
-    def factor(self, name: str) -> FactorEffect:
-        for fe in self.factors:
-            if fe.factor == name:
-                return fe
-        raise KeyError(name)
-
-    def interaction(self, a: str, b: str) -> InteractionEffect:
-        key = tuple(sorted((a, b)))
-        for ie in self.interactions:
-            if tuple(sorted(ie.factors)) == key:
-                return ie
-        raise KeyError((a, b))
+    def term(self, *factors: str) -> TermEffect:
+        """The term of these factors, in any order."""
+        key = sorted(factors)
+        for te in self.terms:
+            if sorted(te.factors) == key:
+                return te
+        raise KeyError(factors)
 
     def to_text(self) -> str:
+        mains = [te for te in self.terms if len(te.factors) == 1]
         lines = [
             f"Effects on {self.response} "
             f"(n={self.n}, grand mean={self.grand_mean:.4f}, "
@@ -329,38 +318,39 @@ class EffectReport:
             f"{'factor':<22}{'max|effect|':>12}{'F':>12}"
             f"{f'F crit {_ALPHA:.0%}':>12}  significant",
         ]
-        for fe in self.factors:
+        for te in mains:
             lines.append(
-                f"{fe.factor:<22}{fe.max_abs_effect:>12.4f}{fe.f_stat:>12.2f}"
-                f"{fe.f_crit:>12.2f}  {'yes' if fe.significant else 'no'}")
+                f"{te.factors[0]:<22}{te.max_abs_effect:>12.4f}"
+                f"{te.f_stat:>12.2f}{te.f_crit:>12.2f}  "
+                f"{'yes' if te.significant else 'no'}")
         lines.append("")
-        for fe in self.factors:
-            lines.append(f"{fe.factor} level effects:")
-            for level, effect in fe.effects:
+        for te in mains:
+            lines.append(f"{te.factors[0]} level effects:")
+            for (level,), effect in te.effects:
                 lines.append(f"  {level!s:<28}{effect:>+10.4f}")
         lines.append("")
         lines.append(
             f"{'interaction':<30}{'max|int|':>10}{'F':>12}"
             f"{f'F crit {_ALPHA:.0%}':>12}  significant")
-        for ie in self.interactions:
-            name = " x ".join(ie.factors)
+        for te in self.terms[len(mains):]:
+            name = " x ".join(te.factors)
             lines.append(
-                f"{name:<30}{ie.max_abs_interaction:>10.4f}{ie.f_stat:>12.2f}"
-                f"{ie.f_crit:>12.2f}  {'yes' if ie.significant else 'no'}")
+                f"{name:<30}{te.max_abs_effect:>10.4f}{te.f_stat:>12.2f}"
+                f"{te.f_crit:>12.2f}  {'yes' if te.significant else 'no'}")
         return "\n".join(lines) + "\n"
 
     def to_csv_rows(self) -> list[list]:
         rows = [["kind", "term", "level", "effect", "F", "F_crit",
                  "significant", "df"]]
-        for fe in self.factors:
-            rows.append(["factor", fe.factor, "", fe.max_abs_effect,
-                         fe.f_stat, fe.f_crit, fe.significant, fe.df])
-            for level, effect in fe.effects:
-                rows.append(["level", fe.factor, level, effect, "", "", "", ""])
-        for ie in self.interactions:
-            rows.append(["interaction", " x ".join(ie.factors), "",
-                         ie.max_abs_interaction, ie.f_stat, ie.f_crit,
-                         ie.significant, ie.df])
+        for te in self.terms:
+            main = len(te.factors) == 1
+            name = " x ".join(te.factors)
+            rows.append(["factor" if main else "interaction", name, "",
+                         te.max_abs_effect, te.f_stat, te.f_crit,
+                         te.significant, te.df])
+            if main:
+                for (level,), effect in te.effects:
+                    rows.append(["level", name, level, effect, "", "", "", ""])
         return rows
 
 
@@ -446,8 +436,7 @@ def anova_effects(observations, response: str = "logTardiness",
     ss_terms = sum(ss for _, _, ss, _ in term_stats)
     ms_residual = max(ss_total - ss_terms, 0.0) / residual_df
 
-    factor_reports = []
-    interaction_reports = []
+    terms = []
     for term, effects, ss, df in term_stats:
         if ss <= 0.0:
             f_stat = 0.0
@@ -456,25 +445,16 @@ def anova_effects(observations, response: str = "logTardiness",
         else:
             f_stat = (ss / df) / ms_residual
         f_crit = _f_critical(_ALPHA, df, residual_df)
-        ordered = sorted(effects.items(),
-                         key=lambda kv: tuple(str(level) for level in kv[0]))
-        largest = max(abs(e) for _, e in ordered)
-        if len(term) == 1:
-            factor_reports.append(FactorEffect(
-                factor=term[0],
-                effects=tuple((key[0], e) for key, e in ordered),
-                max_abs_effect=largest, f_stat=f_stat, f_crit=f_crit,
-                significant=f_stat > f_crit, df=df))
-        else:
-            interaction_reports.append(InteractionEffect(
-                factors=term, cells=tuple(ordered),
-                max_abs_interaction=largest, f_stat=f_stat, f_crit=f_crit,
-                significant=f_stat > f_crit, df=df))
+        ordered = tuple(sorted(
+            effects.items(),
+            key=lambda kv: tuple(str(level) for level in kv[0])))
+        terms.append(TermEffect(
+            factors=term, effects=ordered,
+            max_abs_effect=max(abs(e) for _, e in ordered), f_stat=f_stat,
+            f_crit=f_crit, significant=f_stat > f_crit, df=df))
 
     return EffectReport(
-        response=response, n=n, grand_mean=grand_mean,
-        factors=tuple(factor_reports),
-        interactions=tuple(interaction_reports),
+        response=response, n=n, grand_mean=grand_mean, terms=tuple(terms),
         residual_df=residual_df, residual_ms=ms_residual)
 
 

@@ -59,8 +59,8 @@ class GenConfig:
             raise ValueError("need at least one machine and one column type")
         if not 0.0 < self.setup_ratio < 1.0:
             raise ValueError("setup_ratio must be in (0, 1)")
-        if math.isnan(self.flex_mean):
-            raise ValueError("flex_mean must be a number, got nan")
+        if not math.isfinite(self.flex_mean):
+            raise ValueError(f"flex_mean must be finite, got {self.flex_mean}")
         if self.unchecked:
             return
         if self.n_jobs not in JOB_COUNTS:

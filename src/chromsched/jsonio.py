@@ -193,6 +193,8 @@ def _load(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def write_instance(instance: Instance, path) -> None:

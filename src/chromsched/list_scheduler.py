@@ -17,19 +17,21 @@ pair with no slot still has none.
 
 A pair has no slot only when it needs a setup and no operator window is
 left at or after its t_min: without a window rule the search always ends
-in a free run (see `availability.free_run`).  Such a pair is retried on
-later loops, where a same-family commit on its machine can drop the setup.
+in a free run (see `availability.find_earliest`).  Such a pair is retried
+on later loops, where a same-family commit on its machine can drop the
+setup.
 
 The refresh works machine by machine.  All of a machine's operations of
 one family that share t_min = max(clock, release) search the same step
 function from the same point under the same window rule (a setup is due
-exactly when the family differs from the machine's last one), so one
-`availability.free_run` probe serves them all: it gives the earliest
+exactly when the family differs from the machine's last one), so a single
+one-minute `find_earliest` probe serves them all: it gives the earliest
 admissible point t0 with a free unit and the end of that free run.  Every
 point before t0 fails whatever the duration, so when t0 + duration fits in
-the run, t0 is the earliest start; otherwise `find_earliest` searches on.
-The result is bit-identical to recomputing every open pair with its own
-search each loop (the full-recompute reference in the tests).
+the run, t0 is the earliest start; otherwise every start before the run
+end fails too, and the search resumes there.  The result is bit-identical
+to recomputing every open pair with its own search each loop (the
+full-recompute reference in the tests).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .availability import find_earliest, free_run, min_level, reserve_step
+from .availability import find_earliest, min_level, reserve_step
 from .engine import CompiledInstance, compile_instance
 from .errors import NoSlotError, SchedulingError
 from .model import Instance, PlacedOperation, Schedule
@@ -117,7 +119,7 @@ def _refresh(state: LtaState) -> None:
 
 def _refresh_machine(state: LtaState, m: int, ops) -> None:
     """Recompute the candidates of the open operations `ops` on machine `m`,
-    one `free_run` probe per (family, t_min)."""
+    one `find_earliest` probe per (family, t_min)."""
     ci = state.ci
     clock = state.clocks[m]
     last = state.last_family[m]
@@ -137,16 +139,18 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
         probe = probes.get((f, t_min))
         if probe is None:
             wstarts, wends = windows if needs_setup else (None, None)
-            column = (wstarts, wends, state.prof_times[f], state.prof_levels[f])
+            times, levels = state.prof_times[f], state.prof_levels[f]
             try:
-                t0, run_end = free_run(*column, t_min)
+                t0, run_end = find_earliest(wstarts, wends, times, levels,
+                                            t_min, 1)
             except NoSlotError:
                 t0 = run_end = None
-            probe = probes[f, t_min] = (t0, run_end, column)
+            probe = probes[f, t_min] = (
+                t0, run_end, (wstarts, wends, times, levels))
         t, run_end, column = probe
         if t is not None and t + duration > run_end:
             try:
-                t = find_earliest(*column, t_min, duration)
+                t = find_earliest(*column, run_end, duration)[0]
             except NoSlotError:
                 t = None
         if t is None:

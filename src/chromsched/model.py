@@ -79,8 +79,12 @@ class Instance:
         if len(families) != len(self.column_types):
             raise ValueError("duplicate column type families")
         machine_set = set(self.machines)
+        seen_jobs = set()
         seen_ops = set()
         for job in self.jobs:
+            if job.id in seen_jobs:
+                raise ValueError(f"duplicate job id {job.id}")
+            seen_jobs.add(job.id)
             for op in job.operations:
                 if op.id in seen_ops:
                     raise ValueError(f"duplicate operation id {op.id}")

@@ -256,7 +256,7 @@ def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
                            else (None, None))
                 try:
                     t = find_earliest(*windows, state.prof_times[f],
-                                      state.prof_levels[f], t_min, duration)
+                                      state.prof_levels[f], t_min, duration)[0]
                 except NoSlotError:
                     cached[o] = None
                     continue

@@ -139,10 +139,10 @@ def _placement_oracle_batch(args):
             if with_setup:
                 got = find_earliest([a for a, _ in window_set],
                                     [b for _, b in window_set],
-                                    times, levels, t_min, duration)
+                                    times, levels, t_min, duration)[0]
             else:
                 got = find_earliest(None, None, times, levels, t_min,
-                                    duration)
+                                    duration)[0]
         except NoSlotError:
             got = None
         if got != expected:
@@ -335,8 +335,8 @@ def _synthetic_trial(rng):
                     flex_mean=2.0 if b else 4.0, algorithm="probe", seed=r,
                     tardiness=0, log_tardiness=value, runtime_ms=0.0))
     result = anova_effects(rows, factors=("nRoutings", "flexMean"))
-    planted = result.factor("nRoutings")
-    null = result.factor("flexMean")
+    planted = result.term("nRoutings")
+    null = result.term("flexMean")
     worst = max(abs(abs(e) - 1.0) for _, e in planted.effects)
     return worst, planted.significant, (not null.significant)
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS, MINUTES_PER_DAY,
                                      TimeWindowSet, WORKDAYS, find_earliest,
-                                     free_run, min_level, reserve_step,
-                                     weekly_windows)
+                                     min_level, reserve_step, weekly_windows)
 from chromsched.errors import NoSlotError
 
 from oracles import profile_level_at, scan_earliest, scan_free_run
@@ -38,9 +37,10 @@ def level_at(times, levels, t):
 
 
 def probe(wstarts, wends, times, levels, t_min):
-    """`free_run` from t_min, None for no slot."""
+    """The list scheduler's one-minute `find_earliest` probe from t_min:
+    (start, run end), None for no slot."""
     try:
-        return free_run(wstarts, wends, times, levels, t_min)
+        return find_earliest(wstarts, wends, times, levels, t_min, 1)
     except NoSlotError:
         return None
 
@@ -62,9 +62,9 @@ class TestTimeWindowSet:
         # the next point inside the set is find_earliest's window step
         free = profile(1)
         starts, ends = window_arrays(s)
-        assert find_earliest(starts, ends, *free, 0, 1) == 10
-        assert find_earliest(starts, ends, *free, 15, 1) == 15
-        assert find_earliest(starts, ends, *free, 25, 1) == 30
+        assert find_earliest(starts, ends, *free, 0, 1) == (10, math.inf)
+        assert find_earliest(starts, ends, *free, 15, 1) == (15, math.inf)
+        assert find_earliest(starts, ends, *free, 25, 1) == (30, math.inf)
         with pytest.raises(NoSlotError):
             find_earliest(starts, ends, *free, 40, 1)
 
@@ -97,12 +97,13 @@ class TestCapacityProfile:
         times, levels = profile(1, (0, 10), (10, 20))
         assert (times[1:], levels) == ([0, 10, 20], [1, 0, 0, 1])
         assert min_level(times, levels, 5, 15) == 0
-        assert find_earliest(None, None, times, levels, 0, 5) == 20
+        assert find_earliest(None, None, times, levels, 0, 5) == (20, math.inf)
         times, levels = profile(2, (0, 10), (10, 20))
-        assert find_earliest(None, None, times, levels, 0, 30) == 0
+        assert find_earliest(None, None, times, levels, 0, 30) == (0, math.inf)
         reserve_step(times, levels, 5, 15)
         assert levels == [2, 1, 0, 0, 1, 2]
-        assert find_earliest(None, None, times, levels, 0, 10) == 15
+        assert find_earliest(None, None, times, levels, 0, 10) == (
+            15, math.inf)
 
     @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
                     min_size=1, max_size=8),
@@ -125,7 +126,7 @@ class TestCapacityProfile:
             assert min_level(times, levels, a, a + d) == min(counted[a:a + d])
             # adjacent bookings leave breakpoints that do not change the
             # level; the earliest-start query must see through them
-            assert find_earliest(None, None, times, levels, a, d) == \
+            assert find_earliest(None, None, times, levels, a, d)[0] == \
                 scan_earliest(a, d, [], capacity, booked, 200, False)
             assert probe(None, None, times, levels, a) == \
                 scan_free_run(a, [], capacity, booked, 200, False)
@@ -144,7 +145,7 @@ class TestCapacityProfile:
         assert times[0] == -math.inf
         assert levels[-1] == capacity
         for t in range(-52, 263):
-            start, end = free_run(None, None, times, levels, t)
+            start, end = find_earliest(None, None, times, levels, t, 1)
             assert start >= t and end > start
             assert level_at(times, levels, start) >= 1
 
@@ -152,34 +153,35 @@ class TestCapacityProfile:
 class TestEarliestStart:
     def test_unconstrained(self):
         starts, ends = window_arrays(TimeWindowSet.always(0))
-        assert find_earliest(starts, ends, *profile(1), 0, 10 + 20) == 0
+        assert find_earliest(starts, ends, *profile(1), 0, 10 + 20)[0] == 0
 
     def test_next_day_window(self):
         # daily 08:00-18:00 windows; too late today -> tomorrow 08:00
         days = tws(*[(480 + d * 1440, 1080 + d * 1440) for d in range(7)])
         starts, ends = window_arrays(days)
-        assert find_earliest(starts, ends, *profile(1), 1100, 60 + 60) == 1920
+        t = find_earliest(starts, ends, *profile(1), 1100, 60 + 60)[0]
+        assert t == 1920
 
     def test_waits_for_column(self):
         starts, ends = window_arrays(TimeWindowSet.always(0))
         col = profile(1, (0, 100))
-        assert find_earliest(starts, ends, *col, 0, 10 + 20) == 100
+        assert find_earliest(starts, ends, *col, 0, 10 + 20)[0] == 100
 
     def test_without_setup_unconstrained(self):
-        assert find_earliest(None, None, *profile(1), 50, 30) == 50
+        assert find_earliest(None, None, *profile(1), 50, 30)[0] == 50
 
     def test_without_setup_waits_for_column(self):
         col = profile(1, (40, 90))
-        assert find_earliest(None, None, *col, 50, 30) == 90
+        assert find_earliest(None, None, *col, 50, 30)[0] == 90
 
     def test_one_of_two_units_suffices(self):
         col = profile(2, (60, 70))
-        assert find_earliest(None, None, *col, 50, 30) == 50
+        assert find_earliest(None, None, *col, 50, 30)[0] == 50
 
     def test_start_only_needs_window(self):
         # setup must start in a window; the work may run past its end
         starts, ends = window_arrays(tws((0, 5)))
-        assert find_earliest(starts, ends, *profile(1), 0, 60 + 60) == 0
+        assert find_earliest(starts, ends, *profile(1), 0, 60 + 60)[0] == 0
 
     def test_no_slot_names_the_minute_the_windows_ran_out(self):
         # from 3 the column is booked until 2000, after the last window
@@ -196,8 +198,9 @@ class TestEarliestStart:
         far = 2 * 365 * MINUTES_PER_DAY
         starts, ends = window_arrays(tws((far, far + 60)))
         booked = profile(1, (0, 500))
-        assert find_earliest(starts, ends, *booked, 0, 30 + 60) == far
-        assert free_run(starts, ends, *booked, 0) == (far, math.inf)
+        for duration in (30 + 60, 1):
+            assert find_earliest(starts, ends, *booked, 0, duration) == (
+                far, math.inf)
 
     def test_matches_minute_scan_randomized(self):
         rng = random.Random(7)
@@ -228,7 +231,7 @@ class TestEarliestStart:
                                      windows, capacity, bookings, 1500, True)
             try:
                 got = find_earliest(starts, ends, times, levels, t_min,
-                                    setup + processing)
+                                    setup + processing)[0]
             except NoSlotError:
                 got = None
             assert got == expected, (trial, t_min, setup, processing,
@@ -237,11 +240,43 @@ class TestEarliestStart:
                 t_min, windows, capacity, bookings, 1500, True), (
                 trial, t_min, windows, bookings)
 
+    @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
+                    max_size=8),
+           st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40)),
+                    max_size=4),
+           st.integers(1, 3), st.integers(0, 120), st.integers(1, 60),
+           st.booleans())
+    def test_run_end_is_the_first_minute_without_a_free_unit(
+            self, raw, raw_windows, capacity, t_min, duration, windowed):
+        # for any duration, the search returns the minute-scan start and
+        # the first minute at or after it where no unit is free
+        times, levels = [-math.inf], [capacity]
+        booked = []
+        for a, d in raw:
+            if min_level(times, levels, a, a + d) >= 1:
+                reserve_step(times, levels, a, a + d)
+                booked.append((a, a + d))
+        windows = TimeWindowSet(tuple((a, a + w) for a, w in raw_windows))
+        starts, ends = window_arrays(windows) if windowed else (None, None)
+        # bookings end by 110 and windows by 240: a scan to 400 sees all
+        expected = scan_earliest(t_min, duration, windows.windows, capacity,
+                                 booked, 400, windowed)
+        try:
+            start, end = find_earliest(starts, ends, times, levels, t_min,
+                                       duration)
+        except NoSlotError:
+            assert windowed and expected is None
+            return
+        assert start == expected
+        assert end == next((u for u in range(start, 400)
+                            if profile_level_at(capacity, booked, u) < 1),
+                           math.inf)
+
     def test_minimality_property(self):
         # returned start is feasible and every earlier minute is not
         times, levels = profile(2, (10, 50), (30, 90))
         win = tws((0, 20), (40, 200))
-        t = find_earliest(*window_arrays(win), times, levels, 5, 5 + 25)
+        t = find_earliest(*window_arrays(win), times, levels, 5, 5 + 25)[0]
         assert win.contains(t)
         assert min_level(times, levels, t, t + 30) >= 1
         for earlier in range(5, t):

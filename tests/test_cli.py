@@ -191,6 +191,51 @@ class TestUsageErrors:
         assert out == ""
         assert not instance.exists()
 
+    @pytest.mark.parametrize("value", ["-inf", "inf"])
+    def test_infinite_flex_mean_exits_2(self, tmp_path, capsys, value):
+        instance = tmp_path / "instance.json"
+        code, out, err = run(capsys, "generate", "--jobs", "5",
+                             f"--flex-mean={value}", "--unchecked", "--out",
+                             str(instance))
+        assert code == 2
+        assert err == f"chromsched: flex_mean must be finite, got {value}\n"
+        assert out == ""
+        assert not instance.exists()
+
+    @pytest.mark.parametrize("algorithm", ["lta", "sa"])
+    def test_duplicate_job_id_exits_2(self, tmp_path, capsys, algorithm):
+        instance = tmp_path / "instance.json"
+        schedule = tmp_path / "s.json"
+        instance.write_text(json.dumps({
+            "machines": ["m0", "m1"],
+            "column_types": [{"family": "fA", "units": 1}],
+            "operator_windows": [[0, 100000]],
+            "jobs": [
+                {"id": "j1", "release": 0, "due": 10, "operations": [
+                    {"id": "a.1", "family": "fA", "p": 50, "s": 5,
+                     "eligible": ["m0"]}]},
+                {"id": "j1", "release": 0, "due": 500, "operations": [
+                    {"id": "b.1", "family": "fA", "p": 40, "s": 5,
+                     "eligible": ["m0", "m1"]}]}]}))
+        code, out, err = run(capsys, "solve", "--instance", str(instance),
+                             "--out", str(schedule), "--algorithm", algorithm)
+        assert code == 2
+        assert err == "chromsched: instance: duplicate job id j1\n"
+        assert out == ""
+        assert not schedule.exists()
+
+    def test_too_deeply_nested_instance_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        for argv in (("validate", "--instance", str(deep), "--schedule",
+                      str(deep)),
+                     ("solve", "--instance", str(deep), "--out",
+                      str(tmp_path / "s.json"))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"chromsched: {deep}: JSON nested too deeply\n"
+            assert out == ""
+
     @pytest.mark.parametrize("parallel", ["0", "-3"])
     def test_parallel_below_1_exits_2(self, tmp_path, capsys, parallel):
         results = tmp_path / "results.csv"

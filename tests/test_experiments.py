@@ -251,17 +251,18 @@ class TestAnova:
     def test_all_equal_gives_zero_effects_and_f(self):
         rows = synthetic_observations()
         report = anova_effects(rows, factors=self.FACTORS)
-        for fe in report.factors:
-            assert fe.max_abs_effect == 0.0
-            assert fe.f_stat == 0.0
-            assert not fe.significant
-        for ie in report.interactions:
-            assert ie.f_stat == 0.0
+        assert [te.factors for te in report.terms] == [
+            ("nRoutings",), ("flexMean",), ("nRoutings", "flexMean")]
+        for te in report.terms[:2]:
+            assert te.max_abs_effect == 0.0
+            assert te.f_stat == 0.0
+            assert not te.significant
+        assert report.terms[2].f_stat == 0.0
 
     def test_planted_effect_recovered(self):
         rows = synthetic_observations(effect_a=1.0, noise=0.01, seed=4)
         report = anova_effects(rows, factors=self.FACTORS)
-        fe = report.factor("nRoutings")
+        fe = report.term("nRoutings")
         assert fe.max_abs_effect == pytest.approx(1.0, abs=0.01)
         assert fe.significant
         assert fe.f_stat > fe.f_crit * 100
@@ -269,22 +270,22 @@ class TestAnova:
     def test_null_factor_usually_insignificant(self):
         rows = synthetic_observations(effect_a=1.0, noise=0.01, seed=4)
         report = anova_effects(rows, factors=self.FACTORS)
-        assert not report.factor("flexMean").significant
+        assert not report.term("flexMean").significant
 
     def test_effects_sum_to_zero(self):
         rows = synthetic_observations(effect_a=0.7, effect_b=0.2, noise=0.05,
                                       seed=8)
         report = anova_effects(rows, factors=self.FACTORS)
-        for fe in report.factors:
+        for fe in report.terms[:2]:
             assert sum(e for _, e in fe.effects) == pytest.approx(0.0, abs=1e-9)
 
     def test_cell_mean_reconstruction(self):
         rows = synthetic_observations(effect_a=0.5, effect_b=0.3,
                                       interaction=0.2, noise=0.3, seed=9)
         report = anova_effects(rows, factors=self.FACTORS)
-        a_effects = dict(report.factor("nRoutings").effects)
-        b_effects = dict(report.factor("flexMean").effects)
-        inter = dict(report.interaction("nRoutings", "flexMean").cells)
+        a_effects = dict(report.term("nRoutings").effects)
+        b_effects = dict(report.term("flexMean").effects)
+        inter = dict(report.term("nRoutings", "flexMean").effects)
         cells = {}
         counts = {}
         for o in rows:
@@ -293,8 +294,8 @@ class TestAnova:
             counts[key] = counts.get(key, 0) + 1
         for key, total in cells.items():
             mean = total / counts[key]
-            rebuilt = (report.grand_mean + a_effects[key[0]]
-                       + b_effects[key[1]] + inter[key])
+            rebuilt = (report.grand_mean + a_effects[key[:1]]
+                       + b_effects[key[1:]] + inter[key])
             assert rebuilt == pytest.approx(mean, rel=1e-9)
 
     def test_failed_runs_refused_with_a_count(self):
@@ -314,7 +315,7 @@ class TestAnova:
         rows = synthetic_observations(noise=0.01, seed=1)
         report = anova_effects(rows, factors=self.FACTORS)
         assert report.residual_df == 36
-        assert report.factor("nRoutings").f_crit == pytest.approx(4.11, abs=0.01)
+        assert report.term("nRoutings").f_crit == pytest.approx(4.11, abs=0.01)
 
     def test_single_level_factor_has_no_f_test(self):
         # its term has no degrees of freedom, so the analysis is refused
@@ -322,7 +323,7 @@ class TestAnova:
         with pytest.raises(ValueError, match="factor algorithm has a single "
                            "level.*leave it out of --factors"):
             anova_effects(rows, factors=("nRoutings", "algorithm"))
-        assert anova_effects(rows, factors=("nRoutings",)).factor(
+        assert anova_effects(rows, factors=("nRoutings",)).term(
             "nRoutings").significant
 
     @pytest.mark.parametrize("response, factors, message", [
@@ -337,6 +338,13 @@ class TestAnova:
         rows = synthetic_observations()
         with pytest.raises(ValueError, match=re.escape(message)):
             anova_effects(rows, response=response, factors=factors)
+
+    def test_term_lookup_ignores_factor_order(self):
+        report = anova_effects(synthetic_observations(), factors=self.FACTORS)
+        pair = report.term("flexMean", "nRoutings")
+        assert pair is report.term("nRoutings", "flexMean") is report.terms[2]
+        with pytest.raises(KeyError):
+            report.term("nRoutings", "nRoutings")
 
     def test_report_renders(self):
         rows = synthetic_observations(effect_a=0.4, noise=0.02, seed=3)

@@ -23,8 +23,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("unchecked", [False, True])
     def test_nan_flex_mean_refused(self, unchecked):
-        with pytest.raises(ValueError, match="flex_mean"):
-            GenConfig(flex_mean=math.nan, unchecked=unchecked)
+        # and every other non-finite value: -inf would reach round(gauss())
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="flex_mean must be finite"):
+                GenConfig(flex_mean=value, unchecked=unchecked)
 
     def test_unchecked_allows_scaling(self):
         cfg = GenConfig(n_jobs=12, n_routings=3, setup_ratio=0.6, flex_mean=3,

@@ -87,6 +87,16 @@ def test_invalid_json_reported(tmp_path):
         read_instance(path)
 
 
+def test_too_deeply_nested_json_reported(tmp_path):
+    # json.dumps cannot build this document, so the text is written directly
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for read in (read_instance, read_schedule):
+        with pytest.raises(InstanceFormatError,
+                           match="deep.json: JSON nested too deeply"):
+            read(path)
+
+
 def test_semantic_errors_wrapped():
     doc = {
         "machines": ["m0"],

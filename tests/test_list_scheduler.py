@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from chromsched.availability import TimeWindowSet
+from chromsched import list_scheduler
+from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
@@ -15,7 +16,7 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import enumerated_optimum, run_lta_full_recompute
+from oracles import enumerated_optimum, run_lta_full_recompute, scan_earliest
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -82,6 +83,31 @@ class TestCandidateTimes:
         inst = tiny_instance([[("fA", 20, 10, ("m0", "m1"))]])
         cands = candidate_times(init_state(inst))
         assert [c.machine for c in cands] == [0, 1]
+
+    def test_an_overrun_resumes_at_the_end_of_the_shared_free_run(
+            self, monkeypatch):
+        # fA is booked over [20, 40) and [60, 100): both operations probe
+        # the free run [0, 20) once; the shorter fits, the longer resumes
+        # the search at minute 20 and lands where the minute scan does
+        inst = tiny_instance([[("fA", 10, 5, ("m0",))],
+                              [("fA", 30, 5, ("m0",))]], machines=("m0",))
+        state = init_state(inst)
+        f = state.ci.family[0]
+        booked = [(20, 40), (60, 100)]
+        for a, b in booked:
+            reserve_step(state.prof_times[f], state.prof_levels[f], a, b)
+        searches = []
+
+        def traced(*args):
+            searches.append(args[4:])
+            return find_earliest(*args)
+
+        monkeypatch.setattr(list_scheduler, "find_earliest", traced)
+        short, long_ = candidate_times(state)
+        assert searches == [(0, 1), (20, 35)]
+        assert (short.start, short.completion) == (0, 15)
+        assert long_.start == scan_earliest(0, 35, [], 1, booked, 200,
+                                            False) == 100
 
 
 class TestCommit:

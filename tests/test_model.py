@@ -57,6 +57,15 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError, match="processing"):
             job("j0", 0, 10, ("fA", 0, 1, ("m0",)))
 
+    def test_duplicate_job_id_refused(self):
+        # two jobs named j1 would share one index and one due date
+        first = job("j1", 0, 10, ("fA", 50, 5, ("m0",)))
+        second = Job(id="j1", release=0, due=500, operations=(Operation(
+            id="b.1", job_id="j1", family="fA", processing=40, setup=5,
+            eligible=frozenset(("m0", "m1"))),))
+        with pytest.raises(ValueError, match="^duplicate job id j1$"):
+            make_instance([first, second])
+
 
 class TestJobCompletion:
     def test_single_op(self):
