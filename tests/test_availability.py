@@ -268,9 +268,8 @@ class TestEarliestStart:
             assert windowed and expected is None
             return
         assert start == expected
-        assert end == next((u for u in range(start, 400)
-                            if profile_level_at(capacity, booked, u) < 1),
-                           math.inf)
+        assert (start, end) == scan_free_run(start, [], capacity, booked,
+                                             400, False)
 
     def test_minimality_property(self):
         # returned start is feasible and every earlier minute is not
