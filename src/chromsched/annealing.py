@@ -139,13 +139,17 @@ class _PackInfo(NamedTuple):
 
 class _Solution:
     """A decoded solution with the lookups proposals need; `decode` is the
-    base the next proposal's decode resumes from."""
+    base the next proposal's decode resumes from.  With `previous`, the
+    solution whose decode is `decode`'s base, only the weights of the jobs
+    of operations `decode` searched are recomputed: every other operation
+    kept its completion."""
 
     __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
-                 "machine_of", "op_cum", "op_total",
+                 "machine_of", "weights", "op_cum", "op_total",
                  "_packs", "_packs_flat", "_pack_cum", "_pack_total")
 
-    def __init__(self, ci: CompiledInstance, decode):
+    def __init__(self, ci: CompiledInstance, decode,
+                 previous: _Solution | None = None):
         self.decode = decode
         self.seqs = decode.seqs
         self.tardiness = decode.tardiness
@@ -153,7 +157,14 @@ class _Solution:
         self.comps = decode.comps
         self.setups = decode.setups
         self.machine_of = decode.machine_of
-        weights = _op_weights(ci, decode.comps)
+        if previous is None:
+            weights = _op_weights(ci, decode.comps)
+        else:
+            weights = previous.weights[:]
+            job = ci.job
+            for j in {job[o] for o in decode.searched}:
+                _job_weights(ci, decode.comps, j, weights)
+        self.weights = weights
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
         self._packs = None
@@ -181,13 +192,14 @@ class _Solution:
                     members = seq[i:k]
                     mask = ci.eligible_mask[members[0]]
                     ready = ci.release[members[0]]
-                    weight = _cum_at(op_w, members[0])
+                    o = members[0]
+                    weight = op_w[o] - (op_w[o - 1] if o else 0.0)
                     for o in members[1:]:
                         mask &= ci.eligible_mask[o]
                         r = ci.release[o]
                         if r < ready:
                             ready = r
-                        weight += _cum_at(op_w, o)
+                        weight += op_w[o] - (op_w[o - 1] if o else 0.0)
                     machines = mask_machines.get(mask)
                     if machines is None:
                         machines = mask_machines[mask] = tuple(
@@ -206,10 +218,6 @@ class _Solution:
         return self._packs, self._packs_flat, self._pack_cum, self._pack_total
 
 
-def _cum_at(cum: list[float], i: int) -> float:
-    return cum[i] - (cum[i - 1] if i else 0.0)
-
-
 def _op_weights(ci: CompiledInstance, comps) -> list[float]:
     """Selection weight of each operation: its share of total tardiness.
 
@@ -218,26 +226,33 @@ def _op_weights(ci: CompiledInstance, comps) -> list[float]:
     total tardiness and on-time operations get weight zero.
     """
     weights = [0.0] * ci.n_ops
-    job_due = ci.job_due
-    for j, ops in enumerate(ci.job_ops):
-        due = job_due[j]
-        worst = comps[ops[0]]
-        for o in ops:
-            if comps[o] > worst:
-                worst = comps[o]
-        job_tardiness = worst - due
-        if job_tardiness <= 0:
-            continue
-        total = 0
-        for o in ops:
-            late = comps[o] - due
-            if late > 0:
-                total += late
-        for o in ops:
-            late = comps[o] - due
-            if late > 0:
-                weights[o] = job_tardiness * late / total
+    for j in range(len(ci.job_ops)):
+        _job_weights(ci, comps, j, weights)
     return weights
+
+
+def _job_weights(ci: CompiledInstance, comps, j: int,
+                 weights: list[float]) -> None:
+    """Write job j's operations' weights (see `_op_weights`) into `weights`."""
+    ops = ci.job_ops[j]
+    due = ci.job_due[j]
+    worst = comps[ops[0]]
+    for o in ops:
+        if comps[o] > worst:
+            worst = comps[o]
+    job_tardiness = worst - due
+    if job_tardiness <= 0:
+        for o in ops:
+            weights[o] = 0.0
+        return
+    total = 0
+    for o in ops:
+        late = comps[o] - due
+        if late > 0:
+            total += late
+    for o in ops:
+        late = comps[o] - due
+        weights[o] = job_tardiness * late / total if late > 0 else 0.0
 
 
 def _draw_index(cum: list[float], total: float, rng: random.Random) -> int:
@@ -489,7 +504,7 @@ def run_sa(instance: Instance, initial: Schedule,
                 if take:
                     accepted += 1
                     level_acceptances += 1
-                    current = _Solution(ci, placed)
+                    current = _Solution(ci, placed, current)
                     if new_tardiness < best_tardiness:
                         improved += 1
                         best_tardiness = new_tardiness

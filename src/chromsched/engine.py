@@ -5,6 +5,20 @@ Machines are indexed in lexicographic id order and operations in
 documented lexicographic tie-breaks.  Column profiles live in mutable
 (times, levels) list pairs with a leading -inf sentinel; see
 `availability.reserve_step`.  The decoder's checkpoints keep them as tuples.
+
+A decode resumed from an earlier one (`place_sequences` with `base`) does
+not search a placement it can prove repeats `base`.  A placement's start
+is `find_earliest` over its family's column profile, its t_min, its
+duration and, when it needs a setup, the fixed operator windows; nothing
+else.  A family is *clean* while every placement of it since the
+restored checkpoint has been `base`'s placement (same start and
+completion) of the family's next operation in `base`'s turn order.  A
+profile is the checkpoint's profile plus its bookings in order, so a
+clean family's profile is `base`'s after its last placed operation.  The
+next operation of a clean family in `base`'s order, met with `base`'s
+t_min and setup flag, has `base`'s duration too, so the search returns
+`base`'s start, and booking it keeps the family clean.  Such a family's
+profile is therefore only built when a search or a checkpoint needs it.
 """
 
 from __future__ import annotations
@@ -132,8 +146,10 @@ _CHECKPOINT_TURNS = 16
 class _Decode(NamedTuple):
     """What `place_sequences` returns: the decoded sequences, their total
     tardiness and per-operation starts, completions, setup flags and
-    machines, and the checkpoints a later decode can resume from.  Nothing
-    in it is mutated after the decode."""
+    machines, each operation's same-family predecessor in turn order (-1
+    for none) and earliest allowed start t_min, the operations the decode
+    searched (in turn order), and the checkpoints a later decode can resume
+    from.  Nothing in it is mutated after the decode."""
 
     seqs: list[list[int]]
     tardiness: int
@@ -141,6 +157,9 @@ class _Decode(NamedTuple):
     comps: list[int]
     setups: list[bool]
     machine_of: list[int]
+    family_pred: list[int]
+    t_mins: list[int]
+    searched: list[int]
     checkpoints: list[tuple]
 
 
@@ -187,13 +206,27 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
 
     Every `_CHECKPOINT_TURNS` turns the decode records a checkpoint: the
     per-family column profiles, machine clocks, last families, sequence
-    positions and job completions, all as tuples.  With `base`, an earlier
-    decode of the same instance whose unchanged machines are the same list
-    objects in `seqs`, the decode restores the last checkpoint of `base` at
-    which no changed machine has passed its first differing position, and
-    replays only from there; the result is the one a full decode gives.
-    `base` is only read, so it stays usable after a NoSlotError.
+    positions, job completions and each family's last placed operation, all
+    as tuples.  With `base`, an earlier decode of the same instance whose
+    unchanged machines are the same list objects in `seqs`, the decode
+    restores the last checkpoint of `base` at which no changed machine has
+    passed its first differing position, and replays only from there; the
+    result is the one a full decode gives.  `base` is only read, so it
+    stays usable after a NoSlotError.
+
+    The replay searches only what the change can move (the module
+    docstring has the rule and its proof).  An operation of a clean family
+    whose `base` same-family predecessor is the family's last placed
+    operation, and whose t_min and setup flag equal `base`'s, takes
+    `base`'s start and completion with no search or booking.  A clean
+    family's profile is brought up to date, by booking `base`'s placements
+    since it was last made, only at the family's first placement that does
+    not match, and at a checkpoint unless a `base` checkpoint at the same
+    index or next to it has the same last operation for the family, whose
+    profile it then shares.  `searched` lists the operations the decode
+    searched; every other one has `base`'s start and completion.
     """
+    n_families = len(ci.units)
     if base is None:
         n_ops = ci.n_ops
         n_machines = len(seqs)
@@ -201,29 +234,47 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         comps = [0] * n_ops
         setups = [False] * n_ops
         machine_of = [0] * n_ops
+        family_pred = [-1] * n_ops
+        t_mins = [0] * n_ops
         times, levels = ci.fresh_profiles()
-        # job completions start at -inf: a job without operations is never late
+        # job completions start at -inf, the identity of max: every job has
+        # an operation, so each is a real completion by the end
         checkpoints = [(
             tuple(map(tuple, times)), tuple(map(tuple, levels)),
             (ci.origin,) * n_machines, (-1,) * n_machines, (0,) * n_machines,
-            (_NEG_INF,) * len(ci.job_ids))]
+            (_NEG_INF,) * len(ci.job_ids), (-1,) * n_families)]
         turn = 0
+        base_starts = base_comps = base_setups = None
+        base_pred = base_t_mins = None
+        base_checkpoints = ()
+        clean = [False] * n_families
     else:
         kept = _last_shared_checkpoint(base, seqs)
-        starts = base.starts[:]
-        comps = base.comps[:]
-        setups = base.setups[:]
+        base_starts, base_comps = base.starts, base.comps
+        base_setups, base_pred, base_t_mins = (base.setups, base.family_pred,
+                                               base.t_mins)
+        starts = base_starts[:]
+        comps = base_comps[:]
+        setups = base_setups[:]
         machine_of = base.machine_of[:]
-        checkpoints = base.checkpoints[:kept + 1]
+        family_pred = base_pred[:]
+        t_mins = base_t_mins[:]
+        base_checkpoints = base.checkpoints
+        checkpoints = base_checkpoints[:kept + 1]
         turn = kept * _CHECKPOINT_TURNS
+        clean = [True] * n_families
 
-    cp_times, cp_levels, clocks, last_family, pos, job_comp = checkpoints[-1]
+    (cp_times, cp_levels, clocks, last_family, pos, job_comp,
+     last) = checkpoints[-1]
     # Profiles are shared with the checkpoint until first booked.
     prof_times, prof_levels = list(cp_times), list(cp_levels)
-    owned = [False] * len(prof_times)
-    booked = owned[:]  # families booked since the last checkpoint
-    since_checkpoint = []  # the same families, in booking order
-    clocks, last_family = list(clocks), list(last_family)
+    owned = [False] * n_families
+    # A clean family's profile is `base`'s after operation upto[f].
+    upto = list(last)
+    placed = owned[:]  # families placed since the last checkpoint
+    since_checkpoint = []  # the same families, in placement order
+    searched = []
+    clocks, last_family, last = list(clocks), list(last_family), list(last)
     pos, job_comp = list(pos), list(job_comp)
     heap = [(clocks[m], m) for m, seq in enumerate(seqs) if pos[m] < len(seq)]
     heapify(heap)
@@ -232,6 +283,23 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     win_starts, win_ends = ci.win_starts, ci.win_ends
     proc, setup, family, release = ci.proc, ci.setup, ci.family, ci.release
     job = ci.job
+
+    def catch_up(f):
+        """Book on clean family f's profile `base`'s placements of f after
+        upto[f] up to its last placed operation."""
+        chain = []
+        o = last[f]
+        while o != upto[f]:
+            chain.append(o)
+            o = base_pred[o]
+        upto[f] = last[f]
+        times, levels = prof_times[f], prof_levels[f]
+        if not owned[f]:
+            owned[f] = True
+            times = prof_times[f] = list(times)
+            levels = prof_levels[f] = list(levels)
+        for o in reversed(chain):
+            reserve_step(times, levels, base_starts[o], base_comps[o])
 
     while heap:
         clock, m = heap[0]
@@ -242,26 +310,46 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         rel = release[o]
         t_min = clock if clock > rel else rel
         needs_setup = f != last_family[m]
-        duration = proc[o] + setup[o] if needs_setup else proc[o]
-        times, levels = prof_times[f], prof_levels[f]
-        if needs_setup:
-            t = find_earliest(win_starts, win_ends, times, levels,
-                              t_min, duration)[0]
+        prev = last[f]
+        if (clean[f] and base_pred[o] == prev and base_t_mins[o] == t_min
+                and base_setups[o] == needs_setup):
+            # starts, comps, setups, family_pred and t_mins already hold
+            # base's values, which this placement repeats
+            c = base_comps[o]
         else:
-            t = find_earliest(None, None, times, levels, t_min, duration)[0]
-        c = t + duration
-        if not booked[f]:
-            booked[f] = True
-            since_checkpoint.append(f)
+            if clean[f] and upto[f] != prev:
+                catch_up(f)
+            times, levels = prof_times[f], prof_levels[f]
             if not owned[f]:
                 owned[f] = True
                 times = prof_times[f] = list(times)
                 levels = prof_levels[f] = list(levels)
-        reserve_step(times, levels, t, c)
-        starts[o] = t
-        comps[o] = c
-        setups[o] = needs_setup
+            duration = proc[o] + setup[o] if needs_setup else proc[o]
+            if needs_setup:
+                t = find_earliest(win_starts, win_ends, times, levels,
+                                  t_min, duration)[0]
+            else:
+                t = find_earliest(None, None, times, levels, t_min,
+                                  duration)[0]
+            c = t + duration
+            reserve_step(times, levels, t, c)
+            searched.append(o)
+            starts[o] = t
+            comps[o] = c
+            setups[o] = needs_setup
+            family_pred[o] = prev
+            t_mins[o] = t_min
+            if clean[f]:
+                if (base_pred[o] == prev and t == base_starts[o]
+                        and c == base_comps[o]):
+                    upto[f] = o
+                else:
+                    clean[f] = False
+        if not placed[f]:
+            placed[f] = True
+            since_checkpoint.append(f)
         machine_of[o] = m
+        last[f] = o
         j = job[o]
         if c > job_comp[j]:
             job_comp[j] = c
@@ -275,16 +363,34 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         turn += 1
         if turn == next_checkpoint and heap:
             next_checkpoint += _CHECKPOINT_TURNS
+            k = len(checkpoints)
+            nearby = base_checkpoints[k - 1:k + 2]
             cp_times, cp_levels = list(cp_times), list(cp_levels)
             for g in since_checkpoint:
+                placed[g] = False
+                if clean[g]:
+                    o = last[g]
+                    # field 6 of a checkpoint is each family's last operation
+                    for shared in nearby:
+                        if shared[6][g] == o:
+                            prof_times[g] = cp_times[g] = shared[0][g]
+                            prof_levels[g] = cp_levels[g] = shared[1][g]
+                            owned[g] = False
+                            upto[g] = o
+                            break
+                    else:
+                        if upto[g] != o:
+                            catch_up(g)
+                        cp_times[g] = tuple(prof_times[g])
+                        cp_levels[g] = tuple(prof_levels[g])
+                    continue
                 cp_times[g] = tuple(prof_times[g])
                 cp_levels[g] = tuple(prof_levels[g])
-                booked[g] = False
             since_checkpoint.clear()
             cp_times, cp_levels = tuple(cp_times), tuple(cp_levels)
             checkpoints.append((cp_times, cp_levels, tuple(clocks),
                                 tuple(last_family), tuple(pos),
-                                tuple(job_comp)))
+                                tuple(job_comp), tuple(last)))
 
     tardiness = 0
     job_due = ci.job_due
@@ -293,7 +399,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         if late > 0:
             tardiness += late
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
-                   checkpoints)
+                   family_pred, t_mins, searched, checkpoints)
 
 
 def sequences_from_schedule(ci: CompiledInstance, schedule: Schedule) -> list[list[int]]:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from chromsched import annealing
+from chromsched import annealing, engine
 from chromsched.annealing import (ItemKind, MachineChoice, MECHANISMS,
                                   MoveType, SaParams, Structure,
                                   STRUCTURE_MECHANISMS, _draw_index, _move,
@@ -279,6 +279,37 @@ class TestItemSelection:
         assert weights == {"j0.1": 20.0, "j1.1": 25.0}
         assert sol.op_total == 45.0
 
+    def test_kept_weights_equal_a_full_computation(self):
+        # A random walk over every mechanism: each accepted solution keeps
+        # its base's weights and recomputes only the jobs whose operations
+        # the decode searched.  Floats are compared bit for bit.
+        rng = random.Random(7)
+        inst = generate_instance(GenConfig(
+            n_jobs=60, n_routings=6, n_machines=4, n_column_types=4,
+            seed=4, unchecked=True))
+        ci, sol = greedy_solution(inst)
+        accepted = 0
+        for mech in MECHANISMS * 3:
+            for _ in range(10):
+                neighbor = _propose(ci, sol, mech, rng)
+                if neighbor is None:
+                    continue
+                try:
+                    decoded = place_sequences(ci, neighbor, base=sol.decode)
+                except NoSlotError:
+                    continue
+                if rng.random() < 0.5:
+                    continue
+                kept = _Solution(ci, decoded, sol)
+                full = _Solution(ci, decoded)
+                assert ([w.hex() for w in kept.weights]
+                        == [w.hex() for w in _op_weights(ci, decoded.comps)])
+                assert ([w.hex() for w in kept.op_cum]
+                        == [w.hex() for w in full.op_cum])
+                sol = kept
+                accepted += 1
+        assert accepted > 50
+
 
 def spliced(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging):
     """Reference block move: cut the first block out, put the second (or
@@ -512,8 +543,10 @@ class TestRunSa:
 
 
 def decode_fields(decoded):
+    # `searched` is left out: a full decode searches every operation
     return (decoded.tardiness, decoded.starts, decoded.comps, decoded.setups,
-            decoded.machine_of, decoded.checkpoints)
+            decoded.machine_of, decoded.family_pred, decoded.t_mins,
+            decoded.checkpoints)
 
 
 def full_or_error(ci, seqs):
@@ -612,6 +645,76 @@ class TestResumedDecode:
         moved = [a[:18] + [b] + a[18:]]
         assert (decode_fields(place_sequences(ci, moved, base=base))
                 == full_or_error(ci, moved))
+
+    def test_a_move_on_one_machine_searches_less_than_it_replays(
+            self, monkeypatch):
+        inst = generate_instance(GenConfig(
+            n_jobs=60, n_routings=6, n_machines=3, n_column_types=4,
+            seed=33, unchecked=True))
+        ci, sol = greedy_solution(inst)
+        base = sol.decode
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return find_earliest(*args)
+
+        find_earliest = engine.find_earliest
+        monkeypatch.setattr(engine, "find_earliest", counting)
+        for m, seq in enumerate(sol.seqs):
+            n = len(seq)
+            for lo in (n // 4, n // 2, 3 * n // 4):
+                moved = _move(sol.seqs, m, n - 1, n, m, lo, lo + 1, False)
+                calls.clear()
+                resumed = place_sequences(ci, moved, base=base)
+                kept = sum(a is b for a, b in zip(resumed.checkpoints,
+                                                  base.checkpoints)) - 1
+                replayed = ci.n_ops - kept * 16
+                assert len(calls) == len(resumed.searched) < replayed
+                assert decode_fields(resumed) == full_or_error(ci, moved)
+                # an operation left unsearched kept base's placement
+                searched = set(resumed.searched)
+                assert all(resumed.starts[o] == base.starts[o]
+                           and resumed.comps[o] == base.comps[o]
+                           for o in range(ci.n_ops) if o not in searched)
+
+    def test_clean_families_catch_up_at_a_mismatch_and_at_a_checkpoint(
+            self, monkeypatch):
+        # m0 runs 60 fA operations (3 units), m1 60 fB ones (2 units).  The
+        # change moves every other fB operation to m2.  fA on m0 keeps each
+        # placement, so it is never searched; but m0 now gets fewer turns,
+        # so at some checkpoints no base checkpoint nearby has placed the
+        # same fA operations last, and the profile is brought up to date
+        # there.  On m2, b01 starts at its release instead of after b00:
+        # the first fB placement that does not match, which first books
+        # b00's skipped placement.
+        inst = tiny_instance(
+            [(f"a{i:02d}", 0, 100_000, [("fA", 10, 5, ("m0",))])
+             for i in range(60)]
+            + [(f"b{i:02d}", 0, 100_000, [("fB", 7, 5, ("m1", "m2"))])
+               for i in range(60)],
+            machines=("m0", "m1", "m2"), columns=(("fA", 3), ("fB", 2)))
+        ci = compile_instance(inst)
+        a = [ci.op_index[f"a{i:02d}.1"] for i in range(60)]
+        b = [ci.op_index[f"b{i:02d}.1"] for i in range(60)]
+        base = place_sequences(ci, [a, b, []])
+        booked = []
+
+        def recording(times, levels, start, end):
+            booked.append((levels[0], start, end))  # levels[0] is the units
+            reserve_step(times, levels, start, end)
+
+        reserve_step = engine.reserve_step
+        monkeypatch.setattr(engine, "reserve_step", recording)
+        moved = [a, b[0::2], b[1::2]]
+        resumed = place_sequences(ci, moved, base=base)
+        assert resumed.checkpoints[0] is base.checkpoints[0]
+        assert not set(a) & set(resumed.searched)
+        assert [units for units, _, _ in booked].count(3) > 0
+        assert b[0] not in resumed.searched and b[1] in resumed.searched
+        assert booked[0] == (2, base.starts[b[0]], base.comps[b[0]])
+        monkeypatch.setattr(engine, "reserve_step", reserve_step)
+        assert decode_fields(resumed) == full_or_error(ci, moved)
 
     @pytest.mark.parametrize("structure", list(Structure))
     def test_run_sa_without_base_gives_the_same_result(self, monkeypatch,
