@@ -189,7 +189,13 @@ def _cmd_experiment(args) -> int:
     algorithms = [parse_algorithm(t) for t in args.algorithms.split(",") if t]
     if not algorithms:
         raise SchedulingError("no algorithms given")
-    loads = [int(t) for t in args.loads.split(",") if t]
+    loads = []
+    for token in filter(None, args.loads.split(",")):
+        try:
+            loads.append(int(token))
+        except ValueError:
+            raise SchedulingError(
+                f"--loads: {token!r} is not a whole number") from None
     if not 1 <= args.cells <= 16:
         raise SchedulingError("--cells must be in 1..16")
     design = []

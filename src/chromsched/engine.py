@@ -4,25 +4,35 @@ Machines are indexed in lexicographic id order and operations in
 (job id, operation id) order, so integer comparisons reproduce the
 documented lexicographic tie-breaks.  Column profiles live in mutable
 (times, levels) list pairs with a leading -inf sentinel; see
-`availability.reserve_step`.  The decoder's checkpoints keep them as tuples.
+`availability.reserve_step`.
 
-A decode resumed from an earlier one (`place_sequences` with `base`) does
-not search a placement it can prove repeats `base`.  A placement's start
-is `find_earliest` over its family's column profile, its t_min, its
-duration and, when it needs a setup, the fixed operator windows; nothing
-else.  A family is *clean* while every placement of it since the
-restored checkpoint has been `base`'s placement (same start and
-completion) of the family's next operation in `base`'s turn order.  A
-profile is the checkpoint's profile plus its bookings in order, so a
-clean family's profile is `base`'s after its last placed operation.  The
-next operation of a clean family in `base`'s order, met with `base`'s
+A decode resumed from an earlier one (`place_sequences` with `base`)
+starts at the first turn that can differ from `base`; `_first_changed_turn`
+proves that every turn before it repeats `base`.  From there it does not
+search a placement it can prove repeats `base`.  A placement's start is
+`find_earliest` over its family's column profile, its t_min, its duration
+and, when it needs a setup, the fixed operator windows; nothing else.  A
+family is *clean* while every placement of it since the first changed turn
+has been `base`'s placement (same start and completion) of the family's
+next operation in `base`'s turn order.  A profile is its family's bookings,
+so a clean family's profile is `base`'s after its last placed operation.
+The next operation of a clean family in `base`'s order, met with `base`'s
 t_min and setup flag, has `base`'s duration too, so the search returns
 `base`'s start, and booking it keeps the family clean.  Such a family's
-profile is therefore only built when a search or a checkpoint needs it.
+profile is therefore only built when a search needs it.
+
+It is built from the bookings that end after the clock of the turn that
+needs it; the others are never read.  The clocks of successive turns never
+decrease: a machine goes back on the heap with its new completion, which
+is after its start, which is at least its t_min, which is at least the
+clock.  A search reads its profile only from its t_min on, which is at
+least its turn's clock, so a booking [s, c) with c at or before the clock
+of an earlier turn changes no level that a search reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
 from typing import NamedTuple
@@ -139,17 +149,13 @@ def compile_instance(instance: Instance) -> CompiledInstance:
     )
 
 
-#: Turns between two checkpoints of a decode; see `place_sequences`.
-_CHECKPOINT_TURNS = 16
-
-
 class _Decode(NamedTuple):
     """What `place_sequences` returns: the decoded sequences, their total
     tardiness and per-operation starts, completions, setup flags and
     machines, each operation's same-family predecessor in turn order (-1
-    for none) and earliest allowed start t_min, the operations the decode
-    searched (in turn order), and the checkpoints a later decode can resume
-    from.  Nothing in it is mutated after the decode."""
+    for none), earliest allowed start t_min and turn, each family's last
+    placed operation (-1 for none), and the operations the decode searched
+    (in turn order).  Nothing in it is mutated after the decode."""
 
     seqs: list[list[int]]
     tardiness: int
@@ -159,39 +165,48 @@ class _Decode(NamedTuple):
     machine_of: list[int]
     family_pred: list[int]
     t_mins: list[int]
+    turn_of: list[int]
+    last: list[int]
     searched: list[int]
-    checkpoints: list[tuple]
 
 
-def _last_shared_checkpoint(base: _Decode, seqs) -> int:
-    """Index of the last checkpoint of `base` that decoding `seqs` also
-    passes through.
+def _first_changed_turn(base: _Decode, seqs) -> int:
+    """First turn at which decoding `seqs` can differ from `base`: the
+    smallest, over the machines whose sequence changed, of the turn of the
+    old operation at the first differing position d, of the turn after the
+    old last operation when the machine only grows past its old end, or of
+    0 when its old sequence was empty.  No change gives the operation count.
 
-    A changed machine agrees with its old sequence up to its first
-    differing position d, so every turn picks the same machine and
-    operation as in `base` while no changed machine has placed past d.  A
-    machine whose new sequence is shorter only drops out of the turn order
-    earlier; one that gains operations past its old end could compete
-    again once its old last operation is placed, so its limit is d - 1.
-    Checkpoint 0, taken before the first turn, is always shared.
+    Until that turn T the heap pops the same (clock, m) tops as in `base`,
+    by induction over the turns: while every earlier turn repeated `base`,
+    each machine has `base`'s position and clock.  An unchanged machine is
+    in both heaps with the same key and front.  `base` places old[d] at a
+    turn of at least T, so before T a changed machine has placed at most
+    its d shared operations.  Until it has placed d it too is in both
+    heaps with the same key and front; once it has, its front may differ
+    or it may be missing from the new heap, but `base` does not pop it
+    before T, so it is the top of neither.  A machine that grows past its
+    old end has the same fronts until its old last operation is placed,
+    at turn T - 1.
     """
-    checkpoints = base.checkpoints
-    kept = len(checkpoints) - 1
-    for m, (old, new) in enumerate(zip(base.seqs, seqs)):
+    turn_of = base.turn_of
+    first = len(turn_of)
+    for old, new in zip(base.seqs, seqs):
         if new is old:
             continue
         common = min(len(old), len(new))
         d = 0
         while d < common and old[d] == new[d]:
             d += 1
-        if d == len(old):
-            if d == len(new):
-                continue
-            d -= 1
-        # field 4 of a checkpoint is the machines' sequence positions
-        while kept and checkpoints[kept][4][m] > d:
-            kept -= 1
-    return kept
+        if d < len(old):
+            turn = turn_of[old[d]]
+        elif d < len(new):
+            turn = turn_of[old[-1]] + 1 if old else 0
+        else:
+            continue
+        if turn < first:
+            first = turn
+    return first
 
 
 def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
@@ -204,52 +219,50 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     NoSlotError when an operation that needs a setup has no operator window
     left.  `seqs` must not be changed afterwards.
 
-    Every `_CHECKPOINT_TURNS` turns the decode records a checkpoint: the
-    per-family column profiles, machine clocks, last families, sequence
-    positions, job completions and each family's last placed operation, all
-    as tuples.  With `base`, an earlier decode of the same instance whose
-    unchanged machines are the same list objects in `seqs`, the decode
-    restores the last checkpoint of `base` at which no changed machine has
-    passed its first differing position, and replays only from there; the
-    result is the one a full decode gives.  `base` is only read, so it
-    stays usable after a NoSlotError.
+    With `base`, an earlier decode of the same instance whose unchanged
+    machines are the same list objects in `seqs`, the decode starts at
+    `_first_changed_turn` T, before which every turn repeats `base`.  It
+    restores the state at T from `base`'s arrays with no replay: each
+    machine's position counts its operations of turn below T, its clock and
+    last family are its previous operation's, and each family's last
+    operation walks `base.family_pred` back from `base.last` to the first
+    of turn below T.  Job completions are read off the completions at the
+    end.  The result is the one a full decode gives.  `base` is only read,
+    so it stays usable after a NoSlotError.
 
-    The replay searches only what the change can move (the module
-    docstring has the rule and its proof).  An operation of a clean family
-    whose `base` same-family predecessor is the family's last placed
+    From T on, the decode searches only what the change can move (the
+    module docstring has the rule and its proof).  An operation of a clean
+    family whose `base` same-family predecessor is the family's last placed
     operation, and whose t_min and setup flag equal `base`'s, takes
-    `base`'s start and completion with no search or booking.  A clean
-    family's profile is brought up to date, by booking `base`'s placements
-    since it was last made, only at the family's first placement that does
-    not match, and at a checkpoint unless a `base` checkpoint at the same
-    index or next to it has the same last operation for the family, whose
-    profile it then shares.  `searched` lists the operations the decode
+    `base`'s start and completion with no search or booking.  Every family
+    starts from an empty profile; a clean family's profile is brought up
+    to date only at its first placement that does not match, by booking
+    `base`'s placements of it since it was last brought up to date that end
+    after the turn's clock.  `searched` lists the operations the decode
     searched; every other one has `base`'s start and completion.
     """
     n_families = len(ci.units)
+    n_machines = len(seqs)
+    family = ci.family
+    pos = [0] * n_machines
+    clocks = [ci.origin] * n_machines
+    last_family = [-1] * n_machines
     if base is None:
         n_ops = ci.n_ops
-        n_machines = len(seqs)
         starts = [0] * n_ops
         comps = [0] * n_ops
         setups = [False] * n_ops
         machine_of = [0] * n_ops
         family_pred = [-1] * n_ops
         t_mins = [0] * n_ops
-        times, levels = ci.fresh_profiles()
-        # job completions start at -inf, the identity of max: every job has
-        # an operation, so each is a real completion by the end
-        checkpoints = [(
-            tuple(map(tuple, times)), tuple(map(tuple, levels)),
-            (ci.origin,) * n_machines, (-1,) * n_machines, (0,) * n_machines,
-            (_NEG_INF,) * len(ci.job_ids), (-1,) * n_families)]
+        turn_of = [0] * n_ops
+        last = [-1] * n_families
         turn = 0
         base_starts = base_comps = base_setups = None
         base_pred = base_t_mins = None
-        base_checkpoints = ()
         clean = [False] * n_families
     else:
-        kept = _last_shared_checkpoint(base, seqs)
+        turn = _first_changed_turn(base, seqs)
         base_starts, base_comps = base.starts, base.comps
         base_setups, base_pred, base_t_mins = (base.setups, base.family_pred,
                                                base.t_mins)
@@ -259,45 +272,45 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         machine_of = base.machine_of[:]
         family_pred = base_pred[:]
         t_mins = base_t_mins[:]
-        base_checkpoints = base.checkpoints
-        checkpoints = base_checkpoints[:kept + 1]
-        turn = kept * _CHECKPOINT_TURNS
+        turn_of = base.turn_of[:]
+        turn_key = base.turn_of.__getitem__
+        # a changed machine's operations of turn below T are the shared
+        # prefix of its old and new sequences
+        for m, seq in enumerate(base.seqs):
+            p = pos[m] = bisect_left(seq, turn, key=turn_key)
+            if p:
+                o = seq[p - 1]
+                clocks[m] = base_comps[o]
+                last_family[m] = family[o]
+        last = []
+        for o in base.last:
+            while o >= 0 and turn_key(o) >= turn:
+                o = base_pred[o]
+            last.append(o)
         clean = [True] * n_families
 
-    (cp_times, cp_levels, clocks, last_family, pos, job_comp,
-     last) = checkpoints[-1]
-    # Profiles are shared with the checkpoint until first booked.
-    prof_times, prof_levels = list(cp_times), list(cp_levels)
-    owned = [False] * n_families
-    # A clean family's profile is `base`'s after operation upto[f].
-    upto = list(last)
-    placed = owned[:]  # families placed since the last checkpoint
-    since_checkpoint = []  # the same families, in placement order
+    prof_times, prof_levels = ci.fresh_profiles()
+    # A clean family's profile is `base`'s after operation upto[f] at every
+    # minute from the clock of the turn that last brought it up to date.
+    upto = [-1] * n_families
     searched = []
-    clocks, last_family, last = list(clocks), list(last_family), list(last)
-    pos, job_comp = list(pos), list(job_comp)
     heap = [(clocks[m], m) for m, seq in enumerate(seqs) if pos[m] < len(seq)]
     heapify(heap)
-    next_checkpoint = turn + _CHECKPOINT_TURNS
 
     win_starts, win_ends = ci.win_starts, ci.win_ends
-    proc, setup, family, release = ci.proc, ci.setup, ci.family, ci.release
-    job = ci.job
+    proc, setup, release = ci.proc, ci.setup, ci.release
 
-    def catch_up(f):
+    def catch_up(f, clock):
         """Book on clean family f's profile `base`'s placements of f after
-        upto[f] up to its last placed operation."""
+        upto[f] up to its last placed operation that end after `clock`."""
         chain = []
         o = last[f]
         while o != upto[f]:
-            chain.append(o)
+            if base_comps[o] > clock:
+                chain.append(o)
             o = base_pred[o]
         upto[f] = last[f]
         times, levels = prof_times[f], prof_levels[f]
-        if not owned[f]:
-            owned[f] = True
-            times = prof_times[f] = list(times)
-            levels = prof_levels[f] = list(levels)
         for o in reversed(chain):
             reserve_step(times, levels, base_starts[o], base_comps[o])
 
@@ -318,12 +331,8 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
             c = base_comps[o]
         else:
             if clean[f] and upto[f] != prev:
-                catch_up(f)
+                catch_up(f, clock)
             times, levels = prof_times[f], prof_levels[f]
-            if not owned[f]:
-                owned[f] = True
-                times = prof_times[f] = list(times)
-                levels = prof_levels[f] = list(levels)
             duration = proc[o] + setup[o] if needs_setup else proc[o]
             if needs_setup:
                 t = find_earliest(win_starts, win_ends, times, levels,
@@ -345,61 +354,28 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
                     upto[f] = o
                 else:
                     clean[f] = False
-        if not placed[f]:
-            placed[f] = True
-            since_checkpoint.append(f)
         machine_of[o] = m
+        turn_of[o] = turn
+        turn += 1
         last[f] = o
-        j = job[o]
-        if c > job_comp[j]:
-            job_comp[j] = c
-        clocks[m] = c
         last_family[m] = f
         pos[m] = p + 1
         if p + 1 < len(seq):
             heapreplace(heap, (c, m))
         else:
             heappop(heap)
-        turn += 1
-        if turn == next_checkpoint and heap:
-            next_checkpoint += _CHECKPOINT_TURNS
-            k = len(checkpoints)
-            nearby = base_checkpoints[k - 1:k + 2]
-            cp_times, cp_levels = list(cp_times), list(cp_levels)
-            for g in since_checkpoint:
-                placed[g] = False
-                if clean[g]:
-                    o = last[g]
-                    # field 6 of a checkpoint is each family's last operation
-                    for shared in nearby:
-                        if shared[6][g] == o:
-                            prof_times[g] = cp_times[g] = shared[0][g]
-                            prof_levels[g] = cp_levels[g] = shared[1][g]
-                            owned[g] = False
-                            upto[g] = o
-                            break
-                    else:
-                        if upto[g] != o:
-                            catch_up(g)
-                        cp_times[g] = tuple(prof_times[g])
-                        cp_levels[g] = tuple(prof_levels[g])
-                    continue
-                cp_times[g] = tuple(prof_times[g])
-                cp_levels[g] = tuple(prof_levels[g])
-            since_checkpoint.clear()
-            cp_times, cp_levels = tuple(cp_times), tuple(cp_levels)
-            checkpoints.append((cp_times, cp_levels, tuple(clocks),
-                                tuple(last_family), tuple(pos),
-                                tuple(job_comp), tuple(last)))
 
+    # every job has an operation, so each is a real completion
+    job_comp = [_NEG_INF] * len(ci.job_ids)
+    for j, c in zip(ci.job, comps):
+        if c > job_comp[j]:
+            job_comp[j] = c
     tardiness = 0
-    job_due = ci.job_due
-    for j, completed in enumerate(job_comp):
-        late = completed - job_due[j]
-        if late > 0:
-            tardiness += late
+    for completed, due in zip(job_comp, ci.job_due):
+        if completed > due:
+            tardiness += completed - due
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
-                   family_pred, t_mins, searched, checkpoints)
+                   family_pred, t_mins, turn_of, last, searched)
 
 
 def sequences_from_schedule(ci: CompiledInstance, schedule: Schedule) -> list[list[int]]:

@@ -16,7 +16,8 @@ from chromsched.availability import TimeWindowSet
 from chromsched.engine import (compile_instance, place_sequences,
                                schedule_from_arrays, sequences_from_schedule)
 from chromsched.errors import NoSlotError
-from chromsched.generator import GenConfig, generate_instance
+from chromsched.experiments import parse_algorithm
+from chromsched.generator import GenConfig, generate_design, generate_instance
 from chromsched.list_scheduler import run_lta
 from chromsched.model import (ColumnType, Instance, Job, Operation, Schedule,
                               total_tardiness, validate_schedule)
@@ -546,7 +547,7 @@ def decode_fields(decoded):
     # `searched` is left out: a full decode searches every operation
     return (decoded.tardiness, decoded.starts, decoded.comps, decoded.setups,
             decoded.machine_of, decoded.family_pred, decoded.t_mins,
-            decoded.checkpoints)
+            decoded.turn_of, decoded.last)
 
 
 def full_or_error(ci, seqs):
@@ -560,13 +561,13 @@ class TestResumedDecode:
     @pytest.mark.parametrize("seed,n_machines", [(33, 3), (4, 5), (8, 6)])
     def test_equals_full_decode_for_every_mechanism(self, seed, n_machines):
         # A random walk: half of the decoded proposals become the next base,
-        # so bases are themselves resumed decodes sharing checkpoints.
+        # so bases are themselves resumed decodes.
         rng = random.Random(seed)
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=n_machines, n_column_types=4,
             seed=seed, unchecked=True))
         ci, sol = greedy_solution(inst)
-        assert ci.n_ops > 4 * 16  # several checkpoints to resume from
+        assert ci.n_ops > 4 * 16  # many turns to resume at
         compared = 0
         for mech in MECHANISMS * 3:
             for _ in range(15):
@@ -603,22 +604,61 @@ class TestResumedDecode:
             assert (decode_fields(place_sequences(ci, refilled, base=resumed))
                     == full_or_error(ci, refilled))
 
-    def test_resumes_from_the_last_checkpoint_before_the_change(self):
+    def test_first_changed_turn_of_each_machine_case(self):
+        # The three cases of the rule, each setting T: a difference inside
+        # a machine's old sequence, a machine that grows past its old end
+        # and one that was empty.  A grown machine's operation comes off
+        # the end of a machine whose last turn is later, so that difference
+        # gives a later turn.
+        # Every operation placed before T in the base keeps its turn and
+        # placement in a full decode, and the resumed decode equals it.
+        inst = generate_instance(GenConfig(
+            n_jobs=60, n_routings=6, n_machines=3, n_column_types=4,
+            seed=33, unchecked=True))
+        ci, sol = greedy_solution(inst)
+        base = sol.decode
+        seqs, turn_of = sol.seqs, base.turn_of
+        inside = [seqs[0][:5] + seqs[0][6:7] + seqs[0][5:6] + seqs[0][7:],
+                  seqs[1], seqs[2]]
+        by_last_turn = sorted(range(3), key=lambda m: turn_of[seqs[m][-1]])
+        early, late = by_last_turn[0], by_last_turn[-1]
+        assert turn_of[seqs[early][-1]] + 1 < turn_of[seqs[late][-1]]
+        grown = list(seqs)
+        grown[early] = seqs[early] + seqs[late][-1:]
+        grown[late] = seqs[late][:-1]
+        no_m2 = [seqs[0] + seqs[2], seqs[1], []]
+        emptied = place_sequences(ci, no_m2)
+        cases = [
+            (base, inside, turn_of[seqs[0][5]]),
+            (base, grown, turn_of[seqs[early][-1]] + 1),
+            (emptied, [no_m2[0], no_m2[1][:-1], no_m2[1][-1:]], 0),
+        ]
+        for old, new, expected in cases:
+            first = engine._first_changed_turn(old, new)
+            assert first == expected
+            full = place_sequences(ci, new)
+            for o in range(ci.n_ops):
+                if old.turn_of[o] < first:
+                    assert full.turn_of[o] == old.turn_of[o]
+                    assert full.starts[o] == old.starts[o]
+                    assert full.comps[o] == old.comps[o]
+            assert (decode_fields(place_sequences(ci, new, base=old))
+                    == decode_fields(full))
+
+    def test_resumes_at_the_first_changed_turn(self):
         # On one machine turn and position coincide: moving the last
-        # operation to position p shares the checkpoints taken at turns
-        # 0, 16, ..., up to p and none after.
+        # operation to position p changes the decode from turn p on.
         inst = tiny_instance([(f"a{i:02d}", 0, 10_000,
                                [("fA" if i % 3 else "fB", 20, 5, ("m0",))])
                               for i in range(60)])
         ci = compile_instance(inst)
         seq = list(range(ci.n_ops))
         base = place_sequences(ci, [seq])
-        assert len(base.checkpoints) == 4
+        assert base.turn_of == seq
         for p in (0, 1, 15, 16, 17, 31, 32, 47, 48, 58):
             moved = [seq[:p] + seq[-1:] + seq[p:-1]]
+            assert engine._first_changed_turn(base, moved) == p
             resumed = place_sequences(ci, moved, base=base)
-            assert [resumed.checkpoints[k] is base.checkpoints[k]
-                    for k in range(4)] == [k <= p // 16 for k in range(4)], p
             assert decode_fields(resumed) == full_or_error(ci, moved)
 
     def test_no_slot_error_leaves_base_usable(self):
@@ -633,9 +673,9 @@ class TestResumedDecode:
         b = ci.op_index["b.1"]
         base = place_sequences(ci, [a[:17] + [b] + a[17:]])
         before = decode_fields(base)
-        # b, at position 17, is past the first checkpoint's position
-        assert base.checkpoints[1][4] == (16,)
         late_b = [a + [b]]  # b's setup would start at 1005
+        # the decode resumes at b's old turn, past 16 turns of a's
+        assert engine._first_changed_turn(base, late_b) == 17
         with pytest.raises(NoSlotError):
             place_sequences(ci, late_b)
         with pytest.raises(NoSlotError):
@@ -667,9 +707,7 @@ class TestResumedDecode:
                 moved = _move(sol.seqs, m, n - 1, n, m, lo, lo + 1, False)
                 calls.clear()
                 resumed = place_sequences(ci, moved, base=base)
-                kept = sum(a is b for a, b in zip(resumed.checkpoints,
-                                                  base.checkpoints)) - 1
-                replayed = ci.n_ops - kept * 16
+                replayed = ci.n_ops - engine._first_changed_turn(base, moved)
                 assert len(calls) == len(resumed.searched) < replayed
                 assert decode_fields(resumed) == full_or_error(ci, moved)
                 # an operation left unsearched kept base's placement
@@ -678,16 +716,13 @@ class TestResumedDecode:
                            and resumed.comps[o] == base.comps[o]
                            for o in range(ci.n_ops) if o not in searched)
 
-    def test_clean_families_catch_up_at_a_mismatch_and_at_a_checkpoint(
-            self, monkeypatch):
+    def test_clean_families_catch_up_at_a_mismatch(self, monkeypatch):
         # m0 runs 60 fA operations (3 units), m1 60 fB ones (2 units).  The
-        # change moves every other fB operation to m2.  fA on m0 keeps each
-        # placement, so it is never searched; but m0 now gets fewer turns,
-        # so at some checkpoints no base checkpoint nearby has placed the
-        # same fA operations last, and the profile is brought up to date
-        # there.  On m2, b01 starts at its release instead of after b00:
-        # the first fB placement that does not match, which first books
-        # b00's skipped placement.
+        # change moves every other fB operation to m2, so the decode resumes
+        # at turn 0.  fA on m0 keeps each placement, so it is never
+        # searched, and its profile is never built.  On m2, b01 starts at
+        # its release instead of after b00: the first fB placement that
+        # does not match, which first books b00's skipped placement.
         inst = tiny_instance(
             [(f"a{i:02d}", 0, 100_000, [("fA", 10, 5, ("m0",))])
              for i in range(60)]
@@ -707,14 +742,77 @@ class TestResumedDecode:
         reserve_step = engine.reserve_step
         monkeypatch.setattr(engine, "reserve_step", recording)
         moved = [a, b[0::2], b[1::2]]
+        assert engine._first_changed_turn(base, moved) == 0
         resumed = place_sequences(ci, moved, base=base)
-        assert resumed.checkpoints[0] is base.checkpoints[0]
         assert not set(a) & set(resumed.searched)
-        assert [units for units, _, _ in booked].count(3) > 0
+        assert [units for units, _, _ in booked].count(3) == 0
         assert b[0] not in resumed.searched and b[1] in resumed.searched
         assert booked[0] == (2, base.starts[b[0]], base.comps[b[0]])
         monkeypatch.setattr(engine, "reserve_step", reserve_step)
         assert decode_fields(resumed) == full_or_error(ci, moved)
+
+    def test_catch_up_books_only_what_ends_after_the_clock(self, monkeypatch):
+        # A random walk as above, with every search and booking recorded in
+        # order.  Each search is followed by its own booking; the bookings
+        # before it are its turn's catch-up, and each must end after the
+        # turn's clock, the completion of the operation's machine
+        # predecessor in the decode.
+        rng = random.Random(5)
+        inst = generate_instance(GenConfig(
+            n_jobs=60, n_routings=6, n_machines=4, n_column_types=4,
+            seed=5, unchecked=True))
+        ci, sol = greedy_solution(inst)
+        events = []
+
+        def searching(*args):
+            events.append(None)
+            return find_earliest(*args)
+
+        def booking(times, levels, start, end):
+            events.append(end)
+            reserve_step(times, levels, start, end)
+
+        find_earliest, reserve_step = engine.find_earliest, engine.reserve_step
+        caught_up = compared = 0
+        for mech in MECHANISMS * 3:
+            for _ in range(10):
+                neighbor = _propose(ci, sol, mech, rng)
+                if neighbor is None:
+                    continue
+                full = full_or_error(ci, neighbor)
+                events.clear()
+                monkeypatch.setattr(engine, "find_earliest", searching)
+                monkeypatch.setattr(engine, "reserve_step", booking)
+                try:
+                    resumed = place_sequences(ci, neighbor, base=sol.decode)
+                except NoSlotError:
+                    assert full is NoSlotError
+                    continue
+                finally:
+                    monkeypatch.undo()
+                assert decode_fields(resumed) == full
+                compared += 1
+                searched = iter(resumed.searched)
+                pending = []
+                own = False
+                for end in events:
+                    if end is None:
+                        o = next(searched)
+                        seq = resumed.seqs[resumed.machine_of[o]]
+                        i = seq.index(o)
+                        clock = resumed.comps[seq[i - 1]] if i else ci.origin
+                        assert all(e > clock for e in pending)
+                        caught_up += len(pending)
+                        pending = []
+                        own = True
+                    elif own:
+                        own = False
+                    else:
+                        pending.append(end)
+                assert not pending and next(searched, None) is None
+                if rng.random() < 0.5:
+                    sol = _Solution(ci, resumed)
+        assert compared > 100 and caught_up > 0
 
     @pytest.mark.parametrize("structure", list(Structure))
     def test_run_sa_without_base_gives_the_same_result(self, monkeypatch,
@@ -795,3 +893,19 @@ def test_sa_results_match_pinned_fingerprints(instance_seed, seed, fields,
     res = run_sa(inst, run_lta(inst), params, seed=seed)
     assert sa_fingerprint(res) == PINNED_SA_FINGERPRINTS[instance_seed, seed,
                                                          fields]
+
+
+def test_sa_140_first_cell_matches_its_pinned_fingerprint():
+    # The benchmark's sa_140 settings on its first instance: cell 0 of the
+    # 140-job design at master seed 0, ATCOEE, then OP+PA capped at 1,000
+    # iterations.  The pin was computed with the decoder that restored
+    # checkpoints taken every 16 turns; the decoder that resumes at the
+    # first changed turn must give the same result.
+    (cfg, seed), *_ = generate_design(loads=(140,), seeds_per_cell=1,
+                                      master_seed=0)
+    inst = generate_instance(cfg)
+    spec = parse_algorithm("op_pa_sa")
+    res = run_sa(inst, run_lta(inst, spec.rule_params, seed=seed),
+                 replace(spec.sa_params, max_iterations=1000), seed=seed)
+    assert res.termination == "max-iterations"
+    assert sa_fingerprint(res) == "ffa14a773b90ca14"

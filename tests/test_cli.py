@@ -248,6 +248,17 @@ class TestUsageErrors:
         assert out == ""
         assert not results.exists()
 
+    def test_non_integer_load_names_the_flag_and_token(self, tmp_path,
+                                                       capsys):
+        results = tmp_path / "results.csv"
+        code, out, err = run(capsys, "experiment", "--cells", "1", "--seeds",
+                             "1", "--algorithms", "edd", "--loads", "10,x",
+                             "--unchecked", "--out", str(results))
+        assert code == 2
+        assert err == "chromsched: --loads: 'x' is not a whole number\n"
+        assert out == ""
+        assert not results.exists()
+
     @pytest.mark.parametrize("flag, value", [("--k1", "nan"), ("--k2", "inf")])
     def test_non_finite_rule_constant_exits_2(self, tmp_path, capsys, flag,
                                               value):
