@@ -5,8 +5,8 @@ of columns per family."""
 __version__ = "0.1.0"
 
 from .availability import TimeWindowSet, weekly_windows
-from .annealing import (Mechanism, MECHANISMS, SaParams, SaResult, Structure,
-                        initial_temperature, run_sa)
+from .annealing import (SaParams, SaResult, Structure, initial_temperature,
+                        run_sa)
 from .errors import (IncompleteScheduleError, InstanceFormatError,
                      NoSlotError, SchedulingError)
 from .experiments import (AlgorithmSpec, EffectReport, Observation,
@@ -19,6 +19,4 @@ from .list_scheduler import run_lta
 from .model import (ColumnType, Instance, Job, Operation, PlacedOperation,
                     Schedule, Violation, schedule_metrics, total_tardiness,
                     validate_schedule)
-from .rules import (Candidate, MachinePolicy, Rule, RuleParams, atc_priority,
-                    atcoee_priority, atcoeef_priority, atcs_priority,
-                    select_assignment)
+from .rules import MachinePolicy, Rule, RuleParams

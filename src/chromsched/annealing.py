@@ -25,59 +25,40 @@ from .errors import NoSlotError
 from .model import Instance, Schedule, total_tardiness
 
 
-class MoveType(str, Enum):
-    INSERT = "insert"
-    EXCHANGE = "exchange"
-
-
-class ItemKind(str, Enum):
-    OP = "op"
-    PACK = "pack"
-
-
-class MachineChoice(str, Enum):
-    IDEM = "idem"
-    EM = "em"
-    UNIF = "unif"
-
-
 class Structure(str, Enum):
     SIMPLE = "simple"
     OP = "op"
     OP_PA = "op_pa"
 
 
-@dataclass(frozen=True)
-class Mechanism:
-    """One neighbor-generation mechanism (a row of the move table)."""
+class _Move(NamedTuple):
+    """A row of the move table: exchange the first item with the second, or
+    insert it before; move single operations, or packs; require the second
+    item's family to equal the first's; look for the second item on every
+    eligible machine ("em"), on one drawn uniformly ("unif"), or take the
+    pack that follows the first on its machine ("idem")."""
 
-    id: int
-    move: MoveType
-    item: ItemKind
+    exchange: bool
+    op: bool
     same_family: bool
-    machine_choice: MachineChoice
+    machines: str
 
 
-#: The eight move mechanisms.  Rows 0 and 3 are intentionally identical:
-#: row 0 is reserved for the SIMPLE structure, rows 1-7 form OP and OP+PA.
-#: Row 7 (IDEM) swaps the drawn pack with the pack that follows it on
-#: its machine; it searches no ready-date window as the other rows do.
-MECHANISMS: tuple[Mechanism, ...] = (
-    Mechanism(0, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
-    Mechanism(1, MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM),
-    Mechanism(2, MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM),
-    Mechanism(3, MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
-    Mechanism(4, MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM),
-    Mechanism(5, MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM),
-    Mechanism(6, MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF),
-    Mechanism(7, MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM),
-)
-
-STRUCTURE_MECHANISMS: dict[Structure, tuple[int, ...]] = {
-    Structure.SIMPLE: (0,),
-    Structure.OP: (1, 2, 3),
-    Structure.OP_PA: (1, 2, 3, 4, 5, 6, 7),
-}
+#: Each structure's move rows.  OP+PA's are the paper's rows 1-7, OP's are
+#: rows 1-3 and SIMPLE's is row 3.  Row 7 swaps the drawn pack with the pack
+#: that follows it on its machine; it searches no ready-date window as the
+#: other rows do.
+_MOVES: dict[Structure, tuple[_Move, ...]] = {Structure.OP_PA: (
+    _Move(False, True, True, "em"),      # 1
+    _Move(True, True, True, "em"),       # 2
+    _Move(False, True, False, "unif"),   # 3
+    _Move(False, False, True, "em"),     # 4
+    _Move(True, False, True, "em"),      # 5
+    _Move(False, False, False, "unif"),  # 6
+    _Move(True, False, False, "idem"),   # 7
+)}
+_MOVES[Structure.OP] = _MOVES[Structure.OP_PA][:3]
+_MOVES[Structure.SIMPLE] = _MOVES[Structure.OP_PA][2:3]
 
 #: Draws of a first item a proposal makes before it counts as failed.
 _RESAMPLE_LIMIT = 50
@@ -100,6 +81,7 @@ class SaParams:
     max_iterations: int | None = 15000
 
     def __post_init__(self):
+        object.__setattr__(self, "structure", Structure(self.structure))
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 0:
@@ -282,14 +264,12 @@ def _move(seqs, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
     return new
 
 
-def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
+def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
              rng: random.Random):
     """One draw of a first item (an operation or a pack) and the move to a
     second item drawn uniformly from the admissible ones that start between
     the first item's ready date and its start; None when there is none."""
-    exchanging = mech.move is MoveType.EXCHANGE
-    need_family = mech.same_family
-    by_op = mech.item is ItemKind.OP
+    exchanging, by_op, need_family, machine_choice = move
     if by_op:
         o1 = _draw_index(sol.op_cum, sol.op_total, rng)
         m1 = sol.machine_of[o1]
@@ -303,7 +283,7 @@ def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
             return None
         p1 = flat[_draw_index(cum, total, rng)]
         m1, lo1, hi1 = p1.machine, p1.lo, p1.hi
-        if mech.machine_choice is MachineChoice.IDEM:
+        if machine_choice == "idem":
             per_machine = packs[m1]
             if p1.index + 1 >= len(per_machine):
                 return None
@@ -312,7 +292,7 @@ def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
         ready, s1, fam1, eligible = p1.ready, p1.start, p1.family, p1.machines
     if s1 <= ready:
         return None
-    if mech.machine_choice is MachineChoice.EM:
+    if machine_choice == "em":
         machines = eligible
     else:
         machines = (eligible[rng.randrange(len(eligible))],)
@@ -350,12 +330,12 @@ def _attempt(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
     return _move(sol.seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging)
 
 
-def _propose(ci: CompiledInstance, sol: _Solution, mech: Mechanism,
+def _propose(ci: CompiledInstance, sol: _Solution, move: _Move,
              rng: random.Random):
-    """New per-machine sequences one `mech` move away from `sol`, or None
-    when `_RESAMPLE_LIMIT` draws find no admissible second item."""
+    """New per-machine sequences one `move` away from `sol`, or None when
+    `_RESAMPLE_LIMIT` draws find no admissible second item."""
     for _ in range(_RESAMPLE_LIMIT):
-        new_seqs = _attempt(ci, sol, mech, rng)
+        new_seqs = _attempt(ci, sol, move, rng)
         if new_seqs is not None:
             return new_seqs
     return None
@@ -417,8 +397,8 @@ def run_sa(instance: Instance, initial: Schedule,
     params = params or SaParams()
     ci = compile_instance(instance)
     rng = random.Random(seed)
-    mechs = [MECHANISMS[i] for i in STRUCTURE_MECHANISMS[params.structure]]
-    n_mechs = len(mechs)
+    moves = _MOVES[params.structure]
+    n_moves = len(moves)
 
     initial_tardiness = total_tardiness(initial, instance)
     best_tardiness = initial_tardiness
@@ -481,8 +461,7 @@ def run_sa(instance: Instance, initial: Schedule,
         if not budget_left():
             return result("max-iterations", t0)
         iteration += 1
-        mech = mechs[rng.randrange(n_mechs)]
-        new_seqs = _propose(ci, current, mech, rng)
+        new_seqs = _propose(ci, current, moves[rng.randrange(n_moves)], rng)
         if new_seqs is None:
             proposal_failures += 1
         else:

@@ -27,8 +27,6 @@ MAX_WEEKLY_SPAN_DAYS = 3660
 #: Day 0 of the plan is a Monday.
 WEEKDAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
 
-_NEG_INF = float("-inf")
-
 
 def _normalize_windows(windows):
     """Sort, drop empties and merge overlapping or adjacent intervals."""
@@ -57,11 +55,6 @@ class TimeWindowSet:
 
     def __post_init__(self):
         object.__setattr__(self, "windows", _normalize_windows(self.windows))
-
-    @classmethod
-    def always(cls, start: int | float = _NEG_INF) -> "TimeWindowSet":
-        """Windows covering [start, +inf)."""
-        return cls(((start, math.inf),))
 
     @cached_property
     def _starts(self) -> list:

@@ -11,7 +11,6 @@ Schedules: [{operation, machine, setup, start, completion}, ...].
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .availability import TimeWindowSet, weekly_windows
@@ -34,6 +33,10 @@ def _need(obj, key, kind, where):
     return value
 
 
+def _integer_pair(pair) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+
+
 def _windows_from_json(raw, where) -> TimeWindowSet:
     if isinstance(raw, dict):
         weekly = _need(raw, "weekly", dict, where)
@@ -52,7 +55,7 @@ def _windows_from_json(raw, where) -> TimeWindowSet:
     windows = []
     for i, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+                or not _integer_pair(pair)):
             raise InstanceFormatError(
                 f"{where}[{i}]: expected [start, end] integer pair")
         windows.append((pair[0], pair[1]))
@@ -123,10 +126,12 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    for a, b in instance.operator_windows:
-        if math.isinf(b):
+    for i, window in enumerate(instance.operator_windows):
+        if not _integer_pair(window):
             raise InstanceFormatError(
-                "instance.operator_windows: unbounded window not serializable")
+                f"instance.operator_windows[{i}]: {list(window)} is not an "
+                "integer pair; an unbounded or fractional window is not "
+                "serializable")
     return {
         "machines": list(instance.machines),
         "column_types": [

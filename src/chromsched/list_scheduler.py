@@ -156,8 +156,7 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
         if t is None:
             cached[o] = None
             continue
-        # processing is positive (a model invariant), so the interval is
-        # never empty and the constructor's check is skipped
+        # tuple.__new__ is faster than the named tuple's own constructor
         cached[o] = new(candidate, (
             m, o, t, t + duration, needs_setup, clock, due[o], proc[o],
             setup[o], flexibility[o]))

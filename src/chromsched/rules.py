@@ -67,6 +67,9 @@ class RuleParams:
     k3: float = 10.0
 
     def __post_init__(self):
+        object.__setattr__(self, "rule", Rule(self.rule))
+        object.__setattr__(self, "machine_policy",
+                           MachinePolicy(self.machine_policy))
         if not all(0 < k < math.inf for k in (self.k1, self.k2, self.k3)):
             raise ValueError("k1, k2, k3 must be positive and finite")
 
@@ -81,7 +84,18 @@ class RuleParams:
             fmt(getattr(self, name)) for name in RULE_CONSTANTS[self.rule]])
 
 
-class _CandidateFields(NamedTuple):
+class Candidate(NamedTuple):
+    """A possible assignment of operation `op` to `machine`, both indices of
+    the `CompiledInstance`, with its earliest timing.
+
+    `start` is the setup start when `setup_required`, else the processing
+    start; `machine_clock` is the machine's availability date when the
+    candidate was computed; `due` is the owning job's due date; `processing`
+    and `setup` are the operation's durations and `flexibility` its number
+    of eligible machines.  Its natural order, (machine, op) first, is the
+    (machine id, job id, operation id) order.
+    """
+
     machine: int
     op: int
     start: int
@@ -92,31 +106,6 @@ class _CandidateFields(NamedTuple):
     processing: int
     setup: int
     flexibility: int
-
-
-class Candidate(_CandidateFields):
-    """A possible assignment of operation `op` to `machine`, both indices of
-    the `CompiledInstance`, with its earliest timing.
-
-    `start` is the setup start when `setup_required`, else the processing
-    start; `machine_clock` is the machine's availability date when the
-    candidate was computed; `due` is the owning job's due date; `processing`
-    and `setup` are the operation's durations and `flexibility` its number
-    of eligible machines.  An immutable named tuple whose natural order,
-    (machine, op) first, is the (machine id, job id, operation id) order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, machine: int, op: int, start: int, completion: int,
-                setup_required: bool, machine_clock: int, due: int,
-                processing: int, setup: int, flexibility: int):
-        if completion <= start:
-            raise ValueError(
-                f"candidate op {op} on machine {machine}: empty interval")
-        return tuple.__new__(cls, (machine, op, start, completion,
-                                   setup_required, machine_clock, due,
-                                   processing, setup, flexibility))
 
 
 def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:

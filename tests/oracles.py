@@ -8,7 +8,8 @@ its optimum is the best schedule that decoder can reach, and
 `run_lta_full_recompute`, which reuses the list scheduler's selection and
 commit but computes every open candidate each loop with its own
 `find_earliest` search, so it checks the scheduler's cache invalidation and
-shared probes and nothing else.
+shared probes and nothing else.  `always_open` only builds operator windows
+for hand-made instances.
 """
 
 import math
@@ -22,6 +23,11 @@ from chromsched.list_scheduler import (_select_pool, commit_assignment,
                                        init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation, Schedule
 from chromsched.rules import Candidate, RuleParams
+
+
+def always_open(start=-math.inf) -> TimeWindowSet:
+    """Operator windows covering [start, +inf)."""
+    return TimeWindowSet(((start, math.inf),))
 
 
 def window_contains(windows, t) -> bool:
@@ -188,7 +194,7 @@ def micro_instance(rng: random.Random) -> Instance:
                         operations=operations))
         j += 1
     return Instance(machines=machines, column_types=columns,
-                    operator_windows=TimeWindowSet.always(0),
+                    operator_windows=always_open(0),
                     jobs=tuple(jobs))
 
 
@@ -239,7 +245,7 @@ def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
                            seed: int = 0) -> Schedule:
     """`run_lta` with no cache: before each selection, every open (machine,
     operation) candidate is computed afresh with its own `find_earliest`
-    search and built through the checked `Candidate` constructor."""
+    search and checked to occupy a non-empty interval."""
     params = params or RuleParams()
     state = init_state(instance)
     ci = state.ci
@@ -260,10 +266,11 @@ def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
                 except NoSlotError:
                     cached[o] = None
                     continue
-                cached[o] = Candidate(
+                c = cached[o] = Candidate(
                     m, o, t, t + duration, needs_setup, clock,
                     ci.job_due[ci.job[o]], ci.proc[o], ci.setup[o],
                     len(ci.eligible[o]))
+                assert c.completion > c.start, f"{c}: empty interval"
         state.stale.clear()
         state.pending.clear()
         commit_assignment(state, _select_pool(state, params, rng))

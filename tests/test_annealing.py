@@ -1,16 +1,15 @@
 import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from chromsched import annealing, engine
-from chromsched.annealing import (ItemKind, MachineChoice, MECHANISMS,
-                                  MoveType, SaParams, Structure,
-                                  STRUCTURE_MECHANISMS, _draw_index, _move,
-                                  _op_weights, _propose, _Solution,
+from chromsched.annealing import (_MOVES, SaParams, Structure, _draw_index,
+                                  _move, _op_weights, _propose, _Solution,
                                   initial_temperature, run_sa)
 from chromsched.availability import TimeWindowSet
 from chromsched.engine import (compile_instance, place_sequences,
@@ -22,7 +21,7 @@ from chromsched.list_scheduler import run_lta
 from chromsched.model import (ColumnType, Instance, Job, Operation, Schedule,
                               total_tardiness, validate_schedule)
 
-from oracles import enumerated_optimum
+from oracles import always_open, enumerated_optimum
 
 
 def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
@@ -37,7 +36,7 @@ def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
                 for i, (fam, p, s, elig) in enumerate(ops))))
     return Instance(machines=tuple(machines),
                     column_types=tuple(ColumnType(f, u) for f, u in columns),
-                    operator_windows=windows or TimeWindowSet.always(),
+                    operator_windows=windows or always_open(),
                     jobs=tuple(jobs))
 
 
@@ -82,30 +81,40 @@ def pack_ops(ci, sol, pack):
     return tuple(ci.op_ids[o] for o in sol.seqs[pack.machine][pack.lo:pack.hi])
 
 
+#: The paper's move rows 1-7, row r at index r - 1, and SIMPLE's one move.
+MOVES = _MOVES[Structure.OP_PA]
+(SIMPLE_MOVE,) = _MOVES[Structure.SIMPLE]
+
+
 class TestMechanismTable:
-    # frozen rows: (move, item, family-constrained, machine)
+    # frozen rows: (exchange, single operations, family-constrained, machine)
     EXPECTED = {
-        0: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
-        1: (MoveType.INSERT, ItemKind.OP, True, MachineChoice.EM),
-        2: (MoveType.EXCHANGE, ItemKind.OP, True, MachineChoice.EM),
-        3: (MoveType.INSERT, ItemKind.OP, False, MachineChoice.UNIF),
-        4: (MoveType.INSERT, ItemKind.PACK, True, MachineChoice.EM),
-        5: (MoveType.EXCHANGE, ItemKind.PACK, True, MachineChoice.EM),
-        6: (MoveType.INSERT, ItemKind.PACK, False, MachineChoice.UNIF),
-        7: (MoveType.EXCHANGE, ItemKind.PACK, False, MachineChoice.IDEM),
+        1: (False, True, True, "em"),
+        2: (True, True, True, "em"),
+        3: (False, True, False, "unif"),
+        4: (False, False, True, "em"),
+        5: (True, False, True, "em"),
+        6: (False, False, False, "unif"),
+        7: (True, False, False, "idem"),
     }
 
-    @pytest.mark.parametrize("mech_id", sorted(EXPECTED))
-    def test_row(self, mech_id):
-        mech = MECHANISMS[mech_id]
-        assert mech.id == mech_id
-        assert (mech.move, mech.item, mech.same_family,
-                mech.machine_choice) == self.EXPECTED[mech_id]
+    @pytest.mark.parametrize("row", sorted(EXPECTED))
+    def test_row(self, row):
+        move = MOVES[row - 1]
+        assert (move.exchange, move.op, move.same_family,
+                move.machines) == self.EXPECTED[row]
 
     def test_structure_sets(self):
-        assert STRUCTURE_MECHANISMS[Structure.SIMPLE] == (0,)
-        assert STRUCTURE_MECHANISMS[Structure.OP] == (1, 2, 3)
-        assert STRUCTURE_MECHANISMS[Structure.OP_PA] == (1, 2, 3, 4, 5, 6, 7)
+        assert set(_MOVES) == set(Structure)
+        assert len(MOVES) == len(self.EXPECTED)
+        assert _MOVES[Structure.OP] == MOVES[:3]
+        assert _MOVES[Structure.SIMPLE] == MOVES[2:3]
+
+    def test_simple_row_is_the_old_row_0(self):
+        # SIMPLE's one move inserts a single operation, with no family
+        # constraint, on one uniformly drawn eligible machine
+        assert (SIMPLE_MOVE.exchange, SIMPLE_MOVE.op, SIMPLE_MOVE.same_family,
+                SIMPLE_MOVE.machines) == (False, True, False, "unif")
 
 
 class TestInitialTemperature:
@@ -132,6 +141,14 @@ class TestSaParams:
     def test_unlimited_and_zero_counts_stay_valid(self):
         SaParams(max_iterations=None)
         SaParams(max_iterations=0)
+
+    def test_a_value_string_becomes_its_structure(self):
+        assert SaParams(structure="op").structure is Structure.OP
+
+    @pytest.mark.parametrize("bad", ["OP", "op+pa", "pack"])
+    def test_refuses_an_unknown_structure(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            SaParams(structure=bad)
 
 
 class TestDecode:
@@ -290,9 +307,9 @@ class TestItemSelection:
             seed=4, unchecked=True))
         ci, sol = greedy_solution(inst)
         accepted = 0
-        for mech in MECHANISMS * 3:
+        for move in MOVES * 3:
             for _ in range(10):
-                neighbor = _propose(ci, sol, mech, rng)
+                neighbor = _propose(ci, sol, move, rng)
                 if neighbor is None:
                     continue
                 try:
@@ -377,7 +394,7 @@ class TestProposeNeighbor:
             ("j1", 0, 5, [("fA", 10, 0, ("m0",))]),  # late, starts second
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
-        got = _propose(ci, sol, MECHANISMS[0], random.Random(0))
+        got = _propose(ci, sol, SIMPLE_MOVE, random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j1.1", "j0.1")
 
     def test_mechanism_7_swaps_adjacent_packs(self):
@@ -387,14 +404,14 @@ class TestProposeNeighbor:
             ("j2", 0, 10_000, [("fB", 10, 0, ("m0",))]),
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
-        got = _propose(ci, sol, MECHANISMS[7], random.Random(0))
+        got = _propose(ci, sol, MOVES[6], random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j2.1", "j0.1", "j1.1")
 
     def test_proposal_failure_when_window_empty(self):
         # the only late op already starts at its release date
         inst = tiny_instance([("j0", 0, 5, [("fA", 10, 0, ("m0",))])])
         ci, sol = solution(inst, {"m0": ("j0.1",)})
-        assert _propose(ci, sol, MECHANISMS[0], random.Random(0)) is None
+        assert _propose(ci, sol, SIMPLE_MOVE, random.Random(0)) is None
 
     def test_family_constrained_exchange_preserves_family_multisets(self):
         rng = random.Random(5)
@@ -406,7 +423,7 @@ class TestProposeNeighbor:
         attempts = 0
         while proposals < 25 and attempts < 200:
             attempts += 1
-            neighbor = _propose(ci, sol, MECHANISMS[2], rng)
+            neighbor = _propose(ci, sol, MOVES[1], rng)
             if neighbor is None:
                 continue
             proposals += 1
@@ -422,10 +439,10 @@ class TestProposeNeighbor:
             seed=33, unchecked=True))
         ci, sol = greedy_solution(inst)
         ops = inst.operations_by_id
-        for mech in MECHANISMS:
+        for row, move in enumerate(MOVES, 1):
             produced = 0
             for _ in range(40):
-                neighbor = _propose(ci, sol, mech, rng)
+                neighbor = _propose(ci, sol, move, rng)
                 if neighbor is None:
                     continue
                 produced += 1
@@ -444,7 +461,7 @@ class TestProposeNeighbor:
                     decoded.setups)
                 assert validate_schedule(inst, schedule) == []
                 assert decoded.tardiness == total_tardiness(schedule, inst)
-            assert produced > 0, f"mechanism {mech.id} never proposed"
+            assert produced > 0, f"row {row} never proposed"
 
 
 class TestRunSa:
@@ -569,9 +586,9 @@ class TestResumedDecode:
         ci, sol = greedy_solution(inst)
         assert ci.n_ops > 4 * 16  # many turns to resume at
         compared = 0
-        for mech in MECHANISMS * 3:
+        for move in MOVES * 3:
             for _ in range(15):
-                neighbor = _propose(ci, sol, mech, rng)
+                neighbor = _propose(ci, sol, move, rng)
                 if neighbor is None:
                     continue
                 full = full_or_error(ci, neighbor)
@@ -774,9 +791,9 @@ class TestResumedDecode:
 
         find_earliest, reserve_step = engine.find_earliest, engine.reserve_step
         caught_up = compared = 0
-        for mech in MECHANISMS * 3:
+        for move in MOVES * 3:
             for _ in range(10):
-                neighbor = _propose(ci, sol, mech, rng)
+                neighbor = _propose(ci, sol, move, rng)
                 if neighbor is None:
                     continue
                 full = full_or_error(ci, neighbor)

@@ -10,7 +10,8 @@ from chromsched.availability import (MAX_WEEKLY_SPAN_DAYS, MINUTES_PER_DAY,
                                      min_level, reserve_step, weekly_windows)
 from chromsched.errors import NoSlotError
 
-from oracles import profile_level_at, scan_earliest, scan_free_run
+from oracles import (always_open, profile_level_at, scan_earliest,
+                     scan_free_run)
 
 
 def tws(*pairs):
@@ -152,7 +153,7 @@ class TestCapacityProfile:
 
 class TestEarliestStart:
     def test_unconstrained(self):
-        starts, ends = window_arrays(TimeWindowSet.always(0))
+        starts, ends = window_arrays(always_open(0))
         assert find_earliest(starts, ends, *profile(1), 0, 10 + 20)[0] == 0
 
     def test_next_day_window(self):
@@ -163,7 +164,7 @@ class TestEarliestStart:
         assert t == 1920
 
     def test_waits_for_column(self):
-        starts, ends = window_arrays(TimeWindowSet.always(0))
+        starts, ends = window_arrays(always_open(0))
         col = profile(1, (0, 100))
         assert find_earliest(starts, ends, *col, 0, 10 + 20)[0] == 100
 

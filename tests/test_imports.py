@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses or a module
 outside the standard library, defines a name nothing reads, and the
 package's public names and its settings are exactly the pinned lists.
+README's Python examples import only public names.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public re-exports.
@@ -9,6 +10,7 @@ the package's public re-exports.
 import ast
 import dataclasses
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
@@ -174,19 +176,16 @@ def test_no_dead_definitions():
 #: submodule and does not start with an underscore.  Adding or removing a
 #: public name means editing this list.
 PUBLIC_NAMES = [
-    "AlgorithmSpec", "Candidate", "ColumnType", "EffectReport", "GenConfig",
+    "AlgorithmSpec", "ColumnType", "EffectReport", "GenConfig",
     "IncompleteScheduleError", "Instance", "InstanceFormatError", "Job",
-    "MECHANISMS", "MachinePolicy", "Mechanism", "NoSlotError",
-    "Observation", "Operation", "PlacedOperation", "Rule", "RuleParams",
-    "SaParams", "SaResult", "Schedule", "SchedulingError", "Structure",
-    "TimeWindowSet", "Violation", "anova_effects", "atc_priority",
-    "atcoee_priority", "atcoeef_priority", "atcs_priority",
-    "effect_to_ratio", "generate_design", "generate_instance",
-    "initial_temperature", "parse_algorithm",
-    "read_instance", "read_schedule", "run_experiment",
-    "run_lta", "run_sa", "schedule_metrics", "select_assignment",
-    "total_tardiness", "validate_schedule", "weekly_windows", "write_instance",
-    "write_schedule",
+    "MachinePolicy", "NoSlotError", "Observation", "Operation",
+    "PlacedOperation", "Rule", "RuleParams", "SaParams", "SaResult",
+    "Schedule", "SchedulingError", "Structure", "TimeWindowSet", "Violation",
+    "anova_effects", "effect_to_ratio", "generate_design", "generate_instance",
+    "initial_temperature", "parse_algorithm", "read_instance",
+    "read_schedule", "run_experiment", "run_lta", "run_sa",
+    "schedule_metrics", "total_tardiness", "validate_schedule",
+    "weekly_windows", "write_instance", "write_schedule",
 ]
 
 
@@ -195,6 +194,34 @@ def test_public_api_is_pinned():
                       if not name.startswith("_")
                       and not isinstance(value, types.ModuleType))
     assert exported == sorted(PUBLIC_NAMES)
+
+
+def readme_imports(text: str) -> list[str]:
+    """Every name imported from `chromsched` in the fenced Python blocks of
+    a Markdown text, read with the AST, not run."""
+    names = []
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "chromsched":
+                names += [alias.name for alias in node.names]
+    return names
+
+
+def test_checker_reads_only_python_blocks():
+    text = ("```python\n"
+            "from chromsched import (run_lta,\n"
+            "                        RuleParams)\n"
+            "from chromsched.engine import compile_instance\n"
+            "```\n"
+            "```sh\nfrom chromsched import shell_text\n```\n")
+    assert readme_imports(text) == ["run_lta", "RuleParams"]
+
+
+def test_readme_imports_only_public_names():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    names = readme_imports(text)
+    assert names
+    assert sorted(set(names) - set(PUBLIC_NAMES)) == []
 
 
 #: Every setting a caller can pass: the fields of the parameter records and

@@ -1,9 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromsched.availability import TimeWindowSet
 from chromsched.errors import InstanceFormatError
 from chromsched.generator import GenConfig, generate_instance
 from chromsched.jsonio import (instance_from_dict, instance_to_dict,
@@ -11,6 +14,8 @@ from chromsched.jsonio import (instance_from_dict, instance_to_dict,
                                schedule_to_list, write_instance, write_schedule)
 from chromsched.list_scheduler import run_lta
 from chromsched.model import Instance
+
+from oracles import always_open
 
 
 @pytest.fixture
@@ -156,11 +161,20 @@ def test_semantic_errors_wrapped():
 
 
 def test_unbounded_windows_not_serializable(instance):
-    from chromsched.availability import TimeWindowSet
-    from dataclasses import replace
-    unbounded = replace(instance, operator_windows=TimeWindowSet.always(0))
+    unbounded = replace(instance, operator_windows=always_open(0))
     with pytest.raises(InstanceFormatError, match="unbounded"):
         instance_to_dict(unbounded)
+
+
+@pytest.mark.parametrize("window", [(-math.inf, 100), (0.5, 100), (0, 100.0)])
+def test_only_integer_windows_are_written(instance, window, tmp_path):
+    # every window written must be one `read_instance` accepts
+    windows = TimeWindowSet((window, (200, 300)))
+    with pytest.raises(InstanceFormatError,
+                       match=r"instance.operator_windows\[0\]: .* not an integer"):
+        write_instance(replace(instance, operator_windows=windows),
+                       tmp_path / "instance.json")
+    assert not (tmp_path / "instance.json").exists()
 
 
 def test_schedule_setup_must_be_boolean():

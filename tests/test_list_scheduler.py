@@ -16,7 +16,8 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import enumerated_optimum, run_lta_full_recompute, scan_earliest
+from oracles import (always_open, enumerated_optimum, run_lta_full_recompute,
+                     scan_earliest)
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -33,7 +34,7 @@ def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)
     return Instance(
         machines=tuple(machines),
         column_types=tuple(ColumnType(f, u) for f, u in columns),
-        operator_windows=windows or TimeWindowSet.always(),
+        operator_windows=windows or always_open(),
         jobs=tuple(jobs))
 
 

@@ -12,7 +12,7 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               schedule_metrics, total_tardiness,
                               validate_schedule)
 
-from oracles import micro_instance, scan_schedule_violations
+from oracles import always_open, micro_instance, scan_schedule_violations
 from test_oracles import SPARSE_WINDOWS
 
 
@@ -21,7 +21,7 @@ def make_instance(jobs, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
     return Instance(
         machines=tuple(machines),
         column_types=tuple(ColumnType(f, u) for f, u in columns),
-        operator_windows=windows or TimeWindowSet.always(),
+        operator_windows=windows or always_open(),
         jobs=tuple(jobs))
 
 

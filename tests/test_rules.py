@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from chromsched.availability import TimeWindowSet
 from chromsched.list_scheduler import (_refresh, _select_pool,
-                                       commit_assignment, init_state)
+                                       commit_assignment, init_state, run_lta)
 from chromsched.model import ColumnType, Instance, Job, Operation
 from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
                               atc_priority, atcoee_priority, atcoeef_priority,
                               atcs_priority, select_assignment)
 
+from oracles import always_open
 from test_list_scheduler import candidate_times
 
 
@@ -41,7 +41,7 @@ def one_op_jobs(specs, machines):
         for job, due, eligible in specs)
     return Instance(machines=machines,
                     column_types=(ColumnType("fA", len(specs)),),
-                    operator_windows=TimeWindowSet.always(0), jobs=jobs)
+                    operator_windows=always_open(0), jobs=jobs)
 
 
 def policy_then_rule(state, params):
@@ -264,6 +264,25 @@ class TestLabels:
 
 
 class TestRuleParams:
+    def test_value_strings_become_members(self):
+        params = RuleParams(rule="edd", machine_policy="lfm")
+        assert params.rule is Rule.EDD
+        assert params.machine_policy is MachinePolicy.LFM
+        assert params.label() == "lfm_edd"
+
+    def test_value_strings_schedule_as_members(self):
+        inst = one_op_jobs([("a", 500, ("m0", "m1")), ("b", 300, ("m1",)),
+                            ("c", 200, ("m0",))], machines=("m0", "m1"))
+        by_value = run_lta(inst, RuleParams(rule="atcs", machine_policy="lfm"))
+        assert by_value == run_lta(inst, RuleParams(
+            rule=Rule.ATCS, machine_policy=MachinePolicy.LFM))
+
+    @pytest.mark.parametrize("name, bad", [("rule", "EDD"), ("rule", "spt"),
+                                           ("machine_policy", "lfo")])
+    def test_refuses_unknown_values(self, name, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            RuleParams(**{name: bad})
+
     @pytest.mark.parametrize("name", ["k1", "k2", "k3"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_refuses_constants_not_positive_and_finite(self, name, bad):
