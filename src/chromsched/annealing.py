@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .engine import (CompiledInstance, compile_instance, place_sequences,
                      schedule_from_arrays, sequences_from_schedule)
 from .errors import NoSlotError
-from .model import Instance, Schedule, total_tardiness
+from .model import Instance, Schedule, total_tardiness, validate_schedule
 
 
 class Structure(str, Enum):
@@ -246,11 +246,13 @@ def _draw_index(cum: list[float], total: float, rng: random.Random) -> int:
 def _move(seqs, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
           exchanging: bool):
     """New per-machine sequences in which the block seqs[m1][lo1:hi1] is
-    inserted before, or exchanged with, the block seqs[m2][lo2:hi2].
+    inserted before, or exchanged with, the block seqs[m2][lo2:hi2], and
+    the positions where the blocks started, ((m1, lo1), (m2, lo2)).
 
-    On one machine the second block must be the earlier one (hi2 <= lo1).
-    Machines the move leaves alone keep their list objects: a resumed
-    decode tells changed machines by identity.
+    Both blocks are non-empty, and on one machine the second must be the
+    earlier one (hi2 <= lo1).  So each changed machine first differs at the
+    smaller of its positions, which is inside its old sequence: the pairs
+    are `place_sequences`' `changed`.
     """
     if not exchanging:
         hi2 = lo2  # an insertion exchanges with the empty block at lo2
@@ -261,14 +263,15 @@ def _move(seqs, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
     else:
         new[m1] = a[:lo1] + b[lo2:hi2] + a[hi1:]
         new[m2] = b[:lo2] + a[lo1:hi1] + b[hi2:]
-    return new
+    return new, ((m1, lo1), (m2, lo2))
 
 
 def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
              rng: random.Random):
     """One draw of a first item (an operation or a pack) and the move to a
     second item drawn uniformly from the admissible ones that start between
-    the first item's ready date and its start; None when there is none."""
+    the first item's ready date and its start, as `_move` returns it; None
+    when there is none."""
     exchanging, by_op, need_family, machine_choice = move
     if by_op:
         o1 = _draw_index(sol.op_cum, sol.op_total, rng)
@@ -332,12 +335,13 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
 
 def _propose(ci: CompiledInstance, sol: _Solution, move: _Move,
              rng: random.Random):
-    """New per-machine sequences one `move` away from `sol`, or None when
+    """New per-machine sequences one `move` away from `sol` with the
+    positions the move changed (see `_move`), or None when
     `_RESAMPLE_LIMIT` draws find no admissible second item."""
     for _ in range(_RESAMPLE_LIMIT):
-        new_seqs = _attempt(ci, sol, move, rng)
-        if new_seqs is not None:
-            return new_seqs
+        proposal = _attempt(ci, sol, move, rng)
+        if proposal is not None:
+            return proposal
     return None
 
 
@@ -385,6 +389,9 @@ def run_sa(instance: Instance, initial: Schedule,
            params: SaParams | None = None, seed: int = 0) -> SaResult:
     """Anneal from a feasible initial schedule; never returns worse.
 
+    Raises ValueError naming the first violation when `validate_schedule`
+    rejects `initial`.
+
     The first `_DESCENT_ITERATIONS` proposals are a pure descent whose mean
     absolute tardiness change calibrates the starting temperature so a
     mean-sized degradation is accepted with `_INITIAL_ACCEPT_PROB`.  After
@@ -394,6 +401,9 @@ def run_sa(instance: Instance, initial: Schedule,
     acceptances; the run stops after `_DEAD_LEVELS` levels in a row with no
     acceptance, at `params.max_iterations`, or at zero tardiness.
     """
+    violations = validate_schedule(instance, initial)
+    if violations:
+        raise ValueError(f"infeasible initial schedule: {violations[0]}")
     params = params or SaParams()
     ci = compile_instance(instance)
     rng = random.Random(seed)
@@ -461,12 +471,13 @@ def run_sa(instance: Instance, initial: Schedule,
         if not budget_left():
             return result("max-iterations", t0)
         iteration += 1
-        new_seqs = _propose(ci, current, moves[rng.randrange(n_moves)], rng)
-        if new_seqs is None:
+        proposal = _propose(ci, current, moves[rng.randrange(n_moves)], rng)
+        if proposal is None:
             proposal_failures += 1
         else:
+            new_seqs, changed = proposal
             try:
-                placed = place_sequences(ci, new_seqs, base=current.decode)
+                placed = place_sequences(ci, new_seqs, current.decode, changed)
             except NoSlotError:
                 decode_failures += 1
             else:

@@ -29,9 +29,14 @@ WEEKDAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
 
 
 def _normalize_windows(windows):
-    """Sort, drop empties and merge overlapping or adjacent intervals."""
+    """Sort, drop empties and merge overlapping or adjacent intervals.
+    Each bound must be an integer minute or +-inf."""
     cleaned = []
     for a, b in windows:
+        for bound in (a, b):
+            if type(bound) is not int and bound not in (math.inf, -math.inf):
+                raise ValueError(f"window ({a!r}, {b!r}): bound {bound!r} is "
+                                 "not an integer minute or +-inf")
         if b < a:
             raise ValueError(f"window end {b} before start {a}")
         if a != b:
@@ -49,7 +54,8 @@ def _normalize_windows(windows):
 
 @dataclass(frozen=True)
 class TimeWindowSet:
-    """Sorted, disjoint, non-adjacent half-open windows; ends may be +inf."""
+    """Sorted, disjoint, non-adjacent half-open windows of integer minutes;
+    starts may be -inf and ends +inf."""
 
     windows: tuple[tuple[int, int | float], ...] = ()
 

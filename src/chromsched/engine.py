@@ -6,20 +6,21 @@ documented lexicographic tie-breaks.  Column profiles live in mutable
 (times, levels) list pairs with a leading -inf sentinel; see
 `availability.reserve_step`.
 
-A decode resumed from an earlier one (`place_sequences` with `base`)
-starts at the first turn that can differ from `base`; `_first_changed_turn`
-proves that every turn before it repeats `base`.  From there it does not
-search a placement it can prove repeats `base`.  A placement's start is
-`find_earliest` over its family's column profile, its t_min, its duration
-and, when it needs a setup, the fixed operator windows; nothing else.  A
-family is *clean* while every placement of it since the first changed turn
-has been `base`'s placement (same start and completion) of the family's
-next operation in `base`'s turn order.  A profile is its family's bookings,
-so a clean family's profile is `base`'s after its last placed operation.
-The next operation of a clean family in `base`'s order, met with `base`'s
-t_min and setup flag, has `base`'s duration too, so the search returns
-`base`'s start, and booking it keeps the family clean.  Such a family's
-profile is therefore only built when a search needs it.
+A decode resumed from an earlier one (`place_sequences` with `base` and
+the positions that changed) starts at the first turn that can differ from
+`base`; `place_sequences` proves that every turn before it repeats `base`.
+From there it does not search a placement it can prove repeats `base`.  A
+placement's start is `find_earliest` over its family's column profile, its
+t_min, its duration and, when it needs a setup, the fixed operator
+windows; nothing else.  A family is *clean* while every placement of it
+since the first changed turn has been `base`'s placement (same start and
+completion) of the family's next operation in `base`'s turn order.  A
+profile is its family's bookings, so a clean family's profile is `base`'s
+after its last placed operation.  The next operation of a clean family in
+`base`'s order, met with `base`'s t_min and setup flag, has `base`'s
+duration too, so the search returns `base`'s start, and booking it keeps
+the family clean.  Such a family's profile is therefore only built when a
+search needs it.
 
 It is built from the bookings that end after the clock of the turn that
 needs it; the others are never read.  The clocks of successive turns never
@@ -170,47 +171,9 @@ class _Decode(NamedTuple):
     searched: list[int]
 
 
-def _first_changed_turn(base: _Decode, seqs) -> int:
-    """First turn at which decoding `seqs` can differ from `base`: the
-    smallest, over the machines whose sequence changed, of the turn of the
-    old operation at the first differing position d, of the turn after the
-    old last operation when the machine only grows past its old end, or of
-    0 when its old sequence was empty.  No change gives the operation count.
-
-    Until that turn T the heap pops the same (clock, m) tops as in `base`,
-    by induction over the turns: while every earlier turn repeated `base`,
-    each machine has `base`'s position and clock.  An unchanged machine is
-    in both heaps with the same key and front.  `base` places old[d] at a
-    turn of at least T, so before T a changed machine has placed at most
-    its d shared operations.  Until it has placed d it too is in both
-    heaps with the same key and front; once it has, its front may differ
-    or it may be missing from the new heap, but `base` does not pop it
-    before T, so it is the top of neither.  A machine that grows past its
-    old end has the same fronts until its old last operation is placed,
-    at turn T - 1.
-    """
-    turn_of = base.turn_of
-    first = len(turn_of)
-    for old, new in zip(base.seqs, seqs):
-        if new is old:
-            continue
-        common = min(len(old), len(new))
-        d = 0
-        while d < common and old[d] == new[d]:
-            d += 1
-        if d < len(old):
-            turn = turn_of[old[d]]
-        elif d < len(new):
-            turn = turn_of[old[-1]] + 1 if old else 0
-        else:
-            continue
-        if turn < first:
-            first = turn
-    return first
-
-
 def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
-                    base: _Decode | None = None) -> _Decode:
+                    base: _Decode | None = None,
+                    changed: tuple[tuple[int, int], ...] = ()) -> _Decode:
     """Forward-place fixed per-machine sequences at their earliest starts.
 
     Machines take turns by smallest clock (ties by machine index); each
@@ -219,16 +182,28 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     NoSlotError when an operation that needs a setup has no operator window
     left.  `seqs` must not be changed afterwards.
 
-    With `base`, an earlier decode of the same instance whose unchanged
-    machines are the same list objects in `seqs`, the decode starts at
-    `_first_changed_turn` T, before which every turn repeats `base`.  It
-    restores the state at T from `base`'s arrays with no replay: each
-    machine's position counts its operations of turn below T, its clock and
-    last family are its previous operation's, and each family's last
-    operation walks `base.family_pred` back from `base.last` to the first
-    of turn below T.  Job completions are read off the completions at the
-    end.  The result is the one a full decode gives.  `base` is only read,
-    so it stays usable after a NoSlotError.
+    With `base`, an earlier decode of the same instance, `changed` names
+    (machine, position) pairs: each machine whose sequence differs from
+    `base.seqs` appears in one, at a position d < len(base.seqs[m]) at or
+    before its first difference, so a machine empty in `base` stays empty.
+    The decode starts at T, the smallest `base.turn_of[base.seqs[m][d]]`
+    over the pairs, before which every turn repeats `base`, by induction
+    over the turns: while every earlier turn repeated `base`, each machine
+    has `base`'s position and clock.  An unchanged machine is in both heaps
+    with the same key and front.  `base` places base.seqs[m][d] at a turn
+    of at least T, so before T a changed machine has placed at most its
+    first d operations, which both sequences share.  Until it has placed d
+    it too is in both heaps with the same key and front; once it has, its
+    front may differ or it may be missing from the new heap, but `base`
+    does not pop it before T, so it is the top of neither.
+
+    The decode restores the state at T from `base`'s arrays with no
+    replay: each machine's position counts its operations of turn below T,
+    its clock and last family are its previous operation's, and each
+    family's last operation walks `base.family_pred` back from `base.last`
+    to the first of turn below T.  Job completions are read off the
+    completions at the end.  The result is the one a full decode gives.
+    `base` is only read, so it stays usable after a NoSlotError.
 
     From T on, the decode searches only what the change can move (the
     module docstring has the rule and its proof).  An operation of a clean
@@ -262,7 +237,8 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         base_pred = base_t_mins = None
         clean = [False] * n_families
     else:
-        turn = _first_changed_turn(base, seqs)
+        turn_key = base.turn_of.__getitem__
+        turn = min(turn_key(base.seqs[m][d]) for m, d in changed)
         base_starts, base_comps = base.starts, base.comps
         base_setups, base_pred, base_t_mins = (base.setups, base.family_pred,
                                                base.t_mins)
@@ -273,7 +249,6 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         family_pred = base_pred[:]
         t_mins = base_t_mins[:]
         turn_of = base.turn_of[:]
-        turn_key = base.turn_of.__getitem__
         # a changed machine's operations of turn below T are the shared
         # prefix of its old and new sequences
         for m, seq in enumerate(base.seqs):

@@ -4,19 +4,22 @@ Everything here scans minute by minute, enumerates exhaustively or reckons
 a bound from the instance alone; none of it shares code with the
 implementations under test.  The exceptions are `enumerated_optimum`,
 which scores every enumerated encoding with the annealer's own decoder, so
-its optimum is the best schedule that decoder can reach, and
+its optimum is the best schedule that decoder can reach;
 `run_lta_full_recompute`, which reuses the list scheduler's selection and
 commit but computes every open candidate each loop with its own
 `find_earliest` search, so it checks the scheduler's cache invalidation and
-shared probes and nothing else.  `always_open` only builds operator windows
-for hand-made instances.
+shared probes and nothing else; and `serial_decode`, which searches and
+books column profiles with `find_earliest` and `reserve_step`, themselves
+checked against the minute scans, but shares no placement order or
+bookkeeping with the solvers.
+`always_open` only builds operator windows for hand-made instances.
 """
 
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
-from chromsched.availability import TimeWindowSet, find_earliest
+from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.engine import compile_instance, place_sequences
 from chromsched.errors import NoSlotError
 from chromsched.list_scheduler import (_select_pool, commit_assignment,
@@ -161,6 +164,52 @@ def enumerated_optimum(instance: Instance) -> int:
     ci = compile_instance(instance)
     return min(place_sequences(ci, seqs).tardiness
                for seqs in all_sequences(ci))
+
+
+def serial_decode(ci, order, machine_of):
+    """Serial schedule generation: place the operations one by one in
+    `order`, operation o on machine `machine_of[o]` at the earliest start,
+    at or after its release and its machine's previous completion, at which
+    its column has a free unit for its whole occupation and, when its
+    family differs from the machine's previous one, an operator window is
+    open for its setup.  Returns per-operation starts, completions and
+    setup flags; raises NoSlotError when a setup finds no window."""
+    prof_times, prof_levels = ci.fresh_profiles()
+    clocks = [ci.origin] * ci.n_machines
+    last_family = [-1] * ci.n_machines
+    starts, comps, setups = [0] * ci.n_ops, [0] * ci.n_ops, [False] * ci.n_ops
+    for o in order:
+        m, f = machine_of[o], ci.family[o]
+        needs_setup = f != last_family[m]
+        duration = ci.proc[o] + (ci.setup[o] if needs_setup else 0)
+        windows = (ci.win_starts, ci.win_ends) if needs_setup else (None, None)
+        t = find_earliest(*windows, prof_times[f], prof_levels[f],
+                          max(clocks[m], ci.release[o]), duration)[0]
+        reserve_step(prof_times[f], prof_levels[f], t, t + duration)
+        starts[o], comps[o], setups[o] = t, t + duration, needs_setup
+        clocks[m], last_family[m] = t + duration, f
+    return starts, comps, setups
+
+
+def sgs_optimum(instance: Instance) -> int | float:
+    """Least total tardiness of `serial_decode` over every assignment of
+    operations to eligible machines and every order (+inf when none
+    decodes).  For a regular objective such as total tardiness, these
+    schedules include an optimal one: ordered by start, an optimal
+    schedule's operations each land no later than they start in it."""
+    ci = compile_instance(instance)
+    best = math.inf
+    for machine_of in product(*ci.eligible):
+        for order in permutations(range(ci.n_ops)):
+            try:
+                comps = serial_decode(ci, order, machine_of)[1]
+            except NoSlotError:
+                continue
+            tardiness = 0
+            for ops, due in zip(ci.job_ops, ci.job_due):
+                tardiness += max(0, max(comps[o] for o in ops) - due)
+            best = min(best, tardiness)
+    return best
 
 
 def micro_instance(rng: random.Random) -> Instance:

@@ -309,11 +309,13 @@ class TestItemSelection:
         accepted = 0
         for move in MOVES * 3:
             for _ in range(10):
-                neighbor = _propose(ci, sol, move, rng)
-                if neighbor is None:
+                proposal = _propose(ci, sol, move, rng)
+                if proposal is None:
                     continue
+                neighbor, changed = proposal
                 try:
-                    decoded = place_sequences(ci, neighbor, base=sol.decode)
+                    decoded = place_sequences(ci, neighbor, sol.decode,
+                                              changed)
                 except NoSlotError:
                     continue
                 if rng.random() < 0.5:
@@ -342,6 +344,25 @@ def spliced(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging):
     return new
 
 
+def first_differences(old, new):
+    """Each machine whose sequence differs, mapped to the first position at
+    which it does, found by comparing the sequences item by item."""
+    out = {}
+    for m, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            out[m] = next((d for d, (x, y) in enumerate(zip(a, b)) if x != y),
+                          min(len(a), len(b)))
+    return out
+
+
+def named_positions(changed):
+    """Each machine that `changed` names, mapped to its smallest position."""
+    out = {}
+    for m, d in changed:
+        out[m] = min(d, out.get(m, d))
+    return out
+
+
 class TestMove:
     SEQS = ([0, 1, 2, 3, 4, 5], [6, 7, 8, 9])
 
@@ -358,33 +379,35 @@ class TestMove:
                                                   self.blocks(m2, len2)):
                 if m1 == m2 and hi2 > lo1:
                     continue  # the second block must come first on one machine
-                got = _move(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging)
+                got, changed = _move(seqs, m1, lo1, hi1, m2, lo2, hi2,
+                                     exchanging)
                 assert got == spliced(seqs, m1, lo1, hi1, m2, lo2, hi2,
                                       exchanging)
                 assert seqs == list(self.SEQS)  # the input is not modified
-                for m in (0, 1):
-                    assert (got[m] is seqs[m]) == (m not in (m1, m2))
+                assert changed == ((m1, lo1), (m2, lo2))
+                assert named_positions(changed) == first_differences(seqs,
+                                                                     got)
                 checked += 1
         assert checked > 200
 
     def test_literal_moves(self):
         seqs = [list(seq) for seq in self.SEQS]
         # one operation inserted earlier on its machine
-        assert _move(seqs, 0, 4, 5, 0, 1, 2, False) == [
-            [0, 4, 1, 2, 3, 5], [6, 7, 8, 9]]
+        assert _move(seqs, 0, 4, 5, 0, 1, 2, False) == (
+            [[0, 4, 1, 2, 3, 5], [6, 7, 8, 9]], ((0, 4), (0, 1)))
         # a two-operation block exchanged with one operation elsewhere
-        assert _move(seqs, 0, 2, 4, 1, 1, 2, True) == [
-            [0, 1, 7, 4, 5], [6, 2, 3, 8, 9]]
+        assert _move(seqs, 0, 2, 4, 1, 1, 2, True) == (
+            [[0, 1, 7, 4, 5], [6, 2, 3, 8, 9]], ((0, 2), (1, 1)))
         # a three-operation block inserted before another machine's block
-        assert _move(seqs, 0, 0, 3, 1, 2, 4, False) == [
-            [3, 4, 5], [6, 7, 0, 1, 2, 8, 9]]
+        assert _move(seqs, 0, 0, 3, 1, 2, 4, False) == (
+            [[3, 4, 5], [6, 7, 0, 1, 2, 8, 9]], ((0, 0), (1, 2)))
 
     def test_successor_swap(self):
         # row 7: the pack [3, 5) moves ahead of the pack [1, 3) before it
         seqs = [[0, 1, 2, 3, 4, 5], [6]]
-        got = _move(seqs, 0, 3, 5, 0, 1, 3, True)
+        got, changed = _move(seqs, 0, 3, 5, 0, 1, 3, True)
         assert got == [[0, 3, 4, 1, 2, 5], [6]]
-        assert got[1] is seqs[1]
+        assert changed == ((0, 3), (0, 1))
 
 
 class TestProposeNeighbor:
@@ -394,8 +417,9 @@ class TestProposeNeighbor:
             ("j1", 0, 5, [("fA", 10, 0, ("m0",))]),  # late, starts second
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
-        got = _propose(ci, sol, SIMPLE_MOVE, random.Random(0))
+        got, changed = _propose(ci, sol, SIMPLE_MOVE, random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j1.1", "j0.1")
+        assert changed == ((0, 1), (0, 0))
 
     def test_mechanism_7_swaps_adjacent_packs(self):
         inst = tiny_instance([
@@ -404,8 +428,9 @@ class TestProposeNeighbor:
             ("j2", 0, 10_000, [("fB", 10, 0, ("m0",))]),
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
-        got = _propose(ci, sol, MOVES[6], random.Random(0))
+        got, changed = _propose(ci, sol, MOVES[6], random.Random(0))
         assert op_ids_on(ci, got, "m0") == ("j2.1", "j0.1", "j1.1")
+        assert changed == ((0, 2), (0, 0))
 
     def test_proposal_failure_when_window_empty(self):
         # the only late op already starts at its release date
@@ -423,9 +448,10 @@ class TestProposeNeighbor:
         attempts = 0
         while proposals < 25 and attempts < 200:
             attempts += 1
-            neighbor = _propose(ci, sol, MOVES[1], rng)
-            if neighbor is None:
+            proposal = _propose(ci, sol, MOVES[1], rng)
+            if proposal is None:
                 continue
+            neighbor, _ = proposal
             proposals += 1
             for seq, new_seq in zip(sol.seqs, neighbor):
                 assert (sorted(ci.family[o] for o in seq)
@@ -442,9 +468,10 @@ class TestProposeNeighbor:
         for row, move in enumerate(MOVES, 1):
             produced = 0
             for _ in range(40):
-                neighbor = _propose(ci, sol, move, rng)
-                if neighbor is None:
+                proposal = _propose(ci, sol, move, rng)
+                if proposal is None:
                     continue
+                neighbor, _ = proposal
                 produced += 1
                 seen = sorted(o for seq in neighbor for o in seq)
                 assert seen == list(range(ci.n_ops))
@@ -529,6 +556,26 @@ class TestRunSa:
         assert res.iterations == 0
         assert res.schedule == initial
 
+    def test_refuses_an_initial_schedule_that_places_an_operation_twice(
+            self):
+        # Decoding it would walk a cyclic same-family chain without end.
+        inst = generate_instance(GenConfig(n_jobs=70, seed=1))
+        initial = run_lta(inst)
+        twice = Schedule(initial.placements
+                         + (initial.by_operation["j19.1"],))
+        with pytest.raises(ValueError,
+                           match=r"\[duplicate-placement\] j19\.1"):
+            run_sa(inst, twice, SaParams(max_iterations=50), seed=0)
+
+    def test_refuses_an_infeasible_initial_schedule_with_no_tardiness(self):
+        # checked before the optimum short-circuit, which would return it
+        inst = tiny_instance([("j0", 0, 10_000, [("fA", 10, 5, ("m0",))])],
+                             machines=("m0", "m1"))
+        placed = run_lta(inst).placements[0]
+        on_m1 = Schedule((replace(placed, machine="m1"),))
+        with pytest.raises(ValueError, match=r"\[ineligible-machine\] j0\.1"):
+            run_sa(inst, on_m1, SaParams(), seed=0)
+
     def test_initial_schedule_that_does_not_decode_comes_back(self):
         inst = undecodable_initial_instance()
         initial = run_lta(inst)
@@ -574,11 +621,19 @@ def full_or_error(ci, seqs):
         return NoSlotError
 
 
+def first_changed_turn(base, changed):
+    """The turn a decode resumed from `base` starts at: the smallest base
+    turn of an operation at a position `changed` names."""
+    return min(base.turn_of[base.seqs[m][d]] for m, d in changed)
+
+
 class TestResumedDecode:
     @pytest.mark.parametrize("seed,n_machines", [(33, 3), (4, 5), (8, 6)])
     def test_equals_full_decode_for_every_mechanism(self, seed, n_machines):
         # A random walk: half of the decoded proposals become the next base,
-        # so bases are themselves resumed decodes.
+        # so bases are themselves resumed decodes.  The positions a proposal
+        # names are, machine by machine, where its sequences first differ
+        # from the base's, each inside the base's sequence.
         rng = random.Random(seed)
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=n_machines, n_column_types=4,
@@ -586,14 +641,21 @@ class TestResumedDecode:
         ci, sol = greedy_solution(inst)
         assert ci.n_ops > 4 * 16  # many turns to resume at
         compared = 0
-        for move in MOVES * 3:
+        rows = set()
+        for row, move in enumerate(MOVES * 3):
             for _ in range(15):
-                neighbor = _propose(ci, sol, move, rng)
-                if neighbor is None:
+                proposal = _propose(ci, sol, move, rng)
+                if proposal is None:
                     continue
+                neighbor, changed = proposal
+                assert named_positions(changed) == first_differences(
+                    sol.seqs, neighbor)
+                assert all(d < len(sol.seqs[m]) for m, d in changed)
+                rows.add(row % len(MOVES))
                 full = full_or_error(ci, neighbor)
                 try:
-                    resumed = place_sequences(ci, neighbor, base=sol.decode)
+                    resumed = place_sequences(ci, neighbor, sol.decode,
+                                              changed)
                 except NoSlotError:
                     assert full is NoSlotError
                     continue
@@ -601,34 +663,38 @@ class TestResumedDecode:
                 compared += 1
                 if rng.random() < 0.5:
                     sol = _Solution(ci, resumed)
-        assert compared > 100
+        assert compared > 100 and len(rows) == len(MOVES)
 
     def test_machines_that_grow_shrink_or_empty(self):
-        # Moves only insert before an existing operation, but the decoder
-        # also resumes correctly when a machine gains operations past its
-        # old end or loses all of them.
+        # Moves only insert before an existing operation, but a position
+        # at or before the first difference serves as well: a machine that
+        # grows past its old end is named at its old last position, and
+        # one that loses all its operations at position 0.
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=3, n_column_types=4,
             seed=33, unchecked=True))
         ci, sol = greedy_solution(inst)
         seqs = sol.seqs
+        n0, n1 = len(seqs[0]), len(seqs[1])
         moved_to_end = [seqs[0][:-1], seqs[1] + seqs[0][-1:], seqs[2]]
+        resumed = place_sequences(ci, moved_to_end, sol.decode,
+                                  ((0, n0 - 1), (1, n1 - 1)))
+        assert decode_fields(resumed) == full_or_error(ci, moved_to_end)
+        # and back: m0 grows past its end, m1 shrinks
+        assert (decode_fields(place_sequences(ci, seqs, resumed,
+                                              ((0, n0 - 2), (1, n1))))
+                == full_or_error(ci, seqs))
         emptied = [seqs[0] + seqs[2], seqs[1], []]
-        for new in (moved_to_end, emptied):
-            resumed = place_sequences(ci, new, base=sol.decode)
-            assert decode_fields(resumed) == full_or_error(ci, new)
-            refilled = [seqs[0], seqs[1], seqs[2][:]]
-            assert (decode_fields(place_sequences(ci, refilled, base=resumed))
-                    == full_or_error(ci, refilled))
+        resumed = place_sequences(ci, emptied, sol.decode,
+                                  ((0, n0 - 1), (2, 0)))
+        assert decode_fields(resumed) == full_or_error(ci, emptied)
 
     def test_first_changed_turn_of_each_machine_case(self):
-        # The three cases of the rule, each setting T: a difference inside
-        # a machine's old sequence, a machine that grows past its old end
-        # and one that was empty.  A grown machine's operation comes off
-        # the end of a machine whose last turn is later, so that difference
-        # gives a later turn.
-        # Every operation placed before T in the base keeps its turn and
-        # placement in a full decode, and the resumed decode equals it.
+        # T for a difference inside one machine's sequence, and for two
+        # machines, one of which grows past its old end, named at its old
+        # last position.  Every operation placed before T in the base keeps
+        # its turn and placement in a full decode, and the resumed decode
+        # equals it.
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=3, n_column_types=4,
             seed=33, unchecked=True))
@@ -639,27 +705,28 @@ class TestResumedDecode:
                   seqs[1], seqs[2]]
         by_last_turn = sorted(range(3), key=lambda m: turn_of[seqs[m][-1]])
         early, late = by_last_turn[0], by_last_turn[-1]
-        assert turn_of[seqs[early][-1]] + 1 < turn_of[seqs[late][-1]]
+        assert turn_of[seqs[early][-1]] < turn_of[seqs[late][-1]]
         grown = list(seqs)
         grown[early] = seqs[early] + seqs[late][-1:]
         grown[late] = seqs[late][:-1]
-        no_m2 = [seqs[0] + seqs[2], seqs[1], []]
-        emptied = place_sequences(ci, no_m2)
         cases = [
-            (base, inside, turn_of[seqs[0][5]]),
-            (base, grown, turn_of[seqs[early][-1]] + 1),
-            (emptied, [no_m2[0], no_m2[1][:-1], no_m2[1][-1:]], 0),
+            (inside, ((0, 5),), turn_of[seqs[0][5]]),
+            (grown, ((early, len(seqs[early]) - 1),
+                     (late, len(seqs[late]) - 1)), turn_of[seqs[early][-1]]),
         ]
-        for old, new, expected in cases:
-            first = engine._first_changed_turn(old, new)
+        for new, changed, expected in cases:
+            assert named_positions(changed) == {
+                m: min(d, len(seqs[m]) - 1)
+                for m, d in first_differences(seqs, new).items()}
+            first = first_changed_turn(base, changed)
             assert first == expected
             full = place_sequences(ci, new)
             for o in range(ci.n_ops):
-                if old.turn_of[o] < first:
-                    assert full.turn_of[o] == old.turn_of[o]
-                    assert full.starts[o] == old.starts[o]
-                    assert full.comps[o] == old.comps[o]
-            assert (decode_fields(place_sequences(ci, new, base=old))
+                if turn_of[o] < first:
+                    assert full.turn_of[o] == turn_of[o]
+                    assert full.starts[o] == base.starts[o]
+                    assert full.comps[o] == base.comps[o]
+            assert (decode_fields(place_sequences(ci, new, base, changed))
                     == decode_fields(full))
 
     def test_resumes_at_the_first_changed_turn(self):
@@ -673,9 +740,10 @@ class TestResumedDecode:
         base = place_sequences(ci, [seq])
         assert base.turn_of == seq
         for p in (0, 1, 15, 16, 17, 31, 32, 47, 48, 58):
-            moved = [seq[:p] + seq[-1:] + seq[p:-1]]
-            assert engine._first_changed_turn(base, moved) == p
-            resumed = place_sequences(ci, moved, base=base)
+            moved, changed = _move([seq], 0, 59, 60, 0, p, p + 1, False)
+            assert moved == [seq[:p] + seq[-1:] + seq[p:-1]]
+            assert first_changed_turn(base, changed) == p
+            resumed = place_sequences(ci, moved, base, changed)
             assert decode_fields(resumed) == full_or_error(ci, moved)
 
     def test_no_slot_error_leaves_base_usable(self):
@@ -692,15 +760,15 @@ class TestResumedDecode:
         before = decode_fields(base)
         late_b = [a + [b]]  # b's setup would start at 1005
         # the decode resumes at b's old turn, past 16 turns of a's
-        assert engine._first_changed_turn(base, late_b) == 17
+        assert first_changed_turn(base, ((0, 17),)) == 17
         with pytest.raises(NoSlotError):
             place_sequences(ci, late_b)
         with pytest.raises(NoSlotError):
-            place_sequences(ci, late_b, base=base)
+            place_sequences(ci, late_b, base, ((0, 17),))
         assert decode_fields(base) == before
         assert decode_fields(base) == full_or_error(ci, base.seqs)
         moved = [a[:18] + [b] + a[18:]]
-        assert (decode_fields(place_sequences(ci, moved, base=base))
+        assert (decode_fields(place_sequences(ci, moved, base, ((0, 17),)))
                 == full_or_error(ci, moved))
 
     def test_a_move_on_one_machine_searches_less_than_it_replays(
@@ -721,10 +789,11 @@ class TestResumedDecode:
         for m, seq in enumerate(sol.seqs):
             n = len(seq)
             for lo in (n // 4, n // 2, 3 * n // 4):
-                moved = _move(sol.seqs, m, n - 1, n, m, lo, lo + 1, False)
+                moved, changed = _move(sol.seqs, m, n - 1, n, m, lo, lo + 1,
+                                       False)
                 calls.clear()
-                resumed = place_sequences(ci, moved, base=base)
-                replayed = ci.n_ops - engine._first_changed_turn(base, moved)
+                resumed = place_sequences(ci, moved, base, changed)
+                replayed = ci.n_ops - first_changed_turn(base, changed)
                 assert len(calls) == len(resumed.searched) < replayed
                 assert decode_fields(resumed) == full_or_error(ci, moved)
                 # an operation left unsearched kept base's placement
@@ -734,12 +803,13 @@ class TestResumedDecode:
                            for o in range(ci.n_ops) if o not in searched)
 
     def test_clean_families_catch_up_at_a_mismatch(self, monkeypatch):
-        # m0 runs 60 fA operations (3 units), m1 60 fB ones (2 units).  The
-        # change moves every other fB operation to m2, so the decode resumes
-        # at turn 0.  fA on m0 keeps each placement, so it is never
-        # searched, and its profile is never built.  On m2, b01 starts at
-        # its release instead of after b00: the first fB placement that
-        # does not match, which first books b00's skipped placement.
+        # m0 runs 60 fA operations (3 units), m1 fB ones (2 units) and m2
+        # the last fB one.  The change moves every other fB operation to
+        # m2, so the decode resumes at turn 2, m2's first.  fA on m0 keeps
+        # each placement, so it is never searched, and its profile is never
+        # built.  On m2, b01 starts at its release instead of after b00:
+        # the first fB placement that does not match, which first books
+        # b00's placement, restored from before turn 2 and never booked.
         inst = tiny_instance(
             [(f"a{i:02d}", 0, 100_000, [("fA", 10, 5, ("m0",))])
              for i in range(60)]
@@ -749,7 +819,7 @@ class TestResumedDecode:
         ci = compile_instance(inst)
         a = [ci.op_index[f"a{i:02d}.1"] for i in range(60)]
         b = [ci.op_index[f"b{i:02d}.1"] for i in range(60)]
-        base = place_sequences(ci, [a, b, []])
+        base = place_sequences(ci, [a, b[:-1], b[-1:]])
         booked = []
 
         def recording(times, levels, start, end):
@@ -759,8 +829,10 @@ class TestResumedDecode:
         reserve_step = engine.reserve_step
         monkeypatch.setattr(engine, "reserve_step", recording)
         moved = [a, b[0::2], b[1::2]]
-        assert engine._first_changed_turn(base, moved) == 0
-        resumed = place_sequences(ci, moved, base=base)
+        changed = ((1, 1), (2, 0))
+        assert named_positions(changed) == first_differences(base.seqs, moved)
+        assert first_changed_turn(base, changed) == 2
+        resumed = place_sequences(ci, moved, base, changed)
         assert not set(a) & set(resumed.searched)
         assert [units for units, _, _ in booked].count(3) == 0
         assert b[0] not in resumed.searched and b[1] in resumed.searched
@@ -793,15 +865,17 @@ class TestResumedDecode:
         caught_up = compared = 0
         for move in MOVES * 3:
             for _ in range(10):
-                neighbor = _propose(ci, sol, move, rng)
-                if neighbor is None:
+                proposal = _propose(ci, sol, move, rng)
+                if proposal is None:
                     continue
+                neighbor, changed = proposal
                 full = full_or_error(ci, neighbor)
                 events.clear()
                 monkeypatch.setattr(engine, "find_earliest", searching)
                 monkeypatch.setattr(engine, "reserve_step", booking)
                 try:
-                    resumed = place_sequences(ci, neighbor, base=sol.decode)
+                    resumed = place_sequences(ci, neighbor, sol.decode,
+                                              changed)
                 except NoSlotError:
                     assert full is NoSlotError
                     continue
@@ -841,15 +915,16 @@ class TestResumedDecode:
         params = SaParams(structure=structure, max_iterations=500)
         resumed = []
 
-        def counting(ci, seqs, base=None):
+        def counting(ci, seqs, base=None, changed=()):
             resumed.append(base is not None)
-            return place_sequences(ci, seqs, base=base)
+            return place_sequences(ci, seqs, base, changed)
 
         monkeypatch.setattr(annealing, "place_sequences", counting)
         with_base = run_sa(inst, initial, params, seed=3)
         assert sum(resumed) > 300
         monkeypatch.setattr(annealing, "place_sequences",
-                            lambda ci, seqs, base=None: place_sequences(ci, seqs))
+                            lambda ci, seqs, base=None, changed=():
+                            place_sequences(ci, seqs))
         without_base = run_sa(inst, initial, params, seed=3)
         assert with_base == without_base  # every field, trace included
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -54,6 +55,18 @@ class TestTimeWindowSet:
     def test_rejects_reversed(self):
         with pytest.raises(ValueError):
             tws((10, 5))
+
+    @pytest.mark.parametrize("window", [(0.5, 100.5), (0, 100.0),
+                                        (math.nan, 10), (0, math.nan),
+                                        (True, 10), (0, "10")])
+    def test_rejects_a_bound_that_is_not_an_integer_minute(self, window):
+        with pytest.raises(ValueError, match=re.escape(f"window {window!r}")):
+            tws((200, 300), window)
+
+    def test_unbounded_ends_are_allowed(self):
+        assert tws((-math.inf, 10), (20, math.inf)).windows == (
+            (-math.inf, 10), (20, math.inf))
+        assert tws((-math.inf, math.inf)).contains(-10**12)
 
     def test_contains_and_next_point(self):
         s = tws((10, 20), (30, 40))

@@ -1,14 +1,21 @@
-"""Certification of the lower-bound oracle that criterion 5 relies on."""
+"""Certification of the lower-bound oracle that criterion 5 relies on, and
+of the serial-generation oracles against the list scheduler and the
+annealer's decoder."""
 
 import random
 from dataclasses import replace
 
+import pytest
+
 from chromsched.availability import TimeWindowSet
+from chromsched.engine import compile_instance
+from chromsched.experiments import parse_algorithm
 from chromsched.generator import generate_design, generate_instance
 from chromsched.list_scheduler import run_lta
 from chromsched.model import total_tardiness
 
-from oracles import enumerated_optimum, lower_bound, micro_instance
+from oracles import (enumerated_optimum, lower_bound, micro_instance,
+                     serial_decode, sgs_optimum)
 
 # 30-minute operator windows every 4 hours: setups often wait for a window.
 SPARSE_WINDOWS = TimeWindowSet(tuple((k * 240, k * 240 + 30)
@@ -39,6 +46,52 @@ def test_lower_bound_never_exceeds_enumerated_optimum():
     # The bound is not vacuous: it proves a positive optimum where setups
     # wait for a window or for the origin.
     assert tight["sparse-windows"] > 0 and tight["origin-60"] > 0, tight
+
+
+def test_lower_bound_never_exceeds_the_serial_generation_optimum():
+    # Serial generation over every assignment and order reaches an optimum.
+    # The annealer's decoder places in one such order, its turn order, so
+    # the serial optimum is never above the enumerated one either.
+    master = random.Random(0)
+    instances = [micro_instance(master) for _ in range(50)]
+    violations = []
+    for name, variant in VARIANTS.items():
+        for index, base in enumerate(instances):
+            instance = variant(base)
+            bound = lower_bound(instance)
+            optimum = sgs_optimum(instance)
+            enumerated = enumerated_optimum(instance)
+            if not bound <= optimum <= enumerated:
+                violations.append((name, index, bound, optimum, enumerated))
+    assert violations == []
+
+
+#: Rule tokens of the serial-decode slice: the benchmark's 7 and two more.
+SLICE_TOKENS = ("random", "edd", "atc", "atcs", "atcoee", "atcoeef",
+                "lfm_lfo", "lfm_atcoee", "atcs.1.1")
+
+
+@pytest.mark.parametrize("load", [70, 140])
+def test_serial_decode_of_a_greedy_schedule_is_that_schedule(load):
+    # Placing a list-scheduler schedule's operations in start order, each
+    # on its machine, gives back every start, completion and setup flag:
+    # the list scheduler builds a serial-generation schedule.
+    design = generate_design(loads=(load,), seeds_per_cell=1, master_seed=0)
+    for cfg, solver_seed in design[::2]:
+        instance = generate_instance(cfg)
+        ci = compile_instance(instance)
+        for token in SLICE_TOKENS:
+            schedule = run_lta(instance, parse_algorithm(token).rule_params,
+                               seed=solver_seed)
+            placements = schedule.placements
+            order = [ci.op_index[p.operation_id] for p in placements]
+            machine_of = [0] * ci.n_ops
+            for o, p in zip(order, placements):
+                machine_of[o] = ci.machine_index[p.machine]
+            starts, comps, setups = serial_decode(ci, order, machine_of)
+            assert [(starts[o], comps[o], setups[o]) for o in order] == [
+                (p.start, p.completion, p.setup_performed)
+                for p in placements], (cfg, token)
 
 
 def test_lower_bound_proves_the_greedy_optimum_on_two_design_points():
