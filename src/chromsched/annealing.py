@@ -1,12 +1,13 @@
-"""Simulated annealing over per-machine operation sequences.
+"""Simulated annealing over an operation list and a machine assignment.
 
-A solution is one ordered sequence of operation indices per machine;
-`engine.place_sequences` decodes it by forward placement under all constraints.
-Neighbors move either single operations or packs (maximal same-family runs
-with no setup or idle gap inside) by insertion or exchange; the first moved
-item is drawn with probability proportional to its share of the total
-tardiness, and the second is looked for between the first item's ready date
-and its current start.
+A solution is a list of operation indices and a machine for each
+operation; `engine.place_sequences` decodes it by serial schedule
+generation under all constraints.  Neighbors move either single operations
+or packs (maximal same-family runs on one machine with no setup or idle gap
+inside) by insertion or exchange; the first moved item is drawn with
+probability proportional to its share of the total tardiness, and the
+second is looked for between the first item's ready date and its current
+start.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .engine import (CompiledInstance, compile_instance, place_sequences,
-                     schedule_from_arrays, sequences_from_schedule)
+                     schedule_from_arrays)
 from .errors import NoSlotError
 from .model import Instance, Schedule, total_tardiness, validate_schedule
 
@@ -243,27 +244,45 @@ def _draw_index(cum: list[float], total: float, rng: random.Random) -> int:
     return min(idx, len(cum) - 1)
 
 
-def _move(seqs, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
+def _move(base, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
           exchanging: bool):
-    """New per-machine sequences in which the block seqs[m1][lo1:hi1] is
-    inserted before, or exchanged with, the block seqs[m2][lo2:hi2], and
-    the positions where the blocks started, ((m1, lo1), (m2, lo2)).
+    """The list and assignment in which the block base.seqs[m1][lo1:hi1] is
+    inserted before, or exchanged with, the block base.seqs[m2][lo2:hi2],
+    and `first`, the first list position at which they differ from `base`'s.
 
-    Both blocks are non-empty, and on one machine the second must be the
-    earlier one (hi2 <= lo1).  So each changed machine first differs at the
-    smaller of its positions, which is inside its old sequence: the pairs
-    are `place_sequences`' `changed`.
+    Insertion puts the first block's members, contiguous, just before the
+    second block's first operation, on that block's machine.  Exchange puts
+    each block, contiguous, at the other's first slot, on the other's
+    machine.  Both blocks are non-empty, and on one machine the second must
+    be the earlier one (hi2 <= lo1), so each machine's sequence changes as
+    if the blocks were cut out and spliced in.  `first` is the smaller of
+    the two blocks' first positions: a slot before it is untouched, and at
+    it either another operation stands or, for an insertion across
+    machines, the same one on another machine.
     """
-    if not exchanging:
-        hi2 = lo2  # an insertion exchanges with the empty block at lo2
-    new = list(seqs)
-    a, b = seqs[m1], seqs[m2]
-    if m1 == m2:
-        new[m1] = a[:lo2] + a[lo1:hi1] + a[hi2:lo1] + a[lo2:hi2] + a[hi1:]
+    order, pos_of = base.order, base.pos_of
+    a = base.seqs[m1][lo1:hi1]
+    b = base.seqs[m2][lo2:hi2]
+    machine_of = base.machine_of[:]
+    for o in a:
+        machine_of[o] = m2
+    # the list's edits: the operations each edited slot holds instead
+    edits = dict.fromkeys(map(pos_of.__getitem__, a), ())
+    i, j = pos_of[a[0]], pos_of[b[0]]
+    if exchanging:
+        for o in b:
+            machine_of[o] = m1
+            edits[pos_of[o]] = ()
+        edits[i], edits[j] = b, a
     else:
-        new[m1] = a[:lo1] + b[lo2:hi2] + a[hi1:]
-        new[m2] = b[:lo2] + a[lo1:hi1] + b[hi2:]
-    return new, ((m1, lo1), (m2, lo2))
+        edits[j] = a + b[:1]
+    new, prev = [], 0
+    for p in sorted(edits):
+        new += order[prev:p]
+        new += edits[p]
+        prev = p + 1
+    new += order[prev:]
+    return new, machine_of, min(i, j)
 
 
 def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
@@ -291,7 +310,8 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
             if p1.index + 1 >= len(per_machine):
                 return None
             succ = per_machine[p1.index + 1]
-            return _move(sol.seqs, m1, succ.lo, succ.hi, m1, lo1, hi1, True)
+            return _move(sol.decode, m1, succ.lo, succ.hi, m1, lo1, hi1,
+                         True)
         ready, s1, fam1, eligible = p1.ready, p1.start, p1.family, p1.machines
     if s1 <= ready:
         return None
@@ -330,14 +350,14 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
     if not cands:
         return None
     m2, lo2, hi2 = cands[rng.randrange(len(cands))]
-    return _move(sol.seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging)
+    return _move(sol.decode, m1, lo1, hi1, m2, lo2, hi2, exchanging)
 
 
 def _propose(ci: CompiledInstance, sol: _Solution, move: _Move,
              rng: random.Random):
-    """New per-machine sequences one `move` away from `sol` with the
-    positions the move changed (see `_move`), or None when
-    `_RESAMPLE_LIMIT` draws find no admissible second item."""
+    """The list, assignment and first changed position one `move` away from
+    `sol` (see `_move`), or None when `_RESAMPLE_LIMIT` draws find no
+    admissible second item."""
     for _ in range(_RESAMPLE_LIMIT):
         proposal = _attempt(ci, sol, move, rng)
         if proposal is not None:
@@ -358,9 +378,7 @@ class SaResult:
     so row i is iteration i + 1; `trace` builds the rows.
 
     `termination` is "optimum", "max-iterations" or "dead-levels" (see
-    `run_sa`), or "initial-decode" when the initial schedule's per-machine
-    sequences do not decode: the search never starts, and the initial
-    schedule comes back with `decode_failures` 1.
+    `run_sa`).
     """
 
     schedule: Schedule
@@ -390,7 +408,24 @@ def run_sa(instance: Instance, initial: Schedule,
     """Anneal from a feasible initial schedule; never returns worse.
 
     Raises ValueError naming the first violation when `validate_schedule`
-    rejects `initial`.
+    rejects `initial`, or the first operation that starts before the
+    horizon origin.
+
+    The search starts from `initial`'s operations in (start, machine,
+    operation) order, each on its machine, and the decode of that list
+    never raises: it starts and ends every operation no later than
+    `initial` does.  By induction over the list: each machine runs its
+    operations in `initial`'s order, so it sets up exactly where `initial`
+    must, and an operation's occupation is no longer than in `initial`.
+    Its machine's clock, the decoded completion of the previous operation
+    there, is at most that operation's completion in `initial`, so at most
+    the operation's start there, and so are its release and the origin.
+    Every operation placed before it started no later in `initial`, so at
+    any minute from the operation's start in `initial` on, such an
+    operation holds a column unit in the decode only if it held one in
+    `initial`, where the operation itself held another.  That start is
+    thus free for the whole occupation, and inside an operator window when
+    the operation sets up, so the search returns it or an earlier one.
 
     The first `_DESCENT_ITERATIONS` proposals are a pure descent whose mean
     absolute tardiness change calibrates the starting temperature so a
@@ -404,6 +439,12 @@ def run_sa(instance: Instance, initial: Schedule,
     violations = validate_schedule(instance, initial)
     if violations:
         raise ValueError(f"infeasible initial schedule: {violations[0]}")
+    for p in initial.placements:
+        if p.start < instance.horizon_origin:
+            raise ValueError(
+                f"infeasible initial schedule: {p.operation_id} starts at "
+                f"{p.start}, before the horizon origin "
+                f"{instance.horizon_origin}")
     params = params or SaParams()
     ci = compile_instance(instance)
     rng = random.Random(seed)
@@ -439,12 +480,13 @@ def run_sa(instance: Instance, initial: Schedule,
     if initial_tardiness == 0:
         return result("optimum", 0.0)
 
-    try:
-        decoded = place_sequences(ci, sequences_from_schedule(ci, initial))
-    except NoSlotError:
-        decode_failures = 1
-        return result("initial-decode", 0.0)
-    current = _Solution(ci, decoded)
+    placements = sorted(initial.placements,
+                        key=lambda p: (p.start, p.machine, p.operation_id))
+    order = [ci.op_index[p.operation_id] for p in placements]
+    machine_of = [0] * ci.n_ops
+    for o, p in zip(order, placements):
+        machine_of[o] = ci.machine_index[p.machine]
+    current = _Solution(ci, place_sequences(ci, order, machine_of))
     if current.tardiness < best_tardiness:
         best_tardiness = current.tardiness
         best = current.decode
@@ -475,9 +517,10 @@ def run_sa(instance: Instance, initial: Schedule,
         if proposal is None:
             proposal_failures += 1
         else:
-            new_seqs, changed = proposal
+            order, machine_of, first = proposal
             try:
-                placed = place_sequences(ci, new_seqs, current.decode, changed)
+                placed = place_sequences(ci, order, machine_of, current.decode,
+                                         first)
             except NoSlotError:
                 decode_failures += 1
             else:

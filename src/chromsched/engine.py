@@ -7,35 +7,34 @@ documented lexicographic tie-breaks.  Column profiles live in mutable
 `availability.reserve_step`.
 
 A decode resumed from an earlier one (`place_sequences` with `base` and
-the positions that changed) starts at the first turn that can differ from
-`base`; `place_sequences` proves that every turn before it repeats `base`.
-From there it does not search a placement it can prove repeats `base`.  A
-placement's start is `find_earliest` over its family's column profile, its
-t_min, its duration and, when it needs a setup, the fixed operator
-windows; nothing else.  A family is *clean* while every placement of it
-since the first changed turn has been `base`'s placement (same start and
-completion) of the family's next operation in `base`'s turn order.  A
-profile is its family's bookings, so a clean family's profile is `base`'s
-after its last placed operation.  The next operation of a clean family in
-`base`'s order, met with `base`'s t_min and setup flag, has `base`'s
-duration too, so the search returns `base`'s start, and booking it keeps
-the family clean.  Such a family's profile is therefore only built when a
-search needs it.
+the first list position that changed) starts at that position; every
+placement before it repeats `base`.  From there it does not search a
+placement it can prove repeats `base`.  A placement's start is
+`find_earliest` over its family's column profile, its t_min, its duration
+and, when it needs a setup, the fixed operator windows; nothing else.  A
+family is *clean* while every placement of it since the first changed
+position has been `base`'s placement (same start and completion) of the
+family's next operation in `base`'s list order.  A profile is its
+family's bookings, so a clean family's profile is `base`'s after its last
+placed operation.  The next operation of a clean family in `base`'s order,
+met with `base`'s t_min and setup flag, has `base`'s duration too, so the
+search returns `base`'s start, and booking it keeps the family clean.
+Such a family's profile is therefore only built when a search needs it.
 
-It is built from the bookings that end after the clock of the turn that
-needs it; the others are never read.  The clocks of successive turns never
-decrease: a machine goes back on the heap with its new completion, which
-is after its start, which is at least its t_min, which is at least the
-clock.  A search reads its profile only from its t_min on, which is at
-least its turn's clock, so a booking [s, c) with c at or before the clock
-of an earlier turn changes no level that a search reads.
+It is built from the bookings that end after the floor, the smallest
+machine clock at the first changed position; the others are never read.
+A machine's clock only rises as its operations are placed, so every
+later t_min is at least the floor.  A search reads its profile only from
+its t_min on, so a booking [s, c) with c at or before the floor changes
+no level that a search reads.  Clocks do not rise from one list position
+to the next (the next operation may be on a machine that is further
+behind), so the floor is fixed at the first changed position.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heapreplace
 from typing import NamedTuple
 
 from .availability import find_earliest, reserve_step
@@ -151,12 +150,13 @@ def compile_instance(instance: Instance) -> CompiledInstance:
 
 
 class _Decode(NamedTuple):
-    """What `place_sequences` returns: the decoded sequences, their total
-    tardiness and per-operation starts, completions, setup flags and
-    machines, each operation's same-family predecessor in turn order (-1
-    for none), earliest allowed start t_min and turn, each family's last
-    placed operation (-1 for none), and the operations the decode searched
-    (in turn order).  Nothing in it is mutated after the decode."""
+    """What `place_sequences` returns: per-machine sequences in list order,
+    the total tardiness and per-operation starts, completions, setup flags
+    and machines, each operation's same-family predecessor in list order
+    (-1 for none) and earliest allowed start t_min, the list and each
+    operation's position in it, each family's last placed operation (-1 for
+    none), and the operations the decode searched (in list order).  Nothing
+    in it is mutated after the decode."""
 
     seqs: list[list[int]]
     tardiness: int
@@ -166,46 +166,35 @@ class _Decode(NamedTuple):
     machine_of: list[int]
     family_pred: list[int]
     t_mins: list[int]
-    turn_of: list[int]
+    order: list[int]
+    pos_of: list[int]
     last: list[int]
     searched: list[int]
 
 
-def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
-                    base: _Decode | None = None,
-                    changed: tuple[tuple[int, int], ...] = ()) -> _Decode:
-    """Forward-place fixed per-machine sequences at their earliest starts.
-
-    Machines take turns by smallest clock (ties by machine index); each
-    front operation is placed at its earliest feasible start and its column
-    occupation booked before the next turn.  Returns a `_Decode`; raises
+def place_sequences(ci: CompiledInstance, order: list[int],
+                    machine_of: list[int], base: _Decode | None = None,
+                    first: int = 0) -> _Decode:
+    """Serial schedule generation: place the operations one by one in
+    `order`, operation o on machine `machine_of[o]` at its earliest feasible
+    start at or after its release and its machine's clock, and book its
+    column occupation before the next.  Returns a `_Decode`; raises
     NoSlotError when an operation that needs a setup has no operator window
-    left.  `seqs` must not be changed afterwards.
+    left.  `order` and `machine_of` must not be changed afterwards.
 
-    With `base`, an earlier decode of the same instance, `changed` names
-    (machine, position) pairs: each machine whose sequence differs from
-    `base.seqs` appears in one, at a position d < len(base.seqs[m]) at or
-    before its first difference, so a machine empty in `base` stays empty.
-    The decode starts at T, the smallest `base.turn_of[base.seqs[m][d]]`
-    over the pairs, before which every turn repeats `base`, by induction
-    over the turns: while every earlier turn repeated `base`, each machine
-    has `base`'s position and clock.  An unchanged machine is in both heaps
-    with the same key and front.  `base` places base.seqs[m][d] at a turn
-    of at least T, so before T a changed machine has placed at most its
-    first d operations, which both sequences share.  Until it has placed d
-    it too is in both heaps with the same key and front; once it has, its
-    front may differ or it may be missing from the new heap, but `base`
-    does not pop it before T, so it is the top of neither.
+    With `base`, an earlier decode of the same instance, `first` is a list
+    position at or before the first at which (`order`, `machine_of`)
+    differs from `base`'s.  Every placement before it repeats `base`, so
+    the decode restores the state at `first` from `base`'s arrays with no
+    replay: each machine's sequence is its operations of position below
+    `first`, its clock and last family are its previous operation's, and
+    each family's last operation walks `base.family_pred` back from
+    `base.last` to the first of position below `first`.  Job completions
+    are read off the completions at the end.  The result is the one a full
+    decode gives.  `base` is only read, so it stays usable after a
+    NoSlotError.
 
-    The decode restores the state at T from `base`'s arrays with no
-    replay: each machine's position counts its operations of turn below T,
-    its clock and last family are its previous operation's, and each
-    family's last operation walks `base.family_pred` back from `base.last`
-    to the first of turn below T.  Job completions are read off the
-    completions at the end.  The result is the one a full decode gives.
-    `base` is only read, so it stays usable after a NoSlotError.
-
-    From T on, the decode searches only what the change can move (the
+    From `first` on, the decode searches only what the change can move (the
     module docstring has the rule and its proof).  An operation of a clean
     family whose `base` same-family predecessor is the family's last placed
     operation, and whose t_min and setup flag equal `base`'s, takes
@@ -213,75 +202,71 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
     starts from an empty profile; a clean family's profile is brought up
     to date only at its first placement that does not match, by booking
     `base`'s placements of it since it was last brought up to date that end
-    after the turn's clock.  `searched` lists the operations the decode
-    searched; every other one has `base`'s start and completion.
+    after the smallest machine clock at `first`.  `searched` lists the
+    operations the decode searched; every other one has `base`'s start and
+    completion.
     """
     n_families = len(ci.units)
-    n_machines = len(seqs)
     family = ci.family
-    pos = [0] * n_machines
-    clocks = [ci.origin] * n_machines
-    last_family = [-1] * n_machines
+    clocks = [ci.origin] * ci.n_machines
+    last_family = [-1] * ci.n_machines
     if base is None:
         n_ops = ci.n_ops
+        seqs = [[] for _ in clocks]
         starts = [0] * n_ops
         comps = [0] * n_ops
         setups = [False] * n_ops
-        machine_of = [0] * n_ops
         family_pred = [-1] * n_ops
         t_mins = [0] * n_ops
-        turn_of = [0] * n_ops
+        pos_of = [0] * n_ops
         last = [-1] * n_families
-        turn = 0
+        first = 0
         base_starts = base_comps = base_setups = None
         base_pred = base_t_mins = None
         clean = [False] * n_families
     else:
-        turn_key = base.turn_of.__getitem__
-        turn = min(turn_key(base.seqs[m][d]) for m, d in changed)
+        pos_key = base.pos_of.__getitem__
         base_starts, base_comps = base.starts, base.comps
         base_setups, base_pred, base_t_mins = (base.setups, base.family_pred,
                                                base.t_mins)
         starts = base_starts[:]
         comps = base_comps[:]
         setups = base_setups[:]
-        machine_of = base.machine_of[:]
         family_pred = base_pred[:]
         t_mins = base_t_mins[:]
-        turn_of = base.turn_of[:]
-        # a changed machine's operations of turn below T are the shared
-        # prefix of its old and new sequences
+        pos_of = base.pos_of[:]
+        seqs = []
         for m, seq in enumerate(base.seqs):
-            p = pos[m] = bisect_left(seq, turn, key=turn_key)
+            p = bisect_left(seq, first, key=pos_key)
+            seqs.append(seq[:p])
             if p:
                 o = seq[p - 1]
                 clocks[m] = base_comps[o]
                 last_family[m] = family[o]
+        floor = min(clocks)
         last = []
         for o in base.last:
-            while o >= 0 and turn_key(o) >= turn:
+            while o >= 0 and pos_key(o) >= first:
                 o = base_pred[o]
             last.append(o)
         clean = [True] * n_families
 
     prof_times, prof_levels = ci.fresh_profiles()
     # A clean family's profile is `base`'s after operation upto[f] at every
-    # minute from the clock of the turn that last brought it up to date.
+    # minute from `floor` on.
     upto = [-1] * n_families
     searched = []
-    heap = [(clocks[m], m) for m, seq in enumerate(seqs) if pos[m] < len(seq)]
-    heapify(heap)
 
     win_starts, win_ends = ci.win_starts, ci.win_ends
     proc, setup, release = ci.proc, ci.setup, ci.release
 
-    def catch_up(f, clock):
+    def catch_up(f):
         """Book on clean family f's profile `base`'s placements of f after
-        upto[f] up to its last placed operation that end after `clock`."""
+        upto[f] up to its last placed operation that end after `floor`."""
         chain = []
         o = last[f]
         while o != upto[f]:
-            if base_comps[o] > clock:
+            if base_comps[o] > floor:
                 chain.append(o)
             o = base_pred[o]
         upto[f] = last[f]
@@ -289,12 +274,11 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         for o in reversed(chain):
             reserve_step(times, levels, base_starts[o], base_comps[o])
 
-    while heap:
-        clock, m = heap[0]
-        seq = seqs[m]
-        p = pos[m]
-        o = seq[p]
+    for i in range(first, len(order)):
+        o = order[i]
+        m = machine_of[o]
         f = family[o]
+        clock = clocks[m]
         rel = release[o]
         t_min = clock if clock > rel else rel
         needs_setup = f != last_family[m]
@@ -306,7 +290,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
             c = base_comps[o]
         else:
             if clean[f] and upto[f] != prev:
-                catch_up(f, clock)
+                catch_up(f)
             times, levels = prof_times[f], prof_levels[f]
             duration = proc[o] + setup[o] if needs_setup else proc[o]
             if needs_setup:
@@ -329,16 +313,11 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
                     upto[f] = o
                 else:
                     clean[f] = False
-        machine_of[o] = m
-        turn_of[o] = turn
-        turn += 1
+        seqs[m].append(o)
+        pos_of[o] = i
         last[f] = o
         last_family[m] = f
-        pos[m] = p + 1
-        if p + 1 < len(seq):
-            heapreplace(heap, (c, m))
-        else:
-            heappop(heap)
+        clocks[m] = c
 
     # every job has an operation, so each is a real completion
     job_comp = [_NEG_INF] * len(ci.job_ids)
@@ -350,20 +329,7 @@ def place_sequences(ci: CompiledInstance, seqs: list[list[int]],
         if completed > due:
             tardiness += completed - due
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
-                   family_pred, t_mins, turn_of, last, searched)
-
-
-def sequences_from_schedule(ci: CompiledInstance, schedule: Schedule) -> list[list[int]]:
-    """Per-machine operation sequences (by index) in start order."""
-    seqs: list[list[tuple[int, int]]] = [[] for _ in ci.machine_ids]
-    for placed in schedule.placements:
-        m = ci.machine_index[placed.machine]
-        seqs[m].append((placed.start, ci.op_index[placed.operation_id]))
-    out = []
-    for entries in seqs:
-        entries.sort()
-        out.append([o for _, o in entries])
-    return out
+                   family_pred, t_mins, order, pos_of, last, searched)
 
 
 def schedule_from_arrays(ci: CompiledInstance, seqs: list[list[int]],

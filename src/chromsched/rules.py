@@ -136,11 +136,8 @@ def atcoee_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
     OEE is 1 when the machine spends no time on setup or waiting and decays
     as the assignment consumes idle or setup time.
     """
-    span = c.completion - c.machine_clock
-    if span <= 0:
-        raise ValueError(
-            f"candidate op {c.op} on machine {c.machine}: completion before clock")
-    oee = c.processing / span
+    # the completion is at least the clock plus the processing time
+    oee = c.processing / (c.completion - c.machine_clock)
     return atc_priority(c, p_bar, params) * math.exp(oee / params.k2)
 
 
@@ -162,9 +159,6 @@ def select_assignment(candidates: list[Candidate], params: RuleParams,
     on candidate order, (machine, op) first, so selection is deterministic
     for a given rng state.
     """
-    if not candidates:
-        raise ValueError("empty candidate list")
-
     pool = sorted(candidates)
 
     rule = params.rule
@@ -181,15 +175,7 @@ def select_assignment(candidates: list[Candidate], params: RuleParams,
         score = lambda c: atcs_priority(c, p_bar, s_bar, params)
     elif rule is Rule.ATCOEE:
         score = lambda c: atcoee_priority(c, p_bar, params)
-    elif rule is Rule.ATCOEEF:
+    else:
         score = lambda c: atcoeef_priority(c, p_bar, total_machines, params)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown rule {rule}")
-
-    best = pool[0]
-    best_score = score(best)
-    for c in pool[1:]:
-        s = score(c)
-        if s > best_score:
-            best, best_score = c, s
-    return best
+    # max keeps the first of equal scores, so ties break on pool order
+    return max(pool, key=score)

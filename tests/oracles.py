@@ -3,8 +3,8 @@
 Everything here scans minute by minute, enumerates exhaustively or reckons
 a bound from the instance alone; none of it shares code with the
 implementations under test.  The exceptions are `enumerated_optimum`,
-which scores every enumerated encoding with the annealer's own decoder, so
-its optimum is the best schedule that decoder can reach;
+which scores every enumerated list and assignment with the annealer's own
+decoder, so its optimum is the best schedule that decoder can reach;
 `run_lta_full_recompute`, which reuses the list scheduler's selection and
 commit but computes every open candidate each loop with its own
 `find_earliest` search, so it checks the scheduler's cache invalidation and
@@ -126,44 +126,19 @@ def scan_schedule_violations(instance: Instance, schedule: Schedule,
 
 
 def all_sequences(ci):
-    """Every (assignment, per-machine order) of a tiny compiled instance,
-    as the per-machine operation-index sequences the annealer searches."""
-    ops = list(range(ci.n_ops))
-
-    def assignments(i):
-        if i == len(ops):
-            yield []
-            return
-        for rest in assignments(i + 1):
-            for m in ci.eligible[ops[i]]:
-                yield [(ops[i], m)] + rest
-
-    for assignment in assignments(0):
-        per_machine: dict[int, list[int]] = {}
-        for o, m in assignment:
-            per_machine.setdefault(m, []).append(o)
-        machine_orders = []
-        for m in range(ci.n_machines):
-            members = per_machine.get(m, [])
-            machine_orders.append(list(permutations(members)))
-
-        def product_orders(idx, acc):
-            if idx == ci.n_machines:
-                yield list(acc)
-                return
-            for order in machine_orders[idx]:
-                acc.append(list(order))
-                yield from product_orders(idx + 1, acc)
-                acc.pop()
-
-        yield from product_orders(0, [])
+    """Every (order, assignment) of a tiny compiled instance: each
+    permutation of the operation indices with each assignment of the
+    operations to eligible machines, as the annealer searches them."""
+    for machine_of in product(*ci.eligible):
+        for order in permutations(range(ci.n_ops)):
+            yield list(order), list(machine_of)
 
 
 def enumerated_optimum(instance: Instance) -> int:
     """Least total tardiness of `place_sequences` over `all_sequences`."""
     ci = compile_instance(instance)
-    return min(place_sequences(ci, seqs).tardiness
-               for seqs in all_sequences(ci))
+    return min(place_sequences(ci, order, machine_of).tardiness
+               for order, machine_of in all_sequences(ci))
 
 
 def serial_decode(ci, order, machine_of):

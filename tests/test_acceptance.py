@@ -25,7 +25,7 @@ from chromsched.list_scheduler import run_lta
 from chromsched.model import total_tardiness, validate_schedule
 from chromsched.annealing import run_sa
 
-from oracles import enumerated_optimum, lower_bound, micro_instance, scan_earliest
+from oracles import lower_bound, micro_instance, scan_earliest, sgs_optimum
 
 WORKERS = min(2, os.cpu_count() or 1)
 FULL = os.environ.get("RUN_FULL_ACCEPTANCE") == "1"
@@ -171,7 +171,7 @@ def test_criterion_2_placement_oracle():
 
 def _micro_case(seed_pair):
     index, instance = seed_pair
-    optimum = enumerated_optimum(instance)
+    optimum = sgs_optimum(instance)
     initial = run_lta(instance)
     lta_ok = total_tardiness(initial, instance) >= optimum
     hits = 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chromsched.cli import main
 from chromsched.jsonio import write_instance
 
-from test_annealing import undecodable_initial_instance
+from test_annealing import shared_column_instance
 from test_jsonio import instance_docs, maybe
 from test_list_scheduler import no_window_left_instance
 
@@ -72,15 +72,17 @@ class TestGenerateSolveValidate:
         assert rows[0] == ["iteration", "temperature", "current", "best"]
         assert len(rows) > 1
 
-    def test_sa_keeps_an_initial_schedule_that_does_not_decode(self, tmp_path,
-                                                               capsys):
+    def test_sa_anneals_from_an_initial_schedule_on_a_shared_column(
+            self, tmp_path, capsys):
+        # the list scheduler's schedule decodes to itself and no move of
+        # its one tardy operation exists, so the search runs out of levels
         instance = tmp_path / "instance.json"
         schedule = tmp_path / "s.json"
-        write_instance(undecodable_initial_instance(), instance)
+        write_instance(shared_column_instance(), instance)
         code, out, err = run(capsys, "solve", "--instance", str(instance),
                              "--out", str(schedule), "--algorithm", "sa")
         assert (code, err) == (0, "")
-        assert "decode_failures=1 levels=0 termination=initial-decode" in out
+        assert "decode_failures=0 levels=3 termination=dead-levels" in out
         assert "tardiness=5 " in out
         code, out, _ = run(capsys, "validate", "--instance", str(instance),
                            "--schedule", str(schedule))

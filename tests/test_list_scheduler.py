@@ -16,8 +16,8 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import (always_open, enumerated_optimum, run_lta_full_recompute,
-                     scan_earliest)
+from oracles import (always_open, run_lta_full_recompute, scan_earliest,
+                     sgs_optimum)
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -257,15 +257,15 @@ class TestRunLta:
                 last_family = family
 
     def test_never_beats_exhaustive_optimum_decoded_identically(self):
-        # micro instances: greedy result is bounded below by the optimum
-        # over every (assignment, order) decoded the same way
+        # micro instances: greedy result is bounded below by the serial
+        # generation optimum over every assignment and order
         for seed in range(6):
             inst = generate_instance(GenConfig(
                 n_jobs=3, n_routings=2, n_machines=2, n_column_types=2,
                 seed=seed, unchecked=True))
             if inst.n_operations > 5:
                 continue
-            best = enumerated_optimum(inst)
+            best = sgs_optimum(inst)
             got = total_tardiness(run_lta(inst), inst)
             assert got >= best
 

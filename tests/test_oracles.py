@@ -8,9 +8,10 @@ from dataclasses import replace
 import pytest
 
 from chromsched.availability import TimeWindowSet
-from chromsched.engine import compile_instance
+from chromsched.engine import compile_instance, place_sequences
+from chromsched.errors import NoSlotError
 from chromsched.experiments import parse_algorithm
-from chromsched.generator import generate_design, generate_instance
+from chromsched.generator import GenConfig, generate_design, generate_instance
 from chromsched.list_scheduler import run_lta
 from chromsched.model import total_tardiness
 
@@ -49,9 +50,9 @@ def test_lower_bound_never_exceeds_enumerated_optimum():
 
 
 def test_lower_bound_never_exceeds_the_serial_generation_optimum():
-    # Serial generation over every assignment and order reaches an optimum.
-    # The annealer's decoder places in one such order, its turn order, so
-    # the serial optimum is never above the enumerated one either.
+    # Serial generation over every assignment and order reaches an optimum,
+    # and the annealer's decoder is serial generation, so enumerating its
+    # lists and assignments finds the same optimum.
     master = random.Random(0)
     instances = [micro_instance(master) for _ in range(50)]
     violations = []
@@ -61,7 +62,7 @@ def test_lower_bound_never_exceeds_the_serial_generation_optimum():
             bound = lower_bound(instance)
             optimum = sgs_optimum(instance)
             enumerated = enumerated_optimum(instance)
-            if not bound <= optimum <= enumerated:
+            if not bound <= optimum == enumerated:
                 violations.append((name, index, bound, optimum, enumerated))
     assert violations == []
 
@@ -88,10 +89,45 @@ def test_serial_decode_of_a_greedy_schedule_is_that_schedule(load):
             machine_of = [0] * ci.n_ops
             for o, p in zip(order, placements):
                 machine_of[o] = ci.machine_index[p.machine]
+            expected = [(p.start, p.completion, p.setup_performed)
+                        for p in placements]
             starts, comps, setups = serial_decode(ci, order, machine_of)
-            assert [(starts[o], comps[o], setups[o]) for o in order] == [
-                (p.start, p.completion, p.setup_performed)
-                for p in placements], (cfg, token)
+            assert [(starts[o], comps[o], setups[o])
+                    for o in order] == expected, (cfg, token)
+            decoded = place_sequences(ci, order, machine_of)
+            assert [(decoded.starts[o], decoded.comps[o], decoded.setups[o])
+                    for o in order] == expected, (cfg, token)
+
+
+def test_engine_decode_equals_the_serial_decode():
+    # Random lists and assignments, with setups that wait for a 30-minute
+    # operator window every 4 hours, and often find none after the last of
+    # them (minute 11,790): the engine's full decode gives
+    # the oracle's starts, completions and setup flags, or raises with it.
+    rng = random.Random(11)
+    compared = raised = 0
+    for seed in range(12):
+        instance = replace(generate_instance(GenConfig(
+            n_jobs=12, n_routings=4, n_machines=3, n_column_types=3,
+            seed=seed, unchecked=True)), operator_windows=TimeWindowSet(
+                tuple((k * 240, k * 240 + 30) for k in range(50))))
+        ci = compile_instance(instance)
+        for _ in range(40):
+            order = rng.sample(range(ci.n_ops), ci.n_ops)
+            machine_of = [rng.choice(machines) for machines in ci.eligible]
+            try:
+                expected = serial_decode(ci, order, machine_of)
+            except NoSlotError:
+                with pytest.raises(NoSlotError):
+                    place_sequences(ci, order, machine_of)
+                raised += 1
+                continue
+            decoded = place_sequences(ci, order, machine_of)
+            assert (decoded.starts, decoded.comps, decoded.setups) == expected
+            assert decoded.order == order
+            assert decoded.pos_of == [order.index(o) for o in range(ci.n_ops)]
+            compared += 1
+    assert compared > 100 and raised > 20
 
 
 def test_lower_bound_proves_the_greedy_optimum_on_two_design_points():

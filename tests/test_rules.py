@@ -115,11 +115,6 @@ class TestAtcoee:
         delayed = atcoee_priority(cand(start=40, clock=0), 100.0, params)
         assert delayed < punctual
 
-    def test_malformed_candidate_rejected(self):
-        c = cand(start=-500, p=10, s=10, clock=0)  # completes before the clock
-        with pytest.raises(ValueError):
-            atcoee_priority(c, 100.0, RuleParams())
-
 
 class TestAtcoeef:
     def test_full_flexibility_penalty(self):
