@@ -145,8 +145,9 @@ class _Solution:
         else:
             weights = previous.weights[:]
             job = ci.job
-            for j in {job[o] for o in decode.searched}:
-                _job_weights(ci, decode.comps, j, weights)
+            comps, kept = decode.comps, previous.comps
+            for j in {job[o] for o in decode.searched if comps[o] != kept[o]}:
+                _job_weights(ci, comps, j, weights)
         self.weights = weights
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
@@ -286,14 +287,19 @@ def _move(base, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
 
 
 def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
-             rng: random.Random):
+             rng: random.Random, failed: set):
     """One draw of a first item (an operation or a pack) and the move to a
     second item drawn uniformly from the admissible ones that start between
     the first item's ready date and its start, as `_move` returns it; None
-    when there is none."""
+    when there is none.  `failed` holds the first items (with the drawn
+    machine, for a "unif" row) that found none before, for a reason no
+    later draw can change; a repeat is refused after the same random draws,
+    with no scan, and a new one is added."""
     exchanging, by_op, need_family, machine_choice = move
     if by_op:
         o1 = _draw_index(sol.op_cum, sol.op_total, rng)
+        if o1 in failed:
+            return None
         m1 = sol.machine_of[o1]
         lo1 = sol.seqs[m1].index(o1)
         hi1 = lo1 + 1
@@ -305,20 +311,29 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
             return None
         p1 = flat[_draw_index(cum, total, rng)]
         m1, lo1, hi1 = p1.machine, p1.lo, p1.hi
+        o1 = sol.seqs[m1][lo1]
+        if o1 in failed:
+            return None
         if machine_choice == "idem":
             per_machine = packs[m1]
             if p1.index + 1 >= len(per_machine):
+                failed.add(o1)
                 return None
             succ = per_machine[p1.index + 1]
             return _move(sol.decode, m1, succ.lo, succ.hi, m1, lo1, hi1,
                          True)
         ready, s1, fam1, eligible = p1.ready, p1.start, p1.family, p1.machines
     if s1 <= ready:
+        failed.add(o1)
         return None
     if machine_choice == "em":
         machines = eligible
+        key = o1
     else:
         machines = (eligible[rng.randrange(len(eligible))],)
+        key = (o1, machines[0])
+        if key in failed:
+            return None
     m1_bit = 1 << m1
     cands = []
     if by_op:
@@ -348,6 +363,7 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
                     continue
                 cands.append((m, q.lo, q.hi))
     if not cands:
+        failed.add(key)
         return None
     m2, lo2, hi2 = cands[rng.randrange(len(cands))]
     return _move(sol.decode, m1, lo1, hi1, m2, lo2, hi2, exchanging)
@@ -358,8 +374,9 @@ def _propose(ci: CompiledInstance, sol: _Solution, move: _Move,
     """The list, assignment and first changed position one `move` away from
     `sol` (see `_move`), or None when `_RESAMPLE_LIMIT` draws find no
     admissible second item."""
+    failed = set()
     for _ in range(_RESAMPLE_LIMIT):
-        proposal = _attempt(ci, sol, move, rng)
+        proposal = _attempt(ci, sol, move, rng, failed)
         if proposal is not None:
             return proposal
     return None
