@@ -4,17 +4,19 @@ A solution is a list of operation indices and a machine for each
 operation; `engine.place_sequences` decodes it by serial schedule
 generation under all constraints.  Neighbors move either single operations
 or packs (maximal same-family runs on one machine with no setup or idle gap
-inside) by insertion or exchange; the first moved item is drawn with
-probability proportional to its share of the total tardiness, and the
-second is looked for between the first item's ready date and its current
-start.
+inside) by insertion or exchange.  The first moved item is drawn with
+probability proportional to its share of the total tardiness: an operation
+is drawn by its share, and a pack through the member drawn so, found by
+walking its machine's sequence around it.  The second is looked for between
+the first item's ready date and its current start, with each scanned
+machine's packs found on the same walk.  No pack index is kept.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -103,33 +105,15 @@ def initial_temperature(mean_delta: float, accept_prob: float) -> float:
 # Internal solution state and proposal machinery.
 
 
-class _PackInfo(NamedTuple):
-    """A pack: a maximal run seq[lo:hi] of same-family operations on one
-    machine with no setup or idle gap between consecutive members (a single
-    operation is a pack too).  `weight` sums its members' tardiness shares."""
-
-    machine: int
-    lo: int
-    hi: int
-    family: int
-    start: int
-    ready: int
-    mask: int
-    machines: tuple[int, ...]
-    weight: float
-    index: int
-
-
 class _Solution:
     """A decoded solution with the lookups proposals need; `decode` is the
     base the next proposal's decode resumes from.  With `previous`, the
     solution whose decode is `decode`'s base, only the weights of the jobs
-    of operations `decode` searched are recomputed: every other operation
-    kept its completion."""
+    of searched operations whose completion changed are recomputed: every
+    other operation kept its completion."""
 
     __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
-                 "machine_of", "weights", "op_cum", "op_total",
-                 "_packs", "_packs_flat", "_pack_cum", "_pack_total")
+                 "machine_of", "weights", "op_cum", "op_total")
 
     def __init__(self, ci: CompiledInstance, decode,
                  previous: _Solution | None = None):
@@ -151,55 +135,6 @@ class _Solution:
         self.weights = weights
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
-        self._packs = None
-        self._packs_flat = None
-        self._pack_cum = None
-        self._pack_total = 0.0
-
-    def pack_data(self, ci: CompiledInstance):
-        """Packs per machine, all packs in machine order, and the cumulative
-        pack weights with their total; computed on first use."""
-        if self._packs is None:
-            op_w = self.op_cum
-            packs: list[list[_PackInfo]] = []
-            flat: list[_PackInfo] = []
-            starts, comps, setups = self.starts, self.comps, self.setups
-            mask_machines = ci._mask_machines
-            for m, seq in enumerate(self.seqs):
-                per_machine: list[_PackInfo] = []
-                i = 0
-                while i < len(seq):
-                    k = i + 1
-                    while (k < len(seq) and not setups[seq[k]]
-                           and starts[seq[k]] == comps[seq[k - 1]]):
-                        k += 1
-                    members = seq[i:k]
-                    mask = ci.eligible_mask[members[0]]
-                    ready = ci.release[members[0]]
-                    o = members[0]
-                    weight = op_w[o] - (op_w[o - 1] if o else 0.0)
-                    for o in members[1:]:
-                        mask &= ci.eligible_mask[o]
-                        r = ci.release[o]
-                        if r < ready:
-                            ready = r
-                        weight += op_w[o] - (op_w[o - 1] if o else 0.0)
-                    machines = mask_machines.get(mask)
-                    if machines is None:
-                        machines = mask_machines[mask] = tuple(
-                            mm for mm in range(ci.n_machines)
-                            if mask & (1 << mm))
-                    per_machine.append(_PackInfo(
-                        m, i, k, ci.family[members[0]], starts[members[0]],
-                        ready, mask, machines, weight, len(per_machine)))
-                    i = k
-                packs.append(per_machine)
-                flat.extend(per_machine)
-            self._packs = packs
-            self._packs_flat = flat
-            self._pack_cum = list(accumulate(p.weight for p in flat))
-            self._pack_total = self._pack_cum[-1] if self._pack_cum else 0.0
-        return self._packs, self._packs_flat, self._pack_cum, self._pack_total
 
 
 def _op_weights(ci: CompiledInstance, comps) -> list[float]:
@@ -286,82 +221,118 @@ def _move(base, m1: int, lo1: int, hi1: int, m2: int, lo2: int, hi2: int,
     return new, machine_of, min(i, j)
 
 
-def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
-             rng: random.Random, failed: set):
-    """One draw of a first item (an operation or a pack) and the move to a
-    second item drawn uniformly from the admissible ones that start between
-    the first item's ready date and its start, as `_move` returns it; None
-    when there is none.  `failed` holds the first items (with the drawn
-    machine, for a "unif" row) that found none before, for a reason no
-    later draw can change; a repeat is refused after the same random draws,
-    with no scan, and a new one is added."""
-    exchanging, by_op, need_family, machine_choice = move
-    if by_op:
-        o1 = _draw_index(sol.op_cum, sol.op_total, rng)
-        if o1 in failed:
-            return None
-        m1 = sol.machine_of[o1]
-        lo1 = sol.seqs[m1].index(o1)
-        hi1 = lo1 + 1
-        ready, s1, fam1 = ci.release[o1], sol.starts[o1], ci.family[o1]
-        eligible = ci.eligible[o1]
-    else:
-        packs, flat, cum, total = sol.pack_data(ci)
-        if total <= 0:
-            return None
-        p1 = flat[_draw_index(cum, total, rng)]
-        m1, lo1, hi1 = p1.machine, p1.lo, p1.hi
-        o1 = sol.seqs[m1][lo1]
-        if o1 in failed:
-            return None
-        if machine_choice == "idem":
-            per_machine = packs[m1]
-            if p1.index + 1 >= len(per_machine):
-                failed.add(o1)
-                return None
-            succ = per_machine[p1.index + 1]
-            return _move(sol.decode, m1, succ.lo, succ.hi, m1, lo1, hi1,
-                         True)
-        ready, s1, fam1, eligible = p1.ready, p1.start, p1.family, p1.machines
-    if s1 <= ready:
-        failed.add(o1)
-        return None
-    if machine_choice == "em":
-        machines = eligible
-        key = o1
-    else:
-        machines = (eligible[rng.randrange(len(eligible))],)
-        key = (o1, machines[0])
-        if key in failed:
-            return None
+def _pack_end(sol: _Solution, seq: list[int], i: int) -> int:
+    """The first position at or after i (0 < i) that does not continue the
+    pack of seq[i - 1]: one that sets up or starts later than its
+    predecessor's completion, or len(seq)."""
+    starts, comps, setups = sol.starts, sol.comps, sol.setups
+    n = len(seq)
+    while i < n and not setups[seq[i]] and starts[seq[i]] == comps[seq[i - 1]]:
+        i += 1
+    return i
+
+
+def _pack_of(sol: _Solution, seq: list[int], p: int) -> tuple[int, int]:
+    """(lo, hi) of the pack seq[lo:hi] that holds position p: the maximal
+    same-family run around it with no setup or idle gap inside (no setup
+    means the family of the previous operation on the machine)."""
+    starts, comps, setups = sol.starts, sol.comps, sol.setups
+    lo = p
+    while lo and not setups[seq[lo]] and starts[seq[lo]] == comps[seq[lo - 1]]:
+        lo -= 1
+    return lo, _pack_end(sol, seq, p + 1)
+
+
+def _second_items(ci: CompiledInstance, sol: _Solution, move: _Move, m1: int,
+                  fam1: int, ready: int, s1: int, machines) -> list[tuple]:
+    """The (machine, lo, hi) blocks `move` may take as its second item for a
+    first item of family `fam1` on machine `m1`: the operations, or packs,
+    on `machines` that start in [ready, s1), of family `fam1` when the move
+    requires it, and, for an exchange, all eligible on `m1`.  Each machine
+    is listed from the first block that starts at or after `ready`, found
+    by bisection (starts rise along a sequence)."""
+    exchanging, by_op, need_family, _ = move
+    starts, family, eligible_mask = sol.starts, ci.family, ci.eligible_mask
+    start_of = starts.__getitem__
     m1_bit = 1 << m1
     cands = []
-    if by_op:
-        family, eligible_mask, starts = ci.family, ci.eligible_mask, sol.starts
-        for m in machines:
-            for pos, o2 in enumerate(sol.seqs[m]):
-                st = starts[o2]
-                if st >= s1:
-                    break
-                if st < ready:
-                    continue
+    for m in machines:
+        seq = sol.seqs[m]
+        i = bisect_left(seq, ready, key=start_of)
+        if by_op:
+            for pos in range(i, bisect_left(seq, s1, i, key=start_of)):
+                o2 = seq[pos]
                 if need_family and family[o2] != fam1:
                     continue
                 if exchanging and not eligible_mask[o2] & m1_bit:
                     continue
                 cands.append((m, pos, pos + 1))
+            continue
+        if i:  # skip the rest of a pack that started before `ready`
+            i = _pack_end(sol, seq, i)
+        n = len(seq)
+        while i < n and starts[seq[i]] < s1:
+            k = _pack_end(sol, seq, i + 1)
+            if ((not need_family or family[seq[i]] == fam1)
+                    and (not exchanging or all(eligible_mask[o2] & m1_bit
+                                               for o2 in seq[i:k]))):
+                cands.append((m, i, k))
+            i = k
+    return cands
+
+
+def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
+             rng: random.Random, failed: set):
+    """One draw of a first item and the move to a second item drawn
+    uniformly from `_second_items`, as `_move` returns it; None when there
+    is none.
+
+    The first item is an operation drawn in proportion to its tardiness
+    share or, for a pack row, the pack that holds it, found on demand; a
+    pack is thus drawn with the sum of its members' shares.  Row 7 takes
+    the pack that follows the drawn one on its machine.  `failed` holds the
+    first items (with the drawn machine, for a "unif" row) that found no
+    second item before, for a reason no later draw can change; a repeat is
+    refused after the same random draws, with no scan, and a new one is
+    added."""
+    exchanging, by_op, _, machine_choice = move
+    o1 = _draw_index(sol.op_cum, sol.op_total, rng)
+    if o1 in failed:
+        return None
+    m1 = sol.machine_of[o1]
+    seq = sol.seqs[m1]
+    lo1 = seq.index(o1)
+    if by_op:
+        hi1 = lo1 + 1
+        ready = ci.release[o1]
     else:
-        for m in machines:
-            for q in packs[m]:
-                if q.start >= s1:
-                    break
-                if q.start < ready:
-                    continue
-                if need_family and q.family != fam1:
-                    continue
-                if exchanging and not q.mask & m1_bit:
-                    continue
-                cands.append((m, q.lo, q.hi))
+        lo1, hi1 = _pack_of(sol, seq, lo1)
+        if machine_choice == "idem":
+            if hi1 == len(seq):
+                failed.add(o1)
+                return None
+            return _move(sol.decode, m1, hi1, _pack_end(sol, seq, hi1 + 1),
+                         m1, lo1, hi1, True)
+        ready = min(map(ci.release.__getitem__, seq[lo1:hi1]))
+    s1 = sol.starts[seq[lo1]]
+    if s1 <= ready:
+        failed.add(o1)
+        return None
+    eligible = ci.eligible[o1]
+    if hi1 - lo1 > 1:  # a pack moves only to machines all its members allow
+        mask = -1
+        for o in seq[lo1:hi1]:
+            mask &= ci.eligible_mask[o]
+        eligible = tuple(m for m in eligible if mask >> m & 1)
+    if machine_choice == "em":
+        machines, key = eligible, o1
+    else:
+        m = eligible[rng.randrange(len(eligible))]
+        machines, key = (m,), (o1, m)
+        if key in failed:
+            return None
+    cands = _second_items(ci, sol, move, m1, ci.family[o1], ready, s1,
+                          machines)
     if not cands:
         failed.add(key)
         return None

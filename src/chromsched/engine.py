@@ -34,7 +34,7 @@ behind), so the floor is fixed at the first changed position.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .availability import find_earliest, reserve_step
@@ -68,9 +68,6 @@ class CompiledInstance:
     win_starts: list
     win_ends: list
     origin: int = 0
-    # machine tuple of each eligibility mask met so far, filled on use
-    _mask_machines: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n_ops(self) -> int:
@@ -204,14 +201,17 @@ def place_sequences(ci: CompiledInstance, order: list[int],
     `base`'s placements of it since it was last brought up to date that end
     after the smallest machine clock at `first`.  `searched` lists the
     operations the decode searched; every other one has `base`'s start and
-    completion.
+    completion.  A `base` whose family chains (`family_pred` back from
+    `last`) do not hold its operations raises AssertionError rather than
+    walking them for ever: no walk takes more than `n_ops` steps or steps
+    past -1.
     """
+    n_ops = ci.n_ops
     n_families = len(ci.units)
     family = ci.family
     clocks = [ci.origin] * ci.n_machines
     last_family = [-1] * ci.n_machines
     if base is None:
-        n_ops = ci.n_ops
         seqs = [[] for _ in clocks]
         starts = [0] * n_ops
         comps = [0] * n_ops
@@ -246,8 +246,13 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         floor = min(clocks)
         last = []
         for o in base.last:
-            while o >= 0 and pos_key(o) >= first:
+            for _ in range(n_ops):
+                if o < 0 or pos_key(o) < first:
+                    break
                 o = base_pred[o]
+            if o >= 0 and pos_key(o) >= first:
+                raise AssertionError(
+                    f"base's family chain through {o} is a cycle")
             last.append(o)
         clean = [True] * n_families
 
@@ -264,11 +269,16 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         """Book on clean family f's profile `base`'s placements of f after
         upto[f] up to its last placed operation that end after `floor`."""
         chain = []
-        o = last[f]
-        while o != upto[f]:
+        o, stop = last[f], upto[f]
+        for _ in range(n_ops):
+            if o == stop or o < 0:
+                break
             if base_comps[o] > floor:
                 chain.append(o)
             o = base_pred[o]
+        if o != stop:
+            raise AssertionError(
+                f"base's family chain from {last[f]} misses {stop}")
         upto[f] = last[f]
         times, levels = prof_times[f], prof_levels[f]
         for o in reversed(chain):

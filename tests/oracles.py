@@ -12,12 +12,15 @@ shared probes and nothing else; and `serial_decode`, which searches and
 books column profiles with `find_earliest` and `reserve_step`, themselves
 checked against the minute scans, but shares no placement order or
 bookkeeping with the solvers.
+`pack_partition` is the annealer's former pack index, kept as the
+reference its on-demand pack search is checked against.
 `always_open` only builds operator windows for hand-made instances.
 """
 
 import math
 import random
 from itertools import permutations, product
+from typing import NamedTuple
 
 from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.engine import compile_instance, place_sequences
@@ -300,3 +303,50 @@ def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
         commit_assignment(state, _select_pool(state, params, rng))
     return Schedule(tuple(sorted(
         state.placements, key=lambda p: (p.start, p.machine, p.operation_id))))
+
+
+class Pack(NamedTuple):
+    """A pack: a maximal run seq[lo:hi] of same-family operations on one
+    machine with no setup or idle gap between consecutive members (a single
+    operation is a pack too).  `machines` are those every member may run
+    on, `weight` sums the members' tardiness shares."""
+
+    machine: int
+    lo: int
+    hi: int
+    family: int
+    start: int
+    ready: int
+    mask: int
+    machines: tuple[int, ...]
+    weight: float
+
+
+def pack_partition(ci, sol) -> list[list[Pack]]:
+    """Each machine's packs in sequence order, built by one pass over the
+    sequence from the decoded starts, completions and setup flags of an
+    annealer solution, the members' weights read off its `op_cum`."""
+    op_w = sol.op_cum
+    packs = []
+    for m, seq in enumerate(sol.seqs):
+        per_machine = []
+        i = 0
+        while i < len(seq):
+            k = i + 1
+            while (k < len(seq) and not sol.setups[seq[k]]
+                   and sol.starts[seq[k]] == sol.comps[seq[k - 1]]):
+                k += 1
+            members = seq[i:k]
+            mask = -1
+            for o in members:
+                mask &= ci.eligible_mask[o]
+            weight = sum(op_w[o] - (op_w[o - 1] if o else 0.0)
+                         for o in members)
+            per_machine.append(Pack(
+                m, i, k, ci.family[members[0]], sol.starts[members[0]],
+                min(ci.release[o] for o in members), mask,
+                tuple(mm for mm in range(ci.n_machines) if mask >> mm & 1),
+                weight))
+            i = k
+        packs.append(per_machine)
+    return packs

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import pytest
 
 from chromsched import annealing, engine
-from chromsched.annealing import (_MOVES, SaParams, Structure, _draw_index,
-                                  _move, _op_weights, _propose, _Solution,
+from chromsched.annealing import (_MOVES, _RESAMPLE_LIMIT, SaParams,
+                                  Structure, _attempt, _draw_index, _move,
+                                  _op_weights, _pack_of, _propose,
+                                  _second_items, _Solution,
                                   initial_temperature, run_sa)
 from chromsched.availability import TimeWindowSet
 from chromsched.engine import (compile_instance, place_sequences,
@@ -23,7 +25,7 @@ from chromsched.model import (ColumnType, Instance, Job, Operation,
                               PlacedOperation, Schedule, total_tardiness,
                               validate_schedule)
 
-from oracles import always_open, enumerated_optimum
+from oracles import always_open, enumerated_optimum, pack_partition
 
 
 def tiny_instance(job_specs, machines=("m0",), columns=(("fA", 1), ("fB", 1)),
@@ -242,6 +244,12 @@ class TestDecode:
         assert enumerated_optimum(inst) == 0
 
 
+def on_demand_packs(sol, m):
+    """Machine m's packs as `_pack_of` finds them from each position."""
+    seq = sol.seqs[m]
+    return sorted({_pack_of(sol, seq, p) for p in range(len(seq))})
+
+
 class TestPacks:
     def test_setup_splits_packs(self):
         inst = tiny_instance([
@@ -250,10 +258,11 @@ class TestPacks:
             ("j2", 0, 10_000, [("fB", 15, 10, ("m0",))]),
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1", "j2.1")})
-        packs = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        (packs,) = pack_partition(ci, sol)
         assert [pack_ops(ci, sol, p) for p in packs] == [
             ("j0.1", "j1.1"), ("j2.1",)]
         assert [ci.family_ids[p.family] for p in packs] == ["fA", "fB"]
+        assert on_demand_packs(sol, 0) == [(0, 2), (2, 3)]
 
     def test_idle_gap_splits_packs(self):
         # second op not released until after the first completes: forced gap
@@ -262,15 +271,17 @@ class TestPacks:
             ("j1", 500, 10_000, [("fA", 30, 10, ("m0",))]),
         ])
         ci, sol = solution(inst, {"m0": ("j0.1", "j1.1")})
-        packs = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        (packs,) = pack_partition(ci, sol)
         assert [pack_ops(ci, sol, p) for p in packs] == [("j0.1",), ("j1.1",)]
+        assert on_demand_packs(sol, 0) == [(0, 1), (1, 2)]
 
     def test_single_op_is_a_pack(self):
         inst = tiny_instance([("j0", 0, 10_000, [("fA", 20, 10, ("m0",))])])
         ci, sol = solution(inst, {"m0": ("j0.1",)})
-        (pack,) = sol.pack_data(ci)[0][ci.machine_index["m0"]]
+        ((pack,),) = pack_partition(ci, sol)
         assert pack_ops(ci, sol, pack) == ("j0.1",)
         assert (pack.lo, pack.hi) == (0, 1)
+        assert on_demand_packs(sol, 0) == [(0, 1)]
 
 
 class TestItemSelection:
@@ -294,11 +305,23 @@ class TestItemSelection:
         assert sol.op_total == total == sol.tardiness
 
     def test_pack_weights_sum_member_shares(self):
+        # A pack is drawn through its members, so its draw mass is the sum
+        # of theirs: the reference weights, and the draws that land on it.
         ci, sol = self.make_three_late_jobs()
-        _, flat, _, total = sol.pack_data(ci)
-        by_ops = {pack_ops(ci, sol, p): p.weight for p in flat}
+        packs = [p for per_machine in pack_partition(ci, sol)
+                 for p in per_machine]
+        by_ops = {pack_ops(ci, sol, p): p.weight for p in packs}
         assert by_ops == {("j0.1",): 10.0, ("j1.1",): 30.0, ("j2.1",): 60.0}
-        assert total == 100.0
+        assert sol.op_total == 100.0
+        rng = random.Random(3)
+        drawn = {p.machine: 0 for p in packs}
+        for _ in range(2000):
+            o = _draw_index(sol.op_cum, sol.op_total, rng)
+            assert _pack_of(sol, sol.seqs[sol.machine_of[o]], 0) == (0, 1)
+            drawn[sol.machine_of[o]] += 1
+        assert [drawn[m] / 2000 for m in range(3)] == [
+            pytest.approx(0.1, abs=0.03), pytest.approx(0.3, abs=0.03),
+            pytest.approx(0.6, abs=0.03)]
 
     def test_zero_tardiness_items_never_selected(self):
         inst = tiny_instance([
@@ -336,14 +359,15 @@ class TestItemSelection:
 
     def test_kept_weights_equal_a_full_computation(self):
         # A random walk over every mechanism: each accepted solution keeps
-        # its base's weights and recomputes only the jobs whose operations
-        # the decode searched.  Floats are compared bit for bit.
+        # its base's weights and recomputes only the jobs of the operations
+        # the decode searched whose completion changed.  Floats are
+        # compared bit for bit.
         rng = random.Random(7)
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=4, n_column_types=4,
             seed=4, unchecked=True))
         ci, sol = greedy_solution(inst)
-        accepted = 0
+        accepted = searched_unchanged = 0
         for move in MOVES * 3:
             for _ in range(10):
                 proposal = _propose(ci, sol, move, rng)
@@ -361,13 +385,184 @@ class TestItemSelection:
                     continue
                 kept = _Solution(ci, decoded, sol)
                 full = _Solution(ci, decoded)
+                searched_unchanged += sum(decoded.comps[o] == sol.comps[o]
+                                          for o in decoded.searched)
                 assert ([w.hex() for w in kept.weights]
                         == [w.hex() for w in _op_weights(ci, decoded.comps)])
                 assert ([w.hex() for w in kept.op_cum]
                         == [w.hex() for w in full.op_cum])
                 sol = kept
                 accepted += 1
-        assert accepted > 50
+        # many searches repeat a completion, and their jobs keep weights
+        assert accepted > 50 and searched_unchanged > 100
+
+
+#: The generated instances the pack checks walk over: overloaded ones, on
+#: 3, 5 and 6 machines.
+WALKS = [GenConfig(n_jobs=60, n_routings=6, n_machines=n_machines,
+                   n_column_types=4, seed=seed, unchecked=True)
+         for seed, n_machines in [(33, 3), (4, 5), (8, 6)]]
+
+
+def walk_id(cfg):
+    return f"{cfg.n_jobs}-jobs-{cfg.n_machines}-machines-seed-{cfg.seed}"
+
+
+def walk(cfg, steps=12):
+    """The greedy solution of a generated instance and the solutions a
+    random walk over every row accepts after it, each decoded from the
+    last."""
+    rng = random.Random(cfg.seed)
+    ci, sol = greedy_solution(generate_instance(cfg))
+    yield ci, sol
+    for _ in range(steps):
+        proposal = None
+        while proposal is None:
+            proposal = _propose(ci, sol, rng.choice(MOVES), rng)
+        order, machine_of, first = proposal
+        try:
+            decoded = place_sequences(ci, order, machine_of, sol.decode, first)
+        except NoSlotError:
+            continue
+        sol = _Solution(ci, decoded, sol)
+        yield ci, sol
+
+
+class ScriptedRng:
+    """Stands in for `random.Random` in `_attempt`: `random()` returns `u`;
+    `randrange(n)` records n and returns the next of `picks`, then n - 1."""
+
+    def __init__(self, u, picks=()):
+        self.u, self.picks, self.ranges = u, list(picks), []
+
+    def random(self):
+        return self.u
+
+    def randrange(self, n):
+        self.ranges.append(n)
+        return self.picks.pop(0) if self.picks else n - 1
+
+
+def drawing(sol, o):
+    """A `ScriptedRng` whose draw of a first item is operation o."""
+    lo = sol.op_cum[o - 1] if o else 0.0
+    rng = ScriptedRng((lo + sol.op_cum[o]) / 2 / sol.op_total)
+    assert _draw_index(sol.op_cum, sol.op_total, rng) == o
+    return rng
+
+
+def reference_candidates(packs, p, move, machines):
+    """The second items of `move` for the first pack p on `machines`, read
+    off the reference partition."""
+    return [(m, q.lo, q.hi) for m in machines for q in packs[m]
+            if p.ready <= q.start < p.start
+            and (not move.same_family or q.family == p.family)
+            and (not move.exchange or q.mask >> p.machine & 1)]
+
+
+class TestPackDraw:
+    """The pack rows find packs on demand; the reference is the partition
+    the annealer once kept as an index (`oracles.pack_partition`)."""
+
+    @pytest.mark.parametrize("cfg", WALKS, ids=walk_id)
+    def test_every_operation_finds_its_reference_pack(self, cfg):
+        # and each pack's draw mass, the sum of the shares of the operations
+        # that lead to it, is its reference weight
+        multi = 0
+        for ci, sol in walk(cfg):
+            for packs in pack_partition(ci, sol):
+                for p in packs:
+                    seq = sol.seqs[p.machine]
+                    assert [_pack_of(sol, seq, pos)
+                            for pos in range(p.lo, p.hi)] == (
+                        [(p.lo, p.hi)] * (p.hi - p.lo))
+                    mass = sum(sol.weights[o] for o in seq[p.lo:p.hi])
+                    assert mass == pytest.approx(p.weight, rel=1e-12,
+                                                 abs=1e-9)
+                    multi += p.hi - p.lo > 1
+        assert multi > 100
+
+    @pytest.mark.parametrize("cfg", WALKS, ids=walk_id)
+    def test_pack_rows_match_the_reference(self, cfg):
+        # For every drawn operation (positive weight), every pack row and
+        # every machine draw: the second-item list equals the reference's,
+        # `_attempt` passes its length to `randrange` and makes the move to
+        # the item it picks; row 7 takes the reference's next pack.
+        checked = {row: 0 for row in (4, 5, 6, 7)}
+        for ci, sol in walk(cfg, steps=6):
+            ref = pack_partition(ci, sol)
+            for packs in ref:
+                for p, after in zip(packs, packs[1:] + [None]):
+                    seq = sol.seqs[p.machine]
+                    for o in seq[p.lo:p.hi]:
+                        if sol.weights[o] <= 0:
+                            continue
+                        for row in (4, 5, 6, 7):
+                            checked[row] += self.check_row(
+                                ci, sol, ref, p, after, o, MOVES[row - 1])
+        assert min(checked.values()) > 50, checked
+
+    def check_row(self, ci, sol, ref, p, after, o, move):
+        if move.machines == "idem":
+            got = _attempt(ci, sol, move, drawing(sol, o), set())
+            assert got == (None if after is None else _move(
+                sol.decode, p.machine, after.lo, after.hi, p.machine, p.lo,
+                p.hi, True))
+            return after is not None
+        if p.start <= p.ready:
+            assert _attempt(ci, sol, move, drawing(sol, o), set()) is None
+            return 0
+        if move.machines == "em":
+            draws = [(None, p.machines)]
+        else:
+            draws = [(k, (m,)) for k, m in enumerate(p.machines)]
+        found = 0
+        for pick, machines in draws:
+            expected = reference_candidates(ref, p, move, machines)
+            assert _second_items(ci, sol, move, p.machine, p.family, p.ready,
+                                 p.start, machines) == expected
+            rng = drawing(sol, o)
+            if pick is not None:
+                rng.picks.append(pick)
+            got = _attempt(ci, sol, move, rng, set())
+            counts = [] if pick is None else [len(p.machines)]
+            if expected:
+                counts.append(len(expected))
+                assert got == _move(sol.decode, p.machine, p.lo, p.hi,
+                                    *expected[-1], move.exchange)
+            else:
+                assert got is None
+            assert rng.ranges == counts
+            found += bool(expected)
+        return found
+
+    @pytest.mark.parametrize("cfg", WALKS + [GenConfig(n_jobs=70, seed=0)],
+                             ids=walk_id)
+    def test_a_proposal_draws_as_its_attempts_without_the_failed_set(
+            self, cfg):
+        # `_propose` gives what its attempts give one by one, each with a
+        # fresh failed-item set, and leaves the random stream where they
+        # leave it, whether it fails or not.  On the overloaded instances
+        # almost every proposal succeeds; on the 70-job one of the design,
+        # with little tardiness, many fail.
+        rng = random.Random(cfg.seed)
+        proposals = failures = 0
+        for ci, sol in walk(cfg):
+            for move in MOVES:
+                alone = random.Random()
+                alone.setstate(rng.getstate())
+                got = _propose(ci, sol, move, rng)
+                for _ in range(_RESAMPLE_LIMIT):
+                    expected = _attempt(ci, sol, move, alone, set())
+                    if expected is not None:
+                        break
+                assert got == expected
+                assert rng.getstate() == alone.getstate()
+                proposals += 1
+                failures += got is None
+        assert proposals > 80
+        if cfg.n_jobs == 70:
+            assert failures > proposals // 4
 
 
 def spliced(seqs, m1, lo1, hi1, m2, lo2, hi2, exchanging):
@@ -1031,6 +1226,30 @@ class TestResumedDecode:
                     sol = _Solution(ci, resumed)
         assert compared > 100 and caught_up > 0
 
+    @pytest.mark.parametrize("broken", ["past-first", "before-first"])
+    def test_an_inconsistent_family_chain_fails_instead_of_hanging(
+            self, time_limit, broken):
+        # One machine runs a0-a3 of one family in list order; listing a3
+        # before a2 resumes the decode at position 2.  A chain a3 -> a3
+        # cycles in the walk that finds the family's last operation before
+        # position 2; a chain a0 -> a1 cycles in catch-up's walk back from
+        # a1 (a3 follows a1 now, not a2 as in base, so it is searched).
+        inst = tiny_instance([(f"a{i}", 0, 10_000, [("fA", 10, 5, ("m0",))])
+                              for i in range(4)])
+        ci = compile_instance(inst)
+        on_m0 = [0] * ci.n_ops
+        base = place_sequences(ci, [0, 1, 2, 3], on_m0)
+        assert base.family_pred == [-1, 0, 1, 2]
+        pred = base.family_pred[:]
+        if broken == "past-first":
+            pred[3] = 3
+        else:
+            pred[0] = 1
+        time_limit(10)
+        with pytest.raises(AssertionError, match="family chain"):
+            place_sequences(ci, [0, 1, 3, 2], on_m0,
+                            base._replace(family_pred=pred), 2)
+
     @pytest.mark.parametrize("structure", list(Structure))
     def test_run_sa_without_base_gives_the_same_result(self, monkeypatch,
                                                        structure):
@@ -1069,20 +1288,21 @@ def sa_fingerprint(res) -> str:
 # `annealing`, which the test patches: OP+PA, SIMPLE and OP, a budget that
 # ends inside the descent, no descent, and short cooling levels.  Computed
 # with the serial decoder over a list and a machine assignment, started from
-# the initial schedule's start order; a change to the decode, the moves or
-# the random stream changes them.
+# the initial schedule's start order, OP+PA drawing a pack through one of its
+# operations; a change to the decode, the moves or the random stream changes
+# them.
 PINNED_SA_FINGERPRINTS = {
-    (0, 0, ()): "80e7aadcd8322cff",
-    (0, 1, ()): "2890c16e0802623f",
-    (2, 0, ()): "e67119474ca9878f",
-    (2, 1, ()): "ddb46a55118c9e49",
+    (0, 0, ()): "346937e4810dc0c0",
+    (0, 1, ()): "6f7e4bcb8c276fbc",
+    (2, 0, ()): "d25e13ac1600393b",
+    (2, 1, ()): "f2679aa4d92f76f0",
     (0, 0, (("structure", Structure.SIMPLE),)): "4591bd1243dd49e9",
     (0, 1, (("structure", Structure.OP),)): "c38ed9cde3badcb5",
-    (2, 0, (("max_iterations", 60),)): "0e6fefef21dc094c",
-    (2, 1, (("descent_iterations", 0),)): "2fbe300d6904f9c1",
+    (2, 0, (("max_iterations", 60),)): "1dca7670f0eded11",
+    (2, 1, (("descent_iterations", 0),)): "b9f664197607334f",
     (0, 0, (("cooling_factor", 0.5), ("plateau_iterations", 50),
             ("plateau_acceptances", 10), ("dead_levels", 2))):
-        "e741cfc6fa1997c0",
+        "d20ea9f4d4fb551b",
 }
 
 
@@ -1124,4 +1344,4 @@ def test_sa_140_first_cell_matches_its_pinned_fingerprint():
     res = run_sa(inst, run_lta(inst, spec.rule_params, seed=seed),
                  replace(spec.sa_params, max_iterations=1000), seed=seed)
     assert res.termination == "max-iterations"
-    assert sa_fingerprint(res) == "60fae53fc10dde35"
+    assert sa_fingerprint(res) == "f3c497ff225a1a22"
