@@ -5,11 +5,9 @@ operation; `engine.place_sequences` decodes it by serial schedule
 generation under all constraints.  Neighbors move either single operations
 or packs (maximal same-family runs on one machine with no setup or idle gap
 inside) by insertion or exchange.  The first moved item is drawn with
-probability proportional to its share of the total tardiness: an operation
-is drawn by its share, and a pack through the member drawn so, found by
-walking its machine's sequence around it.  The second is looked for between
-the first item's ready date and its current start, with each scanned
-machine's packs found on the same walk.  No pack index is kept.
+probability proportional to its share of the total tardiness (a pack
+through the member drawn so, found on demand); the second is looked for
+between the first item's ready date and its current start.
 """
 
 from __future__ import annotations

@@ -201,9 +201,8 @@ def place_sequences(ci: CompiledInstance, order: list[int],
     `base`'s placements of it since it was last brought up to date that end
     after the smallest machine clock at `first`.  `searched` lists the
     operations the decode searched; every other one has `base`'s start and
-    completion.  A `base` whose family chains (`family_pred` back from
-    `last`) do not hold its operations raises AssertionError rather than
-    walking them for ever: no walk takes more than `n_ops` steps or steps
+    completion.  A `base` with inconsistent family chains raises
+    AssertionError: no walk along them takes over `n_ops` steps or steps
     past -1.
     """
     n_ops = ci.n_ops
@@ -246,13 +245,16 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         floor = min(clocks)
         last = []
         for o in base.last:
-            for _ in range(n_ops):
-                if o < 0 or pos_key(o) < first:
+            p = n_ops  # positions fall along a chain: at most n_ops steps
+            while o >= 0:
+                q = pos_key(o)
+                if q < first:
                     break
+                if q >= p:
+                    raise AssertionError(
+                        f"base's family chain through {o} is a cycle")
+                p = q
                 o = base_pred[o]
-            if o >= 0 and pos_key(o) >= first:
-                raise AssertionError(
-                    f"base's family chain through {o} is a cycle")
             last.append(o)
         clean = [True] * n_families
 
