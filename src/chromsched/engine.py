@@ -252,7 +252,7 @@ def place_sequences(ci: CompiledInstance, order: list[int],
                     break
                 if q >= p:
                     raise AssertionError(
-                        f"base's family chain through {o} is a cycle")
+                        f"base's family chain is out of list order at {o}")
                 p = q
                 o = base_pred[o]
             last.append(o)

@@ -317,7 +317,8 @@ class TestItemSelection:
         drawn = {p.machine: 0 for p in packs}
         for _ in range(2000):
             o = _draw_index(sol.op_cum, sol.op_total, rng)
-            assert _pack_of(sol, sol.seqs[sol.machine_of[o]], 0) == (0, 1)
+            seq = sol.seqs[sol.machine_of[o]]
+            assert _pack_of(sol, seq, seq.index(o)) == (0, 1)
             drawn[sol.machine_of[o]] += 1
         assert [drawn[m] / 2000 for m in range(3)] == [
             pytest.approx(0.1, abs=0.03), pytest.approx(0.3, abs=0.03),
@@ -393,7 +394,7 @@ class TestItemSelection:
                         == [w.hex() for w in full.op_cum])
                 sol = kept
                 accepted += 1
-        # many searches repeat a completion, and their jobs keep weights
+        # many searched operations keep their completion: the rule skips them
         assert accepted > 50 and searched_unchanged > 100
 
 
