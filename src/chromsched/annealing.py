@@ -107,8 +107,8 @@ class _Solution:
     """A decoded solution with the lookups proposals need; `decode` is the
     base the next proposal's decode resumes from.  With `previous`, the
     solution whose decode is `decode`'s base, only the weights of the jobs
-    of searched operations whose completion changed are recomputed: every
-    other operation kept its completion."""
+    of `decode.changed` are recomputed: every other operation kept its
+    completion."""
 
     __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
                  "machine_of", "weights", "op_cum", "op_total")
@@ -126,9 +126,8 @@ class _Solution:
             weights = _op_weights(ci, decode.comps)
         else:
             weights = previous.weights[:]
-            job = ci.job
-            comps, kept = decode.comps, previous.comps
-            for j in {job[o] for o in decode.searched if comps[o] != kept[o]}:
+            job, comps = ci.job, decode.comps
+            for j in {job[o] for o in decode.changed}:
                 _job_weights(ci, comps, j, weights)
         self.weights = weights
         self.op_cum = list(accumulate(weights))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -98,26 +98,34 @@ def min_level(times: list, levels: list[int], start: int, end: int) -> int:
 
 def reserve_step(times: list, levels: list[int], start: int, end: int) -> None:
     """Decrement the level by one over [start, end), in place."""
-    i = bisect_right(times, start) - 1
+    _lower(times, levels, bisect_right(times, start) - 1, start, end)
+
+
+def _lower(times: list, levels: list[int], i: int, start: int,
+           end: int) -> None:
+    """`reserve_step` from i, the index of the step that holds `start`: add
+    the breakpoints `start` and `end` where missing, then lower every level
+    between them."""
     if times[i] < start:
         i += 1
         times.insert(i, start)
         levels.insert(i, levels[i - 1])
-    j = i
-    n = len(times)
-    while j < n and times[j] < end:
-        j += 1
-    if j == n or times[j] > end:
+    j = bisect_left(times, end, i)
+    if j == len(times) or times[j] > end:
         times.insert(j, end)
         levels.insert(j, levels[j - 1])
-    for k in range(i, j):
-        levels[k] -= 1
+    while i < j:
+        levels[i] -= 1
+        i += 1
 
 
-def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
+def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int,
+                  book: bool = False):
     """Earliest start t >= t_min with a free unit over [t, t + duration),
     and the end of the free run that holds it (the first breakpoint after t
-    whose level is below one, or +inf).
+    whose level is below one, or +inf).  With `book`, it also books
+    [t, t + duration) as `reserve_step` does, from the step where the search
+    stopped; the run end it returns is the one before the booking.
 
     When `wstarts`/`wends` are given, t itself must additionally fall inside
     one of those windows (the occupation interval need not); NoSlotError is
@@ -145,19 +153,21 @@ def find_earliest(wstarts, wends, times, levels, t_min: int, duration: int):
                     raise NoSlotError(
                         f"no operator window left at or after minute {t}")
                 t = wstarts[i]
-        j = bisect_right(times, t) - 1
-        if levels[j] < 1:
+        i = bisect_right(times, t) - 1
+        if levels[i] < 1:
             # the last level is free, so this stops inside the profile
-            j += 1
-            while levels[j] < 1:
-                j += 1
-            t = times[j]
+            i += 1
+            while levels[i] < 1:
+                i += 1
+            t = times[i]
             continue
-        j += 1
+        j = i + 1
         while j < n and levels[j] >= 1:
             j += 1
         end = times[j] if j < n else math.inf
         if t + duration <= end:
+            if book:
+                _lower(times, levels, i, t, t + duration)
             return t, end
         t = end
 

@@ -29,6 +29,29 @@ its t_min on, so a booking [s, c) with c at or before the floor changes
 no level that a search reads.  Clocks do not rise from one list position
 to the next (the next operation may be on a machine that is further
 behind), so the floor is fixed at the first changed position.
+
+The state at the first changed position is restored lazily.  A family's
+last placed operation there is its last operation of position below
+`first` in `base`'s list, since both lists agree up to `first`.  It is
+needed only when the decode first meets the family, at an operation o of
+position `first` or later.  The same operations fill those positions in
+both lists, so `base` lists o at or after `first` too, and every
+operation of the family that `base` lists before `first` comes before o
+in `base`'s order.  The walk back along `base.family_pred` from o
+therefore meets them, the last one first, after the family's operations
+that `base` lists between `first` and o; positions fall strictly along
+the chain, so the walk takes at most `n_ops` steps.  A family the decode
+never meets has no operation at or after `first` in either list, so its
+last operation is `base.last`'s.
+
+The tardiness is read off the change.  A job's tardiness depends only on
+its operations' completions, and an operation's completion differs from
+`base`'s only if the decode searched it: every other placement repeats
+`base`'s.  The decode lists each searched operation whose completion
+differs (`changed`), so every other job has `base`'s completions and
+tardiness, and the total is `base`'s plus, for each job of a changed
+operation, its new tardiness minus its old.  Integer sums make this
+exact.
 """
 
 from __future__ import annotations
@@ -152,8 +175,9 @@ class _Decode(NamedTuple):
     and machines, each operation's same-family predecessor in list order
     (-1 for none) and earliest allowed start t_min, the list and each
     operation's position in it, each family's last placed operation (-1 for
-    none), and the operations the decode searched (in list order).  Nothing
-    in it is mutated after the decode."""
+    none), and the operations whose completion differs from `base`'s, in
+    list order (every operation when there is no `base`).  Nothing in it
+    is mutated after the decode."""
 
     seqs: list[list[int]]
     tardiness: int
@@ -166,7 +190,11 @@ class _Decode(NamedTuple):
     order: list[int]
     pos_of: list[int]
     last: list[int]
-    searched: list[int]
+    changed: list[int]
+
+
+#: A family's entry in `last` until a resumed decode first meets it.
+_UNMET = -2
 
 
 def place_sequences(ci: CompiledInstance, order: list[int],
@@ -184,11 +212,13 @@ def place_sequences(ci: CompiledInstance, order: list[int],
     differs from `base`'s.  Every placement before it repeats `base`, so
     the decode restores the state at `first` from `base`'s arrays with no
     replay: each machine's sequence is its operations of position below
-    `first`, its clock and last family are its previous operation's, and
-    each family's last operation walks `base.family_pred` back from
-    `base.last` to the first of position below `first`.  Job completions
-    are read off the completions at the end.  The result is the one a full
-    decode gives.  `base` is only read, so it stays usable after a
+    `first`, and its clock and last family are its previous operation's.
+    Each family's last operation before `first` is restored when the
+    decode first meets the family, by walking `base.family_pred` back from
+    the operation it meets; a family it never meets keeps `base.last`'s.
+    The tardiness is `base`'s plus the change in the jobs of the operations
+    whose completion changed (module docstring).  The result is the one a
+    full decode gives.  `base` is only read, so it stays usable after a
     NoSlotError.
 
     From `first` on, the decode searches only what the change can move (the
@@ -199,9 +229,9 @@ def place_sequences(ci: CompiledInstance, order: list[int],
     starts from an empty profile; a clean family's profile is brought up
     to date only at its first placement that does not match, by booking
     `base`'s placements of it since it was last brought up to date that end
-    after the smallest machine clock at `first`.  `searched` lists the
-    operations the decode searched; every other one has `base`'s start and
-    completion.  A `base` with inconsistent family chains raises
+    after the smallest machine clock at `first`.  A search books its own
+    placement (`find_earliest` with `book`), so `reserve_step` books only
+    these catch-ups.  A `base` with inconsistent family chains raises
     AssertionError: no walk along them takes over `n_ops` steps or steps
     past -1.
     """
@@ -220,8 +250,9 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         pos_of = [0] * n_ops
         last = [-1] * n_families
         first = 0
-        base_starts = base_comps = base_setups = None
-        base_pred = base_t_mins = None
+        # no completion equals None, so every operation counts as changed
+        base_comps = [None] * n_ops
+        base_starts = base_setups = base_pred = base_t_mins = None
         clean = [False] * n_families
     else:
         pos_key = base.pos_of.__getitem__
@@ -243,26 +274,14 @@ def place_sequences(ci: CompiledInstance, order: list[int],
                 clocks[m] = base_comps[o]
                 last_family[m] = family[o]
         floor = min(clocks)
-        last = []
-        for o in base.last:
-            p = n_ops  # positions fall along a chain: at most n_ops steps
-            while o >= 0:
-                q = pos_key(o)
-                if q < first:
-                    break
-                if q >= p:
-                    raise AssertionError(
-                        f"base's family chain is out of list order at {o}")
-                p = q
-                o = base_pred[o]
-            last.append(o)
+        last = [_UNMET] * n_families
         clean = [True] * n_families
 
     prof_times, prof_levels = ci.fresh_profiles()
     # A clean family's profile is `base`'s after operation upto[f] at every
     # minute from `floor` on.
     upto = [-1] * n_families
-    searched = []
+    changed = []
 
     win_starts, win_ends = ci.win_starts, ci.win_ends
     proc, setup, release = ci.proc, ci.setup, ci.release
@@ -295,6 +314,21 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         t_min = clock if clock > rel else rel
         needs_setup = f != last_family[m]
         prev = last[f]
+        if prev == _UNMET:
+            # f's last operation before `first`: o is listed at or after
+            # `first` in base too, so base's chain from o passes it
+            p = pos_key(o)
+            prev = base_pred[o]
+            while prev >= 0:
+                q = pos_key(prev)
+                if q < first:
+                    break
+                if q >= p:  # positions fall along a chain
+                    raise AssertionError(
+                        f"base's family chain is out of list order at {prev}")
+                p = q
+                prev = base_pred[prev]
+            last[f] = prev
         if (clean[f] and base_pred[o] == prev and base_t_mins[o] == t_min
                 and base_setups[o] == needs_setup):
             # starts, comps, setups, family_pred and t_mins already hold
@@ -303,17 +337,16 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         else:
             if clean[f] and upto[f] != prev:
                 catch_up(f)
-            times, levels = prof_times[f], prof_levels[f]
             duration = proc[o] + setup[o] if needs_setup else proc[o]
             if needs_setup:
-                t = find_earliest(win_starts, win_ends, times, levels,
-                                  t_min, duration)[0]
+                t = find_earliest(win_starts, win_ends, prof_times[f],
+                                  prof_levels[f], t_min, duration, True)[0]
             else:
-                t = find_earliest(None, None, times, levels, t_min,
-                                  duration)[0]
+                t = find_earliest(None, None, prof_times[f], prof_levels[f],
+                                  t_min, duration, True)[0]
             c = t + duration
-            reserve_step(times, levels, t, c)
-            searched.append(o)
+            if c != base_comps[o]:
+                changed.append(o)
             starts[o] = t
             comps[o] = c
             setups[o] = needs_setup
@@ -331,17 +364,41 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         last_family[m] = f
         clocks[m] = c
 
-    # every job has an operation, so each is a real completion
-    job_comp = [_NEG_INF] * len(ci.job_ids)
-    for j, c in zip(ci.job, comps):
-        if c > job_comp[j]:
-            job_comp[j] = c
-    tardiness = 0
-    for completed, due in zip(job_comp, ci.job_due):
-        if completed > due:
-            tardiness += completed - due
+    job_due = ci.job_due
+    if base is None:
+        # every job has an operation, so each is a real completion
+        job_comp = [_NEG_INF] * len(ci.job_ids)
+        for j, c in zip(ci.job, comps):
+            if c > job_comp[j]:
+                job_comp[j] = c
+        tardiness = 0
+        for completed, due in zip(job_comp, job_due):
+            if completed > due:
+                tardiness += completed - due
+    else:
+        last = [b if o == _UNMET else o for o, b in zip(last, base.last)]
+        tardiness = base.tardiness
+        job, job_ops = ci.job, ci.job_ops
+        done = set()
+        for o in changed:
+            j = job[o]
+            if j in done:
+                continue
+            done.add(j)
+            ops = job_ops[j]
+            now, was = comps[ops[0]], base_comps[ops[0]]
+            for x in ops:
+                if comps[x] > now:
+                    now = comps[x]
+                if base_comps[x] > was:
+                    was = base_comps[x]
+            due = job_due[j]
+            if now > due:
+                tardiness += now - due
+            if was > due:
+                tardiness -= was - due
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
-                   family_pred, t_mins, order, pos_of, last, searched)
+                   family_pred, t_mins, order, pos_of, last, changed)
 
 
 def schedule_from_arrays(ci: CompiledInstance, seqs: list[list[int]],

@@ -67,9 +67,13 @@ class LtaState:
     # elsewhere that do
     stale: set[int]
     pending: set[tuple[int, int]]
-    # per operation: its job's due date and its number of eligible machines
+    # per family: its open operations
+    open_ops: list[set[int]]
+    # per operation: its job's due date, its number of eligible machines
+    # and its processing time divided by that number (its LFM load share)
     due: list[int]
     flexibility: list[int]
+    load_share: list[float]
     placements: list[PlacedOperation] = field(default_factory=list)
 
     @property
@@ -85,6 +89,7 @@ def init_state(instance: Instance) -> LtaState:
         for m in ci.eligible[o]:
             candidates[m][o] = None
     prof_times, prof_levels = ci.fresh_profiles()
+    flexibility = [len(machines) for machines in ci.eligible]
     return LtaState(
         ci=ci,
         clocks=[ci.origin] * n_machines,
@@ -97,8 +102,10 @@ def init_state(instance: Instance) -> LtaState:
         s_sum=sum(ci.setup),
         stale=set(range(n_machines)),
         pending=set(),
+        open_ops=[set(ops) for ops in ci.family_ops],
         due=[ci.job_due[j] for j in ci.job],
-        flexibility=[len(machines) for machines in ci.eligible],
+        flexibility=flexibility,
+        load_share=[p / k for p, k in zip(ci.proc, flexibility)],
     )
 
 
@@ -126,31 +133,39 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
     cached = state.candidates[m]
     family, release, proc, setup = ci.family, ci.release, ci.proc, ci.setup
     due, flexibility = state.due, state.flexibility
-    windows = ci.win_starts, ci.win_ends
+    prof_times, prof_levels = state.prof_times, state.prof_levels
+    win_starts, win_ends = ci.win_starts, ci.win_ends
     new, candidate = tuple.__new__, Candidate
-    # (f, t_min) -> (t0, run end, the search arguments before t_min)
-    probes: dict[tuple[int, int], tuple] = {}
+    # (t0, run end) per family when t_min is the clock, else per
+    # (family, release); t0 is None when no operator window is left
+    probes: dict = {}
     for o in ops:
         f = family[o]
         rel = release[o]
-        t_min = clock if clock > rel else rel
+        if rel > clock:
+            t_min, key = rel, (f, rel)
+        else:
+            t_min, key = clock, f
         needs_setup = f != last
-        duration = proc[o] + setup[o] if needs_setup else proc[o]
-        probe = probes.get((f, t_min))
+        if needs_setup:
+            duration = proc[o] + setup[o]
+            wstarts, wends = win_starts, win_ends
+        else:
+            duration = proc[o]
+            wstarts = wends = None
+        probe = probes.get(key)
         if probe is None:
-            wstarts, wends = windows if needs_setup else (None, None)
-            times, levels = state.prof_times[f], state.prof_levels[f]
             try:
-                t0, run_end = find_earliest(wstarts, wends, times, levels,
-                                            t_min, 1)
+                probe = find_earliest(wstarts, wends, prof_times[f],
+                                      prof_levels[f], t_min, 1)
             except NoSlotError:
-                t0 = run_end = None
-            probe = probes[f, t_min] = (
-                t0, run_end, (wstarts, wends, times, levels))
-        t, run_end, column = probe
+                probe = (None, None)
+            probes[key] = probe
+        t, run_end = probe
         if t is not None and t + duration > run_end:
             try:
-                t = find_earliest(*column, run_end, duration)[0]
+                t = find_earliest(wstarts, wends, prof_times[f],
+                                  prof_levels[f], run_end, duration)[0]
             except NoSlotError:
                 t = None
         if t is None:
@@ -185,10 +200,11 @@ def _select_pool(state: LtaState, params: RuleParams,
         # processing diluted by its eligibility count.  A bare count of
         # schedulable operations would keep one machine "least flexible"
         # while its clock runs away and starve the rest of the shop.
+        share = state.load_share
         law = {
             m: state.clocks[m] + sum(
-                e.processing / e.flexibility
-                for e in state.candidates[m].values() if e is not None)
+                share[o] for o, e in state.candidates[m].items()
+                if e is not None)
             for m in feasible}
         least = min(law.values())
         chosen = [m for m in feasible if law[m] == least]
@@ -222,19 +238,19 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     for em in ci.eligible[o]:
         state.candidates[em].pop(o, None)
     state.unscheduled.discard(o)
+    state.open_ops[f].discard(o)
     state.p_sum -= ci.proc[o]
     state.s_sum -= ci.setup[o]
 
     state.stale.add(m)
     pending = state.pending
     lo, hi = chosen.start, chosen.completion
-    for other in ci.family_ops[f]:
-        if other in state.unscheduled:
-            for em in ci.eligible[other]:
-                cached = state.candidates[em][other]
-                if (cached is not None and cached.start < hi
-                        and lo < cached.completion):
-                    pending.add((em, other))
+    for other in state.open_ops[f]:
+        for em in ci.eligible[other]:
+            cached = state.candidates[em][other]
+            if (cached is not None and cached.start < hi
+                    and lo < cached.completion):
+                pending.add((em, other))
 
     state.placements.append(PlacedOperation(
         operation_id=ci.op_ids[o],

@@ -3,7 +3,9 @@
 The ATC family scores a candidate assignment of one operation to one
 machine; higher is better.  ATCS multiplies in a setup penalty, ATCOEE an
 occupation-efficiency reward (value-adding time over total machine time
-consumed), ATCOEEF a flexibility penalty.  EDD, LFO and RANDOM are
+consumed), ATCOEEF a flexibility penalty.  `select_assignment` builds one
+scorer per call for its rule (`_scorer`, which has the formulas), with the
+constants it multiplies by the means formed once.  EDD, LFO and RANDOM are
 baselines.  A machine policy narrows the candidates before the rule scores
 them (`list_scheduler._select_pool`): FFM to the first-freed machines
 (minimal clock), LFM to the least-loaded ones, a machine's load being its
@@ -108,44 +110,60 @@ class Candidate(NamedTuple):
     flexibility: int
 
 
-def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
-    """(1/p) * exp(-slack / (k1 * p_bar)) with slack clamped at zero."""
-    slack = c.due - c.processing - c.machine_clock
-    if slack < 0:
-        slack = 0
-    return math.exp(-slack / (params.k1 * p_bar)) / c.processing
+def _scorer(params: RuleParams, p_bar: float, s_bar: float,
+            total_machines: int):
+    """The ATC-family rule's score of a candidate; higher is better.
 
-
-def atcs_priority(c: Candidate, p_bar: float, s_bar: float,
-                  params: RuleParams) -> float:
-    """ATC with a setup penalty exp(-s/(k2*s_bar)) when a setup is required.
-
-    A candidate that avoids the setup (same family as the machine's last
-    operation) pays nothing.
+    ATC is (1/p) * exp(-slack / (k1 * p_bar)), the slack
+    due - p - clock clamped at zero.  ATCS multiplies in
+    exp(-s / (k2 * s_bar)) when the candidate needs a setup and s and
+    s_bar are positive; a candidate that continues its machine's family
+    pays nothing.  ATCOEE multiplies ATC by exp(OEE / k2), the occupation
+    efficiency OEE = p / (completion - clock) being 1 when the machine
+    spends no time on setup or waiting (the completion is at least the
+    clock plus p).  ATCOEEF multiplies ATCOEE by exp(-Fl / k3),
+    Fl = |eligible| / total machine count.  The products k1 * p_bar and
+    k2 * s_bar are formed once; every score takes the same float steps in
+    the same order as the formulas written out.
     """
-    base = atc_priority(c, p_bar, params)
-    s_eff = c.setup if c.setup_required else 0
-    if s_eff == 0 or s_bar <= 0:
-        return base
-    return base * math.exp(-s_eff / (params.k2 * s_bar))
-
-
-def atcoee_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
-    """ATC times exp(OEE/k2), OEE = processing / (completion - clock).
-
-    OEE is 1 when the machine spends no time on setup or waiting and decays
-    as the assignment consumes idle or setup time.
-    """
-    # the completion is at least the clock plus the processing time
-    oee = c.processing / (c.completion - c.machine_clock)
-    return atc_priority(c, p_bar, params) * math.exp(oee / params.k2)
-
-
-def atcoeef_priority(c: Candidate, p_bar: float, total_machines: int,
-                     params: RuleParams) -> float:
-    """ATCOEE times exp(-Fl/k3), Fl = |eligible| / total machine count."""
-    fl = c.flexibility / total_machines
-    return atcoee_priority(c, p_bar, params) * math.exp(-fl / params.k3)
+    rule = params.rule
+    exp = math.exp
+    kp = params.k1 * p_bar
+    k2, k3 = params.k2, params.k3
+    if rule is Rule.ATC:
+        def score(c):
+            _, _, _, _, _, clock, due, p, _, _ = c
+            slack = due - p - clock
+            if slack < 0:
+                slack = 0
+            return exp(-slack / kp) / p
+    elif rule is Rule.ATCS:
+        ks = k2 * s_bar
+        def score(c):
+            _, _, _, _, setup_required, clock, due, p, s, _ = c
+            slack = due - p - clock
+            if slack < 0:
+                slack = 0
+            atc = exp(-slack / kp) / p
+            if not setup_required or s == 0 or s_bar <= 0:
+                return atc
+            return atc * exp(-s / ks)
+    elif rule is Rule.ATCOEE:
+        def score(c):
+            _, _, _, completion, _, clock, due, p, _, _ = c
+            slack = due - p - clock
+            if slack < 0:
+                slack = 0
+            return exp(-slack / kp) / p * exp(p / (completion - clock) / k2)
+    else:
+        def score(c):
+            _, _, _, completion, _, clock, due, p, _, flexibility = c
+            slack = due - p - clock
+            if slack < 0:
+                slack = 0
+            return (exp(-slack / kp) / p * exp(p / (completion - clock) / k2)
+                    * exp(-(flexibility / total_machines) / k3))
+    return score
 
 
 def select_assignment(candidates: list[Candidate], params: RuleParams,
@@ -168,14 +186,5 @@ def select_assignment(candidates: list[Candidate], params: RuleParams,
         return min(pool, key=lambda c: c.due)
     if rule is Rule.LFO:
         return min(pool, key=lambda c: c.flexibility)
-
-    if rule is Rule.ATC:
-        score = lambda c: atc_priority(c, p_bar, params)
-    elif rule is Rule.ATCS:
-        score = lambda c: atcs_priority(c, p_bar, s_bar, params)
-    elif rule is Rule.ATCOEE:
-        score = lambda c: atcoee_priority(c, p_bar, params)
-    else:
-        score = lambda c: atcoeef_priority(c, p_bar, total_machines, params)
     # max keeps the first of equal scores, so ties break on pool order
-    return max(pool, key=score)
+    return max(pool, key=_scorer(params, p_bar, s_bar, total_machines))

@@ -13,7 +13,9 @@ books column profiles with `find_earliest` and `reserve_step`, themselves
 checked against the minute scans, but shares no placement order or
 bookkeeping with the solvers.
 `pack_partition` is the annealer's former pack index, kept as the
-reference its on-demand pack search is checked against.
+reference its on-demand pack search is checked against, and the
+`*_priority` functions are the ATC-family formulas written out one rule
+per function, the reference for `rules.select_assignment`'s scorers.
 `always_open` only builds operator windows for hand-made instances.
 """
 
@@ -70,6 +72,41 @@ def scan_free_run(t_min, windows, capacity, bookings, limit,
     end = next((u for u in range(t, limit + 1)
                 if profile_level_at(capacity, bookings, u) < 1), math.inf)
     return t, end
+
+
+def atc_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
+    """(1/p) * exp(-slack / (k1 * p_bar)) with slack clamped at zero."""
+    slack = c.due - c.processing - c.machine_clock
+    if slack < 0:
+        slack = 0
+    return math.exp(-slack / (params.k1 * p_bar)) / c.processing
+
+
+def atcs_priority(c: Candidate, p_bar: float, s_bar: float,
+                  params: RuleParams) -> float:
+    """ATC with a setup penalty exp(-s/(k2*s_bar)) when a setup is required.
+
+    A candidate that avoids the setup (same family as the machine's last
+    operation) pays nothing.
+    """
+    base = atc_priority(c, p_bar, params)
+    s_eff = c.setup if c.setup_required else 0
+    if s_eff == 0 or s_bar <= 0:
+        return base
+    return base * math.exp(-s_eff / (params.k2 * s_bar))
+
+
+def atcoee_priority(c: Candidate, p_bar: float, params: RuleParams) -> float:
+    """ATC times exp(OEE/k2), OEE = processing / (completion - clock)."""
+    oee = c.processing / (c.completion - c.machine_clock)
+    return atc_priority(c, p_bar, params) * math.exp(oee / params.k2)
+
+
+def atcoeef_priority(c: Candidate, p_bar: float, total_machines: int,
+                     params: RuleParams) -> float:
+    """ATCOEE times exp(-Fl/k3), Fl = |eligible| / total machine count."""
+    fl = c.flexibility / total_machines
+    return atcoee_priority(c, p_bar, params) * math.exp(-fl / params.k3)
 
 
 def scan_schedule_violations(instance: Instance, schedule: Schedule,

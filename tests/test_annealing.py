@@ -358,11 +358,18 @@ class TestItemSelection:
         assert weights == {"j0.1": 20.0, "j1.1": 25.0}
         assert sol.op_total == 45.0
 
-    def test_kept_weights_equal_a_full_computation(self):
+    def test_kept_weights_equal_a_full_computation(self, monkeypatch):
         # A random walk over every mechanism: each accepted solution keeps
         # its base's weights and recomputes only the jobs of the operations
-        # the decode searched whose completion changed.  Floats are
-        # compared bit for bit.
+        # whose completion changed.  Floats are compared bit for bit.
+        searches = []
+
+        def counting(*args):
+            searches.append(None)
+            return find_earliest(*args)
+
+        find_earliest = engine.find_earliest
+        monkeypatch.setattr(engine, "find_earliest", counting)
         rng = random.Random(7)
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=4, n_column_types=4,
@@ -377,6 +384,7 @@ class TestItemSelection:
                 order, machine_of, first = proposal
                 # a wrong position could corrupt the bases after it
                 assert first == first_difference(sol.decode, order, machine_of)
+                searches.clear()
                 try:
                     decoded = place_sequences(ci, order, machine_of,
                                               sol.decode, first)
@@ -386,15 +394,16 @@ class TestItemSelection:
                     continue
                 kept = _Solution(ci, decoded, sol)
                 full = _Solution(ci, decoded)
-                searched_unchanged += sum(decoded.comps[o] == sol.comps[o]
-                                          for o in decoded.searched)
+                # one search per searched operation; each changed one was
+                searched_unchanged += len(searches) - len(decoded.changed)
                 assert ([w.hex() for w in kept.weights]
                         == [w.hex() for w in _op_weights(ci, decoded.comps)])
                 assert ([w.hex() for w in kept.op_cum]
                         == [w.hex() for w in full.op_cum])
                 sol = kept
                 accepted += 1
-        # many searched operations keep their completion: the rule skips them
+        # many searched operations keep their completion: their jobs are
+        # not reweighed
         assert accepted > 50 and searched_unchanged > 100
 
 
@@ -925,7 +934,7 @@ class TestRunSa:
 
 
 def decode_fields(decoded):
-    # `searched` is left out: a full decode searches every operation
+    # `changed` is left out: a full decode lists every operation
     return (decoded.seqs, decoded.tardiness, decoded.starts, decoded.comps,
             decoded.setups, decoded.machine_of, decoded.family_pred,
             decoded.t_mins, decoded.order, decoded.pos_of, decoded.last)
@@ -951,7 +960,7 @@ class TestResumedDecode:
             seed=seed, unchecked=True))
         ci, sol = greedy_solution(inst)
         assert ci.n_ops > 4 * 16  # many positions to resume at
-        compared = 0
+        compared = changed = 0
         rows = set()
         for row, move in enumerate(MOVES * 3):
             for _ in range(15):
@@ -969,10 +978,21 @@ class TestResumedDecode:
                     assert full is NoSlotError
                     continue
                 assert decode_fields(resumed) == full
+                # `changed` lists, once each and in list order, exactly the
+                # operations whose completion differs from base's, and the
+                # tardiness read off them is a full recomputation's
+                assert resumed.changed == [
+                    o for o in order
+                    if resumed.comps[o] != sol.decode.comps[o]]
+                assert resumed.tardiness == sum(
+                    max(0, max(resumed.comps[o] for o in ops) - due)
+                    for ops, due in zip(ci.job_ops, ci.job_due))
+                changed += bool(resumed.changed)
                 compared += 1
                 if rng.random() < 0.5:
                     sol = _Solution(ci, resumed)
         assert compared > 100 and len(rows) == len(MOVES)
+        assert changed > 50
 
     def test_machines_that_grow_shrink_or_empty(self):
         # A resumed decode needs only the first changed position, so any
@@ -1109,14 +1129,14 @@ class TestResumedDecode:
                 calls.clear()
                 resumed = place_sequences(ci, order, machine_of, base, first)
                 replayed = ci.n_ops - first
-                assert len(calls) == len(resumed.searched) < replayed
+                # a changed operation was searched, and a search books
+                assert len(resumed.changed) <= len(calls) < replayed
+                assert all(args[-1] is True for args in calls)
                 assert decode_fields(resumed) == full_or_error(ci, order,
                                                                machine_of)
-                # an operation left unsearched kept base's placement
-                searched = set(resumed.searched)
-                assert all(resumed.starts[o] == base.starts[o]
-                           and resumed.comps[o] == base.comps[o]
-                           for o in range(ci.n_ops) if o not in searched)
+                changed = set(resumed.changed)
+                assert all(resumed.comps[o] == base.comps[o]
+                           for o in range(ci.n_ops) if o not in changed)
 
     def test_clean_families_catch_up_at_a_mismatch(self, monkeypatch):
         # m0 runs 60 fA operations (3 units), m1 fB ones (2 units) and m2
@@ -1141,33 +1161,44 @@ class TestResumedDecode:
         for o in b:
             machine_of[o] = 2 if o == b[-1] else 1
         base = place_sequences(ci, order, machine_of)
-        booked = []
+        events = []  # levels[0] is the family's units: 3 for fA, 2 for fB
+
+        def searching(wstarts, wends, times, levels, t_min, duration, book):
+            events.append(("search", levels[0], t_min, duration))
+            return find_earliest(wstarts, wends, times, levels, t_min,
+                                 duration, book)
 
         def recording(times, levels, start, end):
-            booked.append((levels[0], start, end))  # levels[0] is the units
+            events.append(("book", levels[0], start, end))
             reserve_step(times, levels, start, end)
 
-        reserve_step = engine.reserve_step
+        find_earliest, reserve_step = engine.find_earliest, engine.reserve_step
+        monkeypatch.setattr(engine, "find_earliest", searching)
         monkeypatch.setattr(engine, "reserve_step", recording)
         moved = machine_of[:]
         for o in b[1::2]:
             moved[o] = 2
         assert first_difference(base, order, moved) == 3
         resumed = place_sequences(ci, order, moved, base, 3)
-        assert not set(a) & set(resumed.searched)
-        assert [units for units, _, _ in booked].count(3) == 0
-        assert b[0] not in resumed.searched and b[1] in resumed.searched
-        assert booked[0] == (2, base.starts[b[0]], base.comps[b[0]])
-        monkeypatch.setattr(engine, "reserve_step", reserve_step)
+        monkeypatch.undo()
+        assert [units for _, units, _, _ in events].count(3) == 0
+        # b00 is caught up, then b01 searched on the empty m2: from its
+        # release, with a setup
+        assert events[:2] == [
+            ("book", 2, base.starts[b[0]], base.comps[b[0]]),
+            ("search", 2, 0, 12)]
+        assert set(a).isdisjoint(resumed.changed) and b[0] not in resumed.changed
+        assert b[1] in resumed.changed
         assert decode_fields(resumed) == full_or_error(ci, order, moved)
 
     def test_catch_up_books_only_what_ends_after_the_clock(self, monkeypatch):
         # A random walk as above, with every search and booking recorded in
-        # order.  Each search is followed by its own booking; the bookings
-        # before it are catch-up, and each must end after the floor: the
-        # smallest machine clock at the first changed position, that is,
-        # over the machines, the completion of the last operation listed
-        # before it (the origin for a machine with none).
+        # order.  A search books its own placement, so every `reserve_step`
+        # call is catch-up: each comes right before a search of its family,
+        # and each must end after the floor: the smallest machine clock at
+        # the first changed position, that is, over the machines, the
+        # completion of the last operation listed before it (the origin for
+        # a machine with none).
         rng = random.Random(5)
         inst = generate_instance(GenConfig(
             n_jobs=60, n_routings=6, n_machines=4, n_column_types=4,
@@ -1176,11 +1207,11 @@ class TestResumedDecode:
         events = []
 
         def searching(*args):
-            events.append(None)
+            events.append((None, args[2]))
             return find_earliest(*args)
 
         def booking(times, levels, start, end):
-            events.append(end)
+            events.append((end, times))
             reserve_step(times, levels, start, end)
 
         find_earliest, reserve_step = engine.find_earliest, engine.reserve_step
@@ -1210,19 +1241,17 @@ class TestResumedDecode:
                          if resumed.pos_of[o] < first), default=ci.origin)
                     for seq in resumed.seqs)
                 pending = []
-                own = False
-                for end in events:
+                for end, times in events:
                     if end is None:
-                        assert all(e > floor for e in pending)
+                        assert all(e > floor and t is times
+                                   for e, t in pending)
                         caught_up += len(pending)
                         pending = []
-                        own = True
-                    elif own:
-                        own = False
                     else:
-                        pending.append(end)
+                        pending.append((end, times))
                 assert not pending
-                assert events.count(None) == len(resumed.searched)
+                searches = sum(end is None for end, _ in events)
+                assert len(resumed.changed) <= searches
                 if rng.random() < 0.5:
                     sol = _Solution(ci, resumed)
         assert compared > 100 and caught_up > 0

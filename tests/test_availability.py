@@ -119,24 +119,37 @@ class TestCapacityProfile:
         assert find_earliest(None, None, times, levels, 0, 10) == (
             15, math.inf)
 
-    @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
+    def test_a_booking_that_ends_on_a_breakpoint_adds_none(self):
+        times, levels = profile(2, (10, 30), (0, 30))
+        assert (times[1:], levels) == ([0, 10, 30], [2, 1, 0, 2])
+        reserve_step(times, levels, 30, 40)
+        reserve_step(times, levels, 35, 40)
+        assert (times[1:], levels) == ([0, 10, 30, 35, 40], [2, 1, 0, 1, 0, 2])
+
+    @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30),
+                              st.booleans()),
                     min_size=1, max_size=8),
            st.integers(1, 3))
     def test_nested_reserves_match_counting_oracle(self, raw, capacity):
         # book in order where a unit is free throughout: the levels, every
         # interval minimum and every earliest start match a count of the
-        # booked intervals
+        # booked intervals.  A flagged booking ends on the first breakpoint
+        # after its start, when there is one, so bookings that end on an
+        # existing breakpoint are common.
         times, levels = [-math.inf], [capacity]
         booked = []
-        for a, d in raw:
-            if min_level(times, levels, a, a + d) < 1:
+        for a, d, snap in raw:
+            b = a + d
+            if snap:
+                b = next((t for t in times if t > a), b)
+            if min_level(times, levels, a, b) < 1:
                 continue
-            reserve_step(times, levels, a, a + d)
-            booked.append((a, a + d))
+            reserve_step(times, levels, a, b)
+            booked.append((a, b))
         assert times == sorted(set(times))
         counted = [profile_level_at(capacity, booked, t) for t in range(0, 115)]
         assert [level_at(times, levels, t) for t in range(0, 115)] == counted
-        for a, d in raw:
+        for a, d, _ in raw:
             assert min_level(times, levels, a, a + d) == min(counted[a:a + d])
             # adjacent bookings leave breakpoints that do not change the
             # level; the earliest-start query must see through them
@@ -144,6 +157,38 @@ class TestCapacityProfile:
                 scan_earliest(a, d, [], capacity, booked, 200, False)
             assert probe(None, None, times, levels, a) == \
                 scan_free_run(a, [], capacity, booked, 200, False)
+
+    @given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
+                    max_size=8),
+           st.lists(st.tuples(st.integers(0, 200), st.integers(1, 40)),
+                    max_size=4),
+           st.integers(1, 3), st.integers(0, 120), st.integers(1, 60),
+           st.booleans())
+    def test_a_booking_search_equals_a_search_then_reserve_step(
+            self, raw, raw_windows, capacity, t_min, duration, windowed):
+        # `book` books [t, t + duration) from the step the search stopped
+        # at: the result and the profile left behind are those of the same
+        # search followed by `reserve_step`, and a search that raises
+        # leaves the profile as it was
+        times, levels = [-math.inf], [capacity]
+        for a, d in raw:
+            if min_level(times, levels, a, a + d) >= 1:
+                reserve_step(times, levels, a, a + d)
+        windows = TimeWindowSet(tuple((a, a + w) for a, w in raw_windows))
+        starts, ends = window_arrays(windows) if windowed else (None, None)
+        searched = times[:], levels[:]
+        booked = times[:], levels[:]
+        try:
+            expected = find_earliest(starts, ends, *searched, t_min, duration)
+        except NoSlotError:
+            with pytest.raises(NoSlotError):
+                find_earliest(starts, ends, *booked, t_min, duration, True)
+            assert booked == (times, levels)
+            return
+        reserve_step(*searched, expected[0], expected[0] + duration)
+        assert find_earliest(starts, ends, *booked, t_min, duration,
+                             True) == expected
+        assert booked == searched
 
     @given(st.lists(st.tuples(st.integers(-50, 200), st.integers(1, 60)),
                     max_size=12),

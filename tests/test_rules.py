@@ -7,10 +7,10 @@ from chromsched.list_scheduler import (_refresh, _select_pool,
                                        commit_assignment, init_state, run_lta)
 from chromsched.model import ColumnType, Instance, Job, Operation
 from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
-                              atc_priority, atcoee_priority, atcoeef_priority,
-                              atcs_priority, select_assignment)
+                              _scorer, select_assignment)
 
-from oracles import always_open
+from oracles import (always_open, atc_priority, atcoee_priority,
+                     atcoeef_priority, atcs_priority)
 from test_list_scheduler import candidate_times
 
 
@@ -23,6 +23,27 @@ def cand(op=0, machine=0, p=100, s=20, due=300, clock=0, start=None,
         machine=machine, op=op, start=start, completion=completion,
         setup_required=setup, machine_clock=clock, due=due, processing=p,
         setup=s, flexibility=flexibility)
+
+
+def score(c, p_bar, params, s_bar=1.0, total_machines=1):
+    """`params.rule`'s score of c, as `select_assignment` scores it."""
+    return _scorer(params, p_bar, s_bar, total_machines)(c)
+
+
+def ATC(**ks):
+    return RuleParams(rule=Rule.ATC, **ks)
+
+
+def ATCS(**ks):
+    return RuleParams(rule=Rule.ATCS, **ks)
+
+
+def ATCOEE(**ks):
+    return RuleParams(rule=Rule.ATCOEE, **ks)
+
+
+def ATCOEEF(**ks):
+    return RuleParams(rule=Rule.ATCOEEF, **ks)
 
 
 def ids(state, c):
@@ -53,104 +74,128 @@ def policy_then_rule(state, params):
 class TestAtc:
     def test_critical_job_clamps_to_inverse_processing(self):
         c = cand(p=100, due=50, clock=0)  # negative slack
-        assert atc_priority(c, 100.0, RuleParams(k1=1)) == pytest.approx(0.01)
+        assert score(c, 100.0, ATC(k1=1)) == pytest.approx(0.01)
 
     def test_direct_formula(self):
         c = cand(p=100, due=300, clock=0)
-        got = atc_priority(c, 100.0, RuleParams(k1=1))
+        got = score(c, 100.0, ATC(k1=1))
         assert got == pytest.approx(0.01 * math.exp(-2), rel=1e-9)
         assert got == pytest.approx(0.0013534, abs=5e-8)
 
     def test_shorter_job_wins_at_zero_slack(self):
         short = cand(p=50, due=0)
         long = cand(p=100, due=0)
-        params = RuleParams(k1=1)
-        assert atc_priority(short, 75.0, params) == pytest.approx(0.02)
-        assert atc_priority(long, 75.0, params) == pytest.approx(0.01)
+        params = ATC(k1=1)
+        assert score(short, 75.0, params) == pytest.approx(0.02)
+        assert score(long, 75.0, params) == pytest.approx(0.01)
 
     def test_monotone_in_slack_and_processing(self):
-        params = RuleParams(k1=2)
-        tighter = atc_priority(cand(p=100, due=300), 100.0, params)
-        looser = atc_priority(cand(p=100, due=400), 100.0, params)
+        params = ATC(k1=2)
+        tighter = score(cand(p=100, due=300), 100.0, params)
+        looser = score(cand(p=100, due=400), 100.0, params)
         assert tighter > looser
 
 
 class TestAtcs:
     def test_no_setup_equals_atc(self):
         c = cand(setup=False)
-        params = RuleParams(k1=1, k2=1)
-        assert atcs_priority(c, 100.0, 50.0, params) == pytest.approx(
-            atc_priority(c, 100.0, params), rel=1e-12)
+        assert score(c, 100.0, ATCS(k1=1, k2=1), s_bar=50.0) == pytest.approx(
+            score(c, 100.0, ATC(k1=1)), rel=1e-12)
 
     def test_mean_setup_costs_one_e(self):
         c = cand(s=50, setup=True)
-        params = RuleParams(k1=1, k2=1)
-        assert atcs_priority(c, 100.0, 50.0, params) == pytest.approx(
-            atc_priority(c, 100.0, params) * math.exp(-1), rel=1e-12)
+        assert score(c, 100.0, ATCS(k1=1, k2=1), s_bar=50.0) == pytest.approx(
+            score(c, 100.0, ATC(k1=1)) * math.exp(-1), rel=1e-12)
 
     def test_longer_setup_scores_lower(self):
-        params = RuleParams()
-        small = atcs_priority(cand(s=10), 100.0, 50.0, params)
-        large = atcs_priority(cand(s=20), 100.0, 50.0, params)
+        small = score(cand(s=10), 100.0, ATCS(), s_bar=50.0)
+        large = score(cand(s=20), 100.0, ATCS(), s_bar=50.0)
         assert large < small
+
+    def test_no_setup_penalty_without_a_mean_setup(self):
+        c = cand(s=50, setup=True)
+        assert score(c, 100.0, ATCS(k1=1), s_bar=0.0) == score(
+            c, 100.0, ATC(k1=1))
 
 
 class TestAtcoee:
     def test_immediate_no_setup_start_is_fully_effective(self):
         c = cand(p=100, s=0, setup=False, clock=50, start=50, due=0)
-        params = RuleParams(k1=1, k2=2)
-        assert atcoee_priority(c, 100.0, params) == pytest.approx(
-            atc_priority(c, 100.0, params) * math.exp(1 / 2), rel=1e-12)
+        assert score(c, 100.0, ATCOEE(k1=1, k2=2)) == pytest.approx(
+            score(c, 100.0, ATC(k1=1)) * math.exp(1 / 2), rel=1e-12)
 
     def test_half_effectiveness_with_equal_setup(self):
         c = cand(p=60, s=60, setup=True, clock=0, start=0, due=0)
-        params = RuleParams(k1=1, k2=1)
         # completion - clock = 120, OEE = 0.5
-        assert atcoee_priority(c, 60.0, params) == pytest.approx(
-            atc_priority(c, 60.0, params) * math.exp(0.5), rel=1e-12)
+        assert score(c, 60.0, ATCOEE(k1=1, k2=1)) == pytest.approx(
+            score(c, 60.0, ATC(k1=1)) * math.exp(0.5), rel=1e-12)
 
     def test_waiting_lowers_priority(self):
-        params = RuleParams()
-        punctual = atcoee_priority(cand(start=0, clock=0), 100.0, params)
-        delayed = atcoee_priority(cand(start=40, clock=0), 100.0, params)
+        punctual = score(cand(start=0, clock=0), 100.0, ATCOEE())
+        delayed = score(cand(start=40, clock=0), 100.0, ATCOEE())
         assert delayed < punctual
 
 
 class TestAtcoeef:
     def test_full_flexibility_penalty(self):
         c = cand(flexibility=10)
-        params = RuleParams(k1=1, k2=1, k3=2)
-        assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
-            atcoee_priority(c, 100.0, params) * math.exp(-1 / 2), rel=1e-12)
+        got = score(c, 100.0, ATCOEEF(k1=1, k2=1, k3=2), total_machines=10)
+        assert got == pytest.approx(
+            score(c, 100.0, ATCOEE(k1=1, k2=1)) * math.exp(-1 / 2), rel=1e-12)
 
     def test_fractional_flexibility(self):
         c = cand(flexibility=2)
-        params = RuleParams(k1=1, k2=1, k3=1)
-        assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
-            atcoee_priority(c, 100.0, params) * math.exp(-0.2), rel=1e-12)
+        got = score(c, 100.0, ATCOEEF(k1=1, k2=1, k3=1), total_machines=10)
+        assert got == pytest.approx(
+            score(c, 100.0, ATCOEE(k1=1, k2=1)) * math.exp(-0.2), rel=1e-12)
 
     def test_large_k3_recovers_atcoee(self):
         c = cand(flexibility=2)
-        params = RuleParams(k1=1, k2=1, k3=1e15)
-        assert atcoeef_priority(c, 100.0, 10, params) == pytest.approx(
-            atcoee_priority(c, 100.0, RuleParams(k1=1, k2=1)), rel=1e-12)
+        got = score(c, 100.0, ATCOEEF(k1=1, k2=1, k3=1e15), total_machines=10)
+        assert got == pytest.approx(score(c, 100.0, ATCOEE(k1=1, k2=1)),
+                                    rel=1e-12)
+
+
+def random_candidate(rng, op=0, machine=0):
+    return cand(op=op, machine=machine, p=rng.randint(1, 2000),
+                s=rng.choice([0, rng.randint(1, 2000)]),
+                due=rng.randint(-5000, 20000), clock=rng.randint(0, 9000),
+                start=rng.randint(9000, 12000),
+                setup=bool(rng.getrandbits(1)),
+                flexibility=rng.randint(1, 10))
+
+
+class TestScorers:
+    def test_each_scorer_equals_its_formula_bit_for_bit(self):
+        # the scorers hoist k1 * p_bar and k2 * s_bar; every float step is
+        # the reference formula's, so the scores are equal, not just close
+        rng = random.Random(3)
+        for _ in range(400):
+            ks = dict(k1=rng.choice([0.5, 1.0, 2.0, 10.0, 3.7]),
+                      k2=rng.choice([0.5, 1.0, 5.0, 0.3]),
+                      k3=rng.choice([1.0, 10.0, 2.5]))
+            p_bar = rng.uniform(1.0, 2000.0)
+            s_bar = rng.choice([0.0, rng.uniform(0.1, 1500.0)])
+            total = rng.randint(1, 12)
+            c = random_candidate(rng)
+            assert score(c, p_bar, ATC(**ks)) == atc_priority(
+                c, p_bar, ATC(**ks))
+            assert score(c, p_bar, ATCS(**ks), s_bar=s_bar) == atcs_priority(
+                c, p_bar, s_bar, ATCS(**ks))
+            assert score(c, p_bar, ATCOEE(**ks)) == atcoee_priority(
+                c, p_bar, ATCOEE(**ks))
+            assert score(c, p_bar, ATCOEEF(**ks), total_machines=total) == \
+                atcoeef_priority(c, p_bar, total, ATCOEEF(**ks))
 
 
 class TestScoresPositiveFinite:
     def test_all_rules_positive_finite(self):
         rng = random.Random(3)
-        params = RuleParams()
         for _ in range(200):
-            c = cand(p=rng.randint(1, 2000), s=rng.randint(0, 2000),
-                     due=rng.randint(-5000, 20000), clock=rng.randint(0, 9000),
-                     start=rng.randint(9000, 12000),
-                     setup=bool(rng.getrandbits(1)))
-            for score in (
-                    atc_priority(c, 700.0, params),
-                    atcs_priority(c, 700.0, 400.0, params),
-                    atcoee_priority(c, 700.0, params),
-                    atcoeef_priority(c, 700.0, 10, params)):
-                assert 0.0 < score < math.inf
+            c = random_candidate(rng)
+            for params in (ATC(), ATCS(), ATCOEE(), ATCOEEF()):
+                got = score(c, 700.0, params, s_bar=400.0, total_machines=10)
+                assert 0.0 < got < math.inf
 
 
 class TestSelectAssignment:
@@ -221,7 +266,7 @@ class TestSelectAssignment:
             got = select_assignment(list(pool), params, rng,
                                     p_bar=250.0, s_bar=150.0, total_machines=3)
             best = max(atcoee_priority(c, 250.0, params) for c in pool)
-            assert atcoee_priority(got, 250.0, params) == pytest.approx(best)
+            assert atcoee_priority(got, 250.0, params) == best
 
     def test_tie_breaks_lexicographic(self):
         # index order is (machine id, job id, operation id) order
