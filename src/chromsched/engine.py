@@ -51,7 +51,9 @@ its operations' completions, and an operation's completion differs from
 differs (`changed`), so every other job has `base`'s completions and
 tardiness, and the total is `base`'s plus, for each job of a changed
 operation, its new tardiness minus its old.  Integer sums make this
-exact.
+exact.  A decode with no `base` takes every `base` completion as -inf:
+every operation is then changed, every old tardiness is 0, and the
+total starts from 0.
 """
 
 from __future__ import annotations
@@ -250,8 +252,9 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         pos_of = [0] * n_ops
         last = [-1] * n_families
         first = 0
-        # no completion equals None, so every operation counts as changed
-        base_comps = [None] * n_ops
+        # every completion differs from -inf, so every operation is changed
+        # and its job's tardiness counts from a base total of 0
+        base_comps = [_NEG_INF] * n_ops
         base_starts = base_setups = base_pred = base_t_mins = None
         clean = [False] * n_families
     else:
@@ -364,39 +367,29 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         last_family[m] = f
         clocks[m] = c
 
-    job_due = ci.job_due
-    if base is None:
-        # every job has an operation, so each is a real completion
-        job_comp = [_NEG_INF] * len(ci.job_ids)
-        for j, c in zip(ci.job, comps):
-            if c > job_comp[j]:
-                job_comp[j] = c
-        tardiness = 0
-        for completed, due in zip(job_comp, job_due):
-            if completed > due:
-                tardiness += completed - due
-    else:
+    tardiness = 0
+    if base is not None:
         last = [b if o == _UNMET else o for o, b in zip(last, base.last)]
         tardiness = base.tardiness
-        job, job_ops = ci.job, ci.job_ops
-        done = set()
-        for o in changed:
-            j = job[o]
-            if j in done:
-                continue
-            done.add(j)
-            ops = job_ops[j]
-            now, was = comps[ops[0]], base_comps[ops[0]]
-            for x in ops:
-                if comps[x] > now:
-                    now = comps[x]
-                if base_comps[x] > was:
-                    was = base_comps[x]
-            due = job_due[j]
-            if now > due:
-                tardiness += now - due
-            if was > due:
-                tardiness -= was - due
+    job, job_ops, job_due = ci.job, ci.job_ops, ci.job_due
+    done = set()
+    for o in changed:
+        j = job[o]
+        if j in done:
+            continue
+        done.add(j)
+        ops = job_ops[j]
+        now, was = comps[ops[0]], base_comps[ops[0]]
+        for x in ops:
+            if comps[x] > now:
+                now = comps[x]
+            if base_comps[x] > was:
+                was = base_comps[x]
+        due = job_due[j]
+        if now > due:
+            tardiness += now - due
+        if was > due:
+            tardiness -= was - due
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
                    family_pred, t_mins, order, pos_of, last, changed)
 

@@ -130,39 +130,25 @@ def _scorer(params: RuleParams, p_bar: float, s_bar: float,
     exp = math.exp
     kp = params.k1 * p_bar
     k2, k3 = params.k2, params.k3
-    if rule is Rule.ATC:
-        def score(c):
-            _, _, _, _, _, clock, due, p, _, _ = c
-            slack = due - p - clock
-            if slack < 0:
-                slack = 0
-            return exp(-slack / kp) / p
-    elif rule is Rule.ATCS:
-        ks = k2 * s_bar
-        def score(c):
-            _, _, _, _, setup_required, clock, due, p, s, _ = c
-            slack = due - p - clock
-            if slack < 0:
-                slack = 0
-            atc = exp(-slack / kp) / p
-            if not setup_required or s == 0 or s_bar <= 0:
-                return atc
-            return atc * exp(-s / ks)
-    elif rule is Rule.ATCOEE:
-        def score(c):
-            _, _, _, completion, _, clock, due, p, _, _ = c
-            slack = due - p - clock
-            if slack < 0:
-                slack = 0
-            return exp(-slack / kp) / p * exp(p / (completion - clock) / k2)
-    else:
-        def score(c):
-            _, _, _, completion, _, clock, due, p, _, flexibility = c
-            slack = due - p - clock
-            if slack < 0:
-                slack = 0
-            return (exp(-slack / kp) / p * exp(p / (completion - clock) / k2)
-                    * exp(-(flexibility / total_machines) / k3))
+    ks = k2 * s_bar
+    setups = rule is Rule.ATCS and s_bar > 0
+    oee = rule is Rule.ATCOEE or rule is Rule.ATCOEEF
+    flex = rule is Rule.ATCOEEF
+
+    def score(c):
+        _, _, _, completion, setup_required, clock, due, p, s, fl = c
+        slack = due - p - clock
+        if slack < 0:
+            slack = 0
+        v = exp(-slack / kp) / p
+        if setups and setup_required and s != 0:
+            v = v * exp(-s / ks)
+        if oee:
+            v = v * exp(p / (completion - clock) / k2)
+        if flex:
+            v = v * exp(-(fl / total_machines) / k3)
+        return v
+
     return score
 
 
