@@ -5,15 +5,35 @@ Each pair's `rules.Candidate` (its earliest timing) is cached between loops
 and recomputed only where a commitment can change it.  Committing family f
 on machine m over [lo, hi) invalidates
   * machine m, whose clock and last family changed: m joins the set of
-    stale machines, and every open pair on it is recomputed (so a cached
-    candidate's `machine_clock` is always its machine's clock), and
+    stale machines, and every open pair on it is to be recomputed (so a
+    cached candidate's `machine_clock` is always its machine's clock), and
   * the pairs of family f on other machines whose cached [start, completion)
-    overlaps [lo, hi): these are pending one by one.
+    overlaps [lo, hi): each joins its machine's pending set.
 Every other cached entry stays exact: the commit only lowered f's column
 capacity on [lo, hi), and the other machines' clocks and families did not
 change.  A start that was infeasible stays infeasible, and a cached
 interval clear of [lo, hi) stays feasible, so it is still the earliest; a
 pair with no slot still has none.
+
+The refresh is lazy: a machine is brought up to date (`_bring_up_to_date`)
+only when the machine policy reads it, and until then it stays stale or
+keeps its pending operations across any number of commits.  This is exact:
+  * A machine that is not stale has had no commit since its last refresh,
+    so by the argument above each of its cached candidates is exact unless
+    it is pending.  A commit tests overlap against the cached interval,
+    which is exact for every pair it can leave out; a pending pair is
+    recomputed anyway, and a stale machine's pairs all are, so a commit
+    pends nothing on a stale machine.
+  * A committed operation leaves every candidate dict and every pending set
+    of its eligible machines, so no refresh brings it back.
+  * FFM (`_select_pool`) walks the machines in (clock, index) order and
+    refreshes each one as it reaches it, stopping after the first clock at
+    which some machine has a feasible candidate.  Clocks do not depend on a
+    refresh, and a machine's feasibility is read only after its refresh, so
+    the machines it picks, those with a feasible candidate at the smallest
+    such clock, are those a refresh of every machine would give.  When no
+    machine is feasible the walk has refreshed them all.  LFM sums the
+    loads of every feasible machine, so it refreshes every machine first.
 
 A pair has no slot only when it needs a setup and no operator window is
 left at or after its t_min: without a window rule the search always ends
@@ -63,10 +83,10 @@ class LtaState:
     unscheduled: set[int]
     p_sum: int
     s_sum: int
-    # machines whose every open pair needs a refresh, and single pairs
-    # elsewhere that do
+    # machines whose every open pair needs a refresh, and per machine the
+    # open operations whose pair does (empty on a stale machine)
     stale: set[int]
-    pending: set[tuple[int, int]]
+    pending: list[set[int]]
     # per family: its open operations
     open_ops: list[set[int]]
     # per operation: its job's due date, its number of eligible machines
@@ -101,7 +121,7 @@ def init_state(instance: Instance) -> LtaState:
         p_sum=sum(ci.proc),
         s_sum=sum(ci.setup),
         stale=set(range(n_machines)),
-        pending=set(),
+        pending=[set() for _ in range(n_machines)],
         open_ops=[set(ops) for ops in ci.family_ops],
         due=[ci.job_due[j] for j in ci.job],
         flexibility=flexibility,
@@ -110,18 +130,23 @@ def init_state(instance: Instance) -> LtaState:
 
 
 def _refresh(state: LtaState) -> None:
-    """Recompute the earliest timing of every open pair on a stale machine
-    and of every pending pair.  Each must still be open, so a refresh has to
-    run between two commits."""
-    stale = state.stale
-    work = {m: state.candidates[m] for m in stale}
-    for m, o in state.pending:
-        if m not in stale:
-            work.setdefault(m, []).append(o)
-    for m, ops in work.items():
-        _refresh_machine(state, m, ops)
-    stale.clear()
-    state.pending.clear()
+    """Bring every machine's candidates up to date."""
+    for m in range(state.ci.n_machines):
+        _bring_up_to_date(state, m)
+
+
+def _bring_up_to_date(state: LtaState, m: int) -> None:
+    """Recompute every open pair of machine `m` if it is stale, else only
+    its pending pairs."""
+    pending = state.pending[m]
+    if m in state.stale:
+        state.stale.discard(m)
+        _refresh_machine(state, m, state.candidates[m])
+    elif pending:
+        _refresh_machine(state, m, pending)
+    else:
+        return
+    pending.clear()
 
 
 def _refresh_machine(state: LtaState, m: int, ops) -> None:
@@ -179,36 +204,45 @@ def _refresh_machine(state: LtaState, m: int, ops) -> None:
 
 def _select_pool(state: LtaState, params: RuleParams,
                  rng: random.Random) -> Candidate:
-    """Narrow the candidates to the machine policy's machines, then let the
-    rule pick among them."""
+    """Narrow the candidates to the machine policy's machines, bringing up
+    to date the machines it reads, then let the rule pick among them."""
     ci = state.ci
+    candidates, clocks = state.candidates, state.clocks
     # a Candidate is a non-empty tuple, so only None entries are falsy
-    feasible = [m for m in range(ci.n_machines)
-                if any(state.candidates[m].values())]
-    if not feasible:
+    if params.machine_policy.value == "ffm":
+        chosen: list[int] = []
+        for m in sorted(range(ci.n_machines), key=clocks.__getitem__):
+            if chosen and clocks[m] != clocks[chosen[0]]:
+                break
+            _bring_up_to_date(state, m)
+            if any(candidates[m].values()):
+                chosen.append(m)
+    else:
+        _refresh(state)
+        chosen = [m for m in range(ci.n_machines)
+                  if any(candidates[m].values())]
+        if chosen:
+            # least-loaded machine: clock plus each schedulable operation's
+            # processing diluted by its eligibility count.  A bare count of
+            # schedulable operations would keep one machine "least
+            # flexible" while its clock runs away and starve the rest of
+            # the shop.
+            share = state.load_share
+            law = {
+                m: clocks[m] + sum(
+                    share[o] for o, e in candidates[m].items()
+                    if e is not None)
+                for m in chosen}
+            least = min(law.values())
+            chosen = [m for m in chosen if law[m] == least]
+    if not chosen:
         first = min(state.unscheduled)
         machines = ", ".join(ci.machine_ids[m] for m in ci.eligible[first])
         raise SchedulingError(
             "no open operation can be placed on any machine: no operator "
             f"window is left for the setup of {state.n_unscheduled} open "
             f"operation(s), first {ci.op_ids[first]} on {machines}")
-    if params.machine_policy.value == "ffm":
-        best = min(state.clocks[m] for m in feasible)
-        chosen = [m for m in feasible if state.clocks[m] == best]
-    else:
-        # least-loaded machine: clock plus each schedulable operation's
-        # processing diluted by its eligibility count.  A bare count of
-        # schedulable operations would keep one machine "least flexible"
-        # while its clock runs away and starve the rest of the shop.
-        share = state.load_share
-        law = {
-            m: state.clocks[m] + sum(
-                share[o] for o, e in state.candidates[m].items()
-                if e is not None)
-            for m in feasible}
-        least = min(law.values())
-        chosen = [m for m in feasible if law[m] == least]
-    pool = [e for m in chosen for e in state.candidates[m].values()
+    pool = [e for m in chosen for e in candidates[m].values()
             if e is not None]
     n = state.n_unscheduled
     return select_assignment(
@@ -221,8 +255,8 @@ def _select_pool(state: LtaState, params: RuleParams,
 def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     """Commit one selected candidate: book the column, advance the machine
     clock and family, drop the operation everywhere and refresh statistics.
-    `chosen` must be current: what `_select_pool` returned after the last
-    `_refresh`.  Mutates and returns `state`."""
+    `chosen` must be current: what `_select_pool` returned since the last
+    commit.  Mutates and returns `state`."""
     ci = state.ci
     m, o = chosen.machine, chosen.op
     f = ci.family[o]
@@ -235,22 +269,26 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
 
     state.clocks[m] = chosen.completion
     state.last_family[m] = f
+    candidates, pending = state.candidates, state.pending
     for em in ci.eligible[o]:
-        state.candidates[em].pop(o, None)
+        candidates[em].pop(o, None)
+        pending[em].discard(o)
     state.unscheduled.discard(o)
     state.open_ops[f].discard(o)
     state.p_sum -= ci.proc[o]
     state.s_sum -= ci.setup[o]
 
-    state.stale.add(m)
-    pending = state.pending
+    stale = state.stale
+    stale.add(m)
     lo, hi = chosen.start, chosen.completion
     for other in state.open_ops[f]:
         for em in ci.eligible[other]:
-            cached = state.candidates[em][other]
+            if em in stale:
+                continue
+            cached = candidates[em][other]
             if (cached is not None and cached.start < hi
                     and lo < cached.completion):
-                pending.add((em, other))
+                pending[em].add(other)
 
     state.placements.append(PlacedOperation(
         operation_id=ci.op_ids[o],
@@ -271,7 +309,6 @@ def run_lta(instance: Instance, params: RuleParams | None = None,
     state = init_state(instance)
     rng = random.Random(seed)
     for _ in range(state.ci.n_ops):
-        _refresh(state)
         chosen = _select_pool(state, params, rng)
         commit_assignment(state, chosen)
     placements = sorted(state.placements,

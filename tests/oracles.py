@@ -336,7 +336,8 @@ def run_lta_full_recompute(instance: Instance, params: RuleParams | None = None,
                     len(ci.eligible[o]))
                 assert c.completion > c.start, f"{c}: empty interval"
         state.stale.clear()
-        state.pending.clear()
+        for pending in state.pending:
+            pending.clear()
         commit_assignment(state, _select_pool(state, params, rng))
     return Schedule(tuple(sorted(
         state.placements, key=lambda p: (p.start, p.machine, p.operation_id))))

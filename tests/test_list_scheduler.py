@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import logging
 import random
@@ -10,8 +11,9 @@ from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
-from chromsched.list_scheduler import (_refresh, commit_assignment, init_state,
-                                       run_lta)
+from chromsched.list_scheduler import (_bring_up_to_date, _refresh,
+                                       _select_pool, commit_assignment,
+                                       init_state, run_lta)
 from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
@@ -45,6 +47,24 @@ def no_window_left_instance():
                          machines=("m0",), windows=TimeWindowSet(((0, 10),)))
 
 
+# every rule token of the experiments' LTA rows
+TOKENS = ("atcoee", "atcoeef", "atcs", "atc", "edd", "random", "lfm_lfo")
+
+
+def contention_instance(seed):
+    """One-unit columns make every same-family booking a conflict, and
+    30-minute operator windows every 4 hours make setups queue for a
+    window, so a cached candidate that a commit overlaps is common."""
+    windows = TimeWindowSet(tuple((k * 240, k * 240 + 30)
+                                  for k in range(-48, 600)))
+    base = generate_instance(GenConfig(
+        n_jobs=16, n_routings=6, n_column_types=4, flex_mean=4,
+        seed=seed, unchecked=True))
+    return replace(base, operator_windows=windows,
+                   column_types=tuple(ColumnType(c.family, 1)
+                                      for c in base.column_types))
+
+
 def candidate_times(state):
     """Every feasible (machine, operation) candidate of `state` after a
     refresh, in (machine id, job id, operation id) order."""
@@ -76,7 +96,8 @@ class TestCandidateTimes:
                              release=500)
         state = init_state(inst)
         state.clocks[0] = 100
-        state.pending.add((0, 0))
+        state.stale.clear()
+        state.pending[0].add(0)
         (c,) = candidate_times(state)
         assert c.start >= 500
 
@@ -137,11 +158,47 @@ class TestCommit:
         assert [(c.start, c.completion) for c in cands] == [
             (40, 70), (11, 41), (10, 40), (69, 99), (70, 100)]
         commit_assignment(state, cands[0])
-        assert state.pending == {(1, 1), (3, 3)}
+        assert state.stale == {0}
+        assert state.pending == [set(), {1}, set(), {3}, set()]
         after = candidate_times(state)
         assert [(c.start, c.completion) for c in after] == [
             (70, 100), (10, 40), (70, 100), (70, 100)]
         assert after[1] == cands[2] and after[3] == cands[4]
+
+    def test_pends_nothing_on_a_stale_machine(self):
+        # As above, but m3 is stale when j0.1 commits: its overlapping pair
+        # is recomputed with the rest of m3, so it is not pended.
+        machines = ("m0", "m1", "m2", "m3", "m4")
+        inst = tiny_instance([[("fA", 20, 10, (m,))] for m in machines],
+                             machines=machines, columns=(("fA", 1),))
+        state = init_state(inst)
+        state.clocks[:] = [40, 11, 10, 69, 70]
+        cands = candidate_times(state)
+        state.stale.add(3)
+        commit_assignment(state, cands[0])
+        assert state.stale == {0, 3}
+        assert state.pending == [set(), {1}, set(), set(), set()]
+        after = candidate_times(state)
+        assert [(c.start, c.completion) for c in after] == [
+            (70, 100), (10, 40), (70, 100), (70, 100)]
+
+
+    def test_a_committed_operation_leaves_every_pending_set(self):
+        # One fA unit.  j0.1 books [0, 30) on m0 and pends j1.1 on m1; j1.1
+        # then commits on m0 while m1 is not yet up to date, and must not
+        # come back as a candidate when m1 is refreshed.
+        inst = tiny_instance([[("fA", 20, 10, ("m0",))],
+                              [("fA", 20, 10, ("m0", "m1"))]],
+                             columns=(("fA", 1),))
+        state = init_state(inst)
+        first, second, _ = candidate_times(state)
+        assert [(c.machine, c.op) for c in (first, second)] == [(0, 0), (0, 1)]
+        commit_assignment(state, first)
+        assert state.pending == [set(), {1}]
+        _bring_up_to_date(state, 0)
+        commit_assignment(state, state.candidates[0][1])
+        assert state.pending == [set(), set()]
+        assert candidate_times(state) == []
 
 
 class TestRunLta:
@@ -194,31 +251,60 @@ class TestRunLta:
         for seed in range(4):
             inst = generate_instance(GenConfig(
                 n_jobs=9, n_routings=4, seed=seed, unchecked=True))
-            for rule in (Rule.ATCOEE, Rule.ATCS, Rule.RANDOM):
-                params = RuleParams(rule=rule)
+            for token in TOKENS:
+                params = parse_algorithm(token).rule_params
                 assert run_lta(inst, params, seed=1) == run_lta_full_recompute(
                     inst, params, seed=1)
 
     def test_invalidation_under_column_and_window_contention(self):
-        # One-unit columns make every same-family booking a conflict, and
-        # 30-minute operator windows every 4 hours make setups queue for a
-        # window, so a cached candidate that a commit overlaps is common.
-        windows = TimeWindowSet(tuple((k * 240, k * 240 + 30)
-                                      for k in range(-48, 600)))
-        tokens = ("atcoee", "atcoeef", "atcs", "atc", "edd", "random",
-                  "lfm_lfo")
         for seed in range(3):
-            base = generate_instance(GenConfig(
-                n_jobs=16, n_routings=6, n_column_types=4, flex_mean=4,
-                seed=seed, unchecked=True))
-            inst = replace(base, operator_windows=windows,
-                           column_types=tuple(ColumnType(c.family, 1)
-                                              for c in base.column_types))
-            for token in tokens:
+            inst = contention_instance(seed)
+            for token in TOKENS:
                 params = parse_algorithm(token).rule_params
                 fast = run_lta(inst, params, seed=seed)
                 assert fast == run_lta_full_recompute(inst, params, seed=seed)
                 assert validate_schedule(inst, fast) == []
+
+    def test_no_scheduled_operation_stays_cached_or_pending(self):
+        # run_lta's loop by hand: a committed operation leaves every
+        # machine's candidates and pending set, and a stale machine has
+        # nothing pending (its refresh recomputes every open pair)
+        for seed in range(3):
+            inst = contention_instance(seed)
+            for token in TOKENS:
+                params = parse_algorithm(token).rule_params
+                state = init_state(inst)
+                rng = random.Random(seed)
+                scheduled = set()
+                for _ in range(state.ci.n_ops):
+                    chosen = _select_pool(state, params, rng)
+                    commit_assignment(state, chosen)
+                    scheduled.add(chosen.op)
+                    for m, cached in enumerate(state.candidates):
+                        assert not scheduled & cached.keys(), (token, m)
+                        assert not scheduled & state.pending[m], (token, m)
+                    assert not any(state.pending[m] for m in state.stale)
+
+    def test_lazy_selection_equals_selection_after_a_full_refresh(self):
+        # at every loop, the lazy selection picks what the selection on a
+        # copy brought fully up to date picks, from the same RNG state
+        for seed in range(3):
+            inst = contention_instance(seed)
+            for token in TOKENS:
+                params = parse_algorithm(token).rule_params
+                state = init_state(inst)
+                rng = random.Random(seed)
+                for _ in range(state.ci.n_ops):
+                    eager = copy.deepcopy(state, {id(state.ci): state.ci})
+                    _refresh(eager)
+                    assert not eager.stale and not any(eager.pending)
+                    eager_rng = random.Random()
+                    eager_rng.setstate(rng.getstate())
+                    expected = _select_pool(eager, params, eager_rng)
+                    chosen = _select_pool(state, params, rng)
+                    assert chosen == expected, token
+                    assert rng.getstate() == eager_rng.getstate()
+                    commit_assignment(state, chosen)
 
     def test_monotone_clocks_and_exact_commit_count(self):
         inst = generate_instance(GenConfig(n_jobs=8, n_routings=3, seed=5,
