@@ -19,11 +19,11 @@ The refresh is lazy: a machine is brought up to date (`_bring_up_to_date`)
 only when the machine policy reads it, and until then it stays stale or
 keeps its pending operations across any number of commits.  This is exact:
   * A machine that is not stale has had no commit since its last refresh,
-    so by the argument above each of its cached candidates is exact unless
-    it is pending.  A commit tests overlap against the cached interval,
-    which is exact for every pair it can leave out; a pending pair is
-    recomputed anyway, and a stale machine's pairs all are, so a commit
-    pends nothing on a stale machine.
+    so by the argument above, commit by commit, each of its cached
+    candidates is exact unless it is pending.  A commit's overlap test
+    reads cached intervals, which are exact for every pair it may leave
+    alone; a pending pair is recomputed whatever the test says.  A stale
+    machine recomputes every open pair, so a commit pends nothing there.
   * A committed operation leaves every candidate dict and every pending set
     of its eligible machines, so no refresh brings it back.
   * FFM (`_select_pool`) walks the machines in (clock, index) order and
@@ -34,6 +34,12 @@ keeps its pending operations across any number of commits.  This is exact:
     such clock, are those a refresh of every machine would give.  When no
     machine is feasible the walk has refreshed them all.  LFM sums the
     loads of every feasible machine, so it refreshes every machine first.
+  * Only a commit on a machine can give it a feasible candidate again, so
+    the smallest feasible clock never falls, and each walk reaches every
+    machine that is not stale.  So under either policy nothing is pending
+    when `run_lta` commits, and the walk saves the refresh of the stale
+    machines it does not reach.  The discard above keeps the cache exact
+    when a commit follows the refresh of its machine alone.
 
 A pair has no slot only when it needs a setup and no operator window is
 left at or after its t_min: without a window rule the search always ends
@@ -255,8 +261,9 @@ def _select_pool(state: LtaState, params: RuleParams,
 def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     """Commit one selected candidate: book the column, advance the machine
     clock and family, drop the operation everywhere and refresh statistics.
-    `chosen` must be current: what `_select_pool` returned since the last
-    commit.  Mutates and returns `state`."""
+    `chosen` must be current: a candidate of a machine brought up to date
+    since the last commit, as `_select_pool` returns.  Mutates and returns
+    `state`."""
     ci = state.ci
     m, o = chosen.machine, chosen.op
     f = ci.family[o]

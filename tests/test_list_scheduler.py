@@ -73,6 +73,21 @@ def candidate_times(state):
                   for c in cached.values() if c is not None)
 
 
+def staggered_one_unit_shop():
+    """Five machines with one fA operation each and one fA unit, their
+    candidates cached at [40, 70), [11, 41), [10, 40), [69, 99) and
+    [70, 100)."""
+    machines = ("m0", "m1", "m2", "m3", "m4")
+    inst = tiny_instance([[("fA", 20, 10, (m,))] for m in machines],
+                         machines=machines, columns=(("fA", 1),))
+    state = init_state(inst)
+    state.clocks[:] = [40, 11, 10, 69, 70]
+    cands = candidate_times(state)
+    assert [(c.start, c.completion) for c in cands] == [
+        (40, 70), (11, 41), (10, 40), (69, 99), (70, 100)]
+    return state, cands
+
+
 class TestCandidateTimes:
     def test_empty_shop_forces_setup(self):
         inst = tiny_instance([[("fA", 20, 10, ("m0",))]], machines=("m0",))
@@ -146,17 +161,10 @@ class TestCommit:
         assert {c.op for c in remaining} == {1}
 
     def test_repends_exactly_the_overlapping_same_family_pairs(self):
-        # One fA unit.  After j0.1 books [40, 70) on m0, the fA candidates
-        # cached at [11, 41) and [69, 99) overlap it by one minute and must
-        # be recomputed; those at [10, 40) and [70, 100) only touch it.
-        machines = ("m0", "m1", "m2", "m3", "m4")
-        inst = tiny_instance([[("fA", 20, 10, (m,))] for m in machines],
-                             machines=machines, columns=(("fA", 1),))
-        state = init_state(inst)
-        state.clocks[:] = [40, 11, 10, 69, 70]
-        cands = candidate_times(state)
-        assert [(c.start, c.completion) for c in cands] == [
-            (40, 70), (11, 41), (10, 40), (69, 99), (70, 100)]
+        # After j0.1 books [40, 70) on m0, the fA candidates cached at
+        # [11, 41) and [69, 99) overlap it by one minute and must be
+        # recomputed; those at [10, 40) and [70, 100) only touch it.
+        state, cands = staggered_one_unit_shop()
         commit_assignment(state, cands[0])
         assert state.stale == {0}
         assert state.pending == [set(), {1}, set(), {3}, set()]
@@ -168,12 +176,7 @@ class TestCommit:
     def test_pends_nothing_on_a_stale_machine(self):
         # As above, but m3 is stale when j0.1 commits: its overlapping pair
         # is recomputed with the rest of m3, so it is not pended.
-        machines = ("m0", "m1", "m2", "m3", "m4")
-        inst = tiny_instance([[("fA", 20, 10, (m,))] for m in machines],
-                             machines=machines, columns=(("fA", 1),))
-        state = init_state(inst)
-        state.clocks[:] = [40, 11, 10, 69, 70]
-        cands = candidate_times(state)
+        state, cands = staggered_one_unit_shop()
         state.stale.add(3)
         commit_assignment(state, cands[0])
         assert state.stale == {0, 3}
@@ -181,7 +184,6 @@ class TestCommit:
         after = candidate_times(state)
         assert [(c.start, c.completion) for c in after] == [
             (70, 100), (10, 40), (70, 100), (70, 100)]
-
 
     def test_a_committed_operation_leaves_every_pending_set(self):
         # One fA unit.  j0.1 books [0, 30) on m0 and pends j1.1 on m1; j1.1
