@@ -73,7 +73,6 @@ class CompiledInstance:
     machine_ids: tuple[str, ...]
     op_ids: tuple[str, ...]
     family_ids: tuple[str, ...]
-    job_ids: tuple[str, ...]
     machine_index: dict[str, int]
     op_index: dict[str, int]
     # per-operation arrays
@@ -151,7 +150,6 @@ def compile_instance(instance: Instance) -> CompiledInstance:
         machine_ids=machine_ids,
         op_ids=op_ids,
         family_ids=family_ids,
-        job_ids=job_ids,
         machine_index=machine_index,
         op_index=op_index,
         proc=proc,

@@ -26,20 +26,26 @@ keeps its pending operations across any number of commits.  This is exact:
     machine recomputes every open pair, so a commit pends nothing there.
   * A committed operation leaves every candidate dict and every pending set
     of its eligible machines, so no refresh brings it back.
-  * FFM (`_select_pool`) walks the machines in (clock, index) order and
-    refreshes each one as it reaches it, stopping after the first clock at
-    which some machine has a feasible candidate.  Clocks do not depend on a
-    refresh, and a machine's feasibility is read only after its refresh, so
-    the machines it picks, those with a feasible candidate at the smallest
-    such clock, are those a refresh of every machine would give.  When no
-    machine is feasible the walk has refreshed them all.  LFM sums the
-    loads of every feasible machine, so it refreshes every machine first.
-  * Only a commit on a machine can give it a feasible candidate again, so
-    the smallest feasible clock never falls, and each walk reaches every
-    machine that is not stale.  So under either policy nothing is pending
-    when `run_lta` commits, and the walk saves the refresh of the stale
-    machines it does not reach.  The discard above keeps the cache exact
-    when a commit follows the refresh of its machine alone.
+  * `_select_pool` walks the machines in (key, index) order and refreshes
+    each one as it reaches it, stopping after the first key at which some
+    machine has a feasible candidate.  The key is the clock under FFM and
+    the load under LFM: the clock plus the load share of every open
+    operation eligible on the machine, with a slot this round or not.  A
+    refresh rewrites candidates but neither adds nor drops an operation,
+    so no key depends on a refresh, and a machine's feasibility is read
+    only after its refresh.  So the machines the walk picks, those with a
+    feasible candidate at the smallest such key, are those a refresh of
+    every machine would give.  When no machine is feasible the walk has
+    refreshed them all.
+  * Under FFM only a commit on a machine can give it a feasible candidate
+    again, and the commit raises its clock, so the smallest feasible key
+    never falls and each walk reaches every machine that is not stale:
+    nothing is pending when `run_lta` commits.  A load falls as operations
+    leave, so under LFM a walk can stop short of a machine refreshed by an
+    earlier walk, which then keeps its pending pairs across the commit.
+    That is exact by the first point, and the discard above keeps it exact
+    when the committed operation is one of them.  Either way the walk
+    saves the refresh of the stale machines it does not reach.
 
 A pair has no slot only when it needs a setup and no operator window is
 left at or after its t_min: without a window rule the search always ends
@@ -76,7 +82,7 @@ from .rules import Candidate, RuleParams, select_assignment
 class LtaState:
     """Mutable single-run state: per-machine clocks, last families,
     schedulable-operation lists with cached timings, column profiles and
-    the unscheduled-set statistics feeding the priority rules."""
+    the open-operation statistics feeding the priority rules."""
 
     ci: CompiledInstance
     clocks: list[int]
@@ -86,7 +92,6 @@ class LtaState:
     candidates: list[dict[int, Candidate | None]]
     prof_times: list[list]
     prof_levels: list[list[int]]
-    unscheduled: set[int]
     p_sum: int
     s_sum: int
     # machines whose every open pair needs a refresh, and per machine the
@@ -104,7 +109,7 @@ class LtaState:
 
     @property
     def n_unscheduled(self) -> int:
-        return len(self.unscheduled)
+        return self.ci.n_ops - len(self.placements)
 
 
 def init_state(instance: Instance) -> LtaState:
@@ -123,7 +128,6 @@ def init_state(instance: Instance) -> LtaState:
         candidates=candidates,
         prof_times=prof_times,
         prof_levels=prof_levels,
-        unscheduled=set(range(ci.n_ops)),
         p_sum=sum(ci.proc),
         s_sum=sum(ci.setup),
         stale=set(range(n_machines)),
@@ -133,12 +137,6 @@ def init_state(instance: Instance) -> LtaState:
         flexibility=flexibility,
         load_share=[p / k for p, k in zip(ci.proc, flexibility)],
     )
-
-
-def _refresh(state: LtaState) -> None:
-    """Bring every machine's candidates up to date."""
-    for m in range(state.ci.n_machines):
-        _bring_up_to_date(state, m)
 
 
 def _bring_up_to_date(state: LtaState, m: int) -> None:
@@ -214,35 +212,28 @@ def _select_pool(state: LtaState, params: RuleParams,
     to date the machines it reads, then let the rule pick among them."""
     ci = state.ci
     candidates, clocks = state.candidates, state.clocks
-    # a Candidate is a non-empty tuple, so only None entries are falsy
     if params.machine_policy.value == "ffm":
-        chosen: list[int] = []
-        for m in sorted(range(ci.n_machines), key=clocks.__getitem__):
-            if chosen and clocks[m] != clocks[chosen[0]]:
-                break
-            _bring_up_to_date(state, m)
-            if any(candidates[m].values()):
-                chosen.append(m)
+        keys = clocks
     else:
-        _refresh(state)
-        chosen = [m for m in range(ci.n_machines)
-                  if any(candidates[m].values())]
-        if chosen:
-            # least-loaded machine: clock plus each schedulable operation's
-            # processing diluted by its eligibility count.  A bare count of
-            # schedulable operations would keep one machine "least
-            # flexible" while its clock runs away and starve the rest of
-            # the shop.
-            share = state.load_share
-            law = {
-                m: clocks[m] + sum(
-                    share[o] for o, e in candidates[m].items()
-                    if e is not None)
-                for m in chosen}
-            least = min(law.values())
-            chosen = [m for m in chosen if law[m] == least]
+        # least-loaded machine: clock plus each schedulable operation's
+        # processing diluted by its eligibility count.  A bare count of
+        # schedulable operations would keep one machine "least flexible"
+        # while its clock runs away and starve the rest of the shop.  Every
+        # open operation counts, with a slot this round or not, so no
+        # refresh changes a load.
+        share = state.load_share
+        keys = [clock + sum(share[o] for o in ops)
+                for clock, ops in zip(clocks, candidates)]
+    chosen: list[int] = []
+    for m in sorted(range(ci.n_machines), key=keys.__getitem__):
+        if chosen and keys[m] != keys[chosen[0]]:
+            break
+        _bring_up_to_date(state, m)
+        # a Candidate is a non-empty tuple, so only None entries are falsy
+        if any(candidates[m].values()):
+            chosen.append(m)
     if not chosen:
-        first = min(state.unscheduled)
+        first = min(min(ops) for ops in state.open_ops if ops)
         machines = ", ".join(ci.machine_ids[m] for m in ci.eligible[first])
         raise SchedulingError(
             "no open operation can be placed on any machine: no operator "
@@ -280,7 +271,6 @@ def commit_assignment(state: LtaState, chosen: Candidate) -> LtaState:
     for em in ci.eligible[o]:
         candidates[em].pop(o, None)
         pending[em].discard(o)
-    state.unscheduled.discard(o)
     state.open_ops[f].discard(o)
     state.p_sum -= ci.proc[o]
     state.s_sum -= ci.setup[o]

@@ -10,7 +10,8 @@ baselines.  A machine policy narrows the candidates before the rule scores
 them (`list_scheduler._select_pool`): FFM to the first-freed machines
 (minimal clock), LFM to the least-loaded ones, a machine's load being its
 clock plus each schedulable operation's processing time divided by the
-operation's number of eligible machines.
+operation's number of eligible machines.  LFM counts every open operation
+eligible on the machine, whether or not it has a slot this round.
 
 A `Candidate` names its machine and operation by `engine.compile_instance`
 indices and carries every number a rule reads, so rules look nothing up.

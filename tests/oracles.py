@@ -16,7 +16,9 @@ bookkeeping with the solvers.
 reference its on-demand pack search is checked against, and the
 `*_priority` functions are the ATC-family formulas written out one rule
 per function, the reference for `rules.select_assignment`'s scorers.
-`always_open` only builds operator windows for hand-made instances.
+`always_open` only builds operator windows for hand-made instances, and
+`refresh_all` brings a list-scheduler state fully up to date, the eager
+reference for its lazy machine walk.
 """
 
 import math
@@ -27,8 +29,8 @@ from typing import NamedTuple
 from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.engine import compile_instance, place_sequences
 from chromsched.errors import NoSlotError
-from chromsched.list_scheduler import (_select_pool, commit_assignment,
-                                       init_state)
+from chromsched.list_scheduler import (_bring_up_to_date, _select_pool,
+                                       commit_assignment, init_state)
 from chromsched.model import ColumnType, Instance, Job, Operation, Schedule
 from chromsched.rules import Candidate, RuleParams
 
@@ -36,6 +38,12 @@ from chromsched.rules import Candidate, RuleParams
 def always_open(start=-math.inf) -> TimeWindowSet:
     """Operator windows covering [start, +inf)."""
     return TimeWindowSet(((start, math.inf),))
+
+
+def refresh_all(state) -> None:
+    """Bring every machine of a list-scheduler state up to date."""
+    for m in range(state.ci.n_machines):
+        _bring_up_to_date(state, m)
 
 
 def window_contains(windows, t) -> bool:

@@ -2,7 +2,7 @@ import csv
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chromsched.cli import main
 from chromsched.jsonio import write_instance
@@ -401,7 +401,9 @@ class TestExperimentAndReport:
             assert fragment in out
 
 
-@settings(max_examples=150, deadline=None)
+# suppress too_slow for the reason given at the fuzz test in test_jsonio
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(doc=maybe(instance_docs), algorithm=st.sampled_from(["lta", "sa"]))
 def test_fuzzed_instances_exit_0_or_2(tmp_path_factory, doc, algorithm):
     # In-process: a traceback would escape `main` and fail the test.

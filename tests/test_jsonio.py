@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chromsched.availability import TimeWindowSet
@@ -232,7 +232,9 @@ instance_docs = st.fixed_dictionaries(
               "horizon_origin": maybe(st.integers(-10**6, 10**6))})
 
 
-@settings(max_examples=300)
+# The first text draw builds Hypothesis' Unicode table, over a second in a
+# checkout with no example database; that is not the test being slow.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(maybe(instance_docs))
 def test_fuzzed_documents_load_or_fail_cleanly(doc):
     try:

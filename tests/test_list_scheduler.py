@@ -11,15 +11,15 @@ from chromsched.availability import TimeWindowSet, find_earliest, reserve_step
 from chromsched.errors import SchedulingError
 from chromsched.experiments import parse_algorithm
 from chromsched.generator import GenConfig, generate_instance
-from chromsched.list_scheduler import (_bring_up_to_date, _refresh,
-                                       _select_pool, commit_assignment,
-                                       init_state, run_lta)
+from chromsched.list_scheduler import (_bring_up_to_date, _select_pool,
+                                       commit_assignment, init_state,
+                                       run_lta)
 from chromsched.model import (ColumnType, Instance, Job, Operation,
                               total_tardiness, validate_schedule)
 from chromsched.rules import MachinePolicy, Rule, RuleParams, select_assignment
 
-from oracles import (always_open, run_lta_full_recompute, scan_earliest,
-                     sgs_optimum)
+from oracles import (always_open, refresh_all, run_lta_full_recompute,
+                     scan_earliest, sgs_optimum)
 
 
 def tiny_instance(ops_spec, machines=("m0", "m1"), columns=(("fA", 1), ("fB", 1)),
@@ -68,7 +68,7 @@ def contention_instance(seed):
 def candidate_times(state):
     """Every feasible (machine, operation) candidate of `state` after a
     refresh, in (machine id, job id, operation id) order."""
-    _refresh(state)
+    refresh_all(state)
     return sorted(c for cached in state.candidates
                   for c in cached.values() if c is not None)
 
@@ -298,7 +298,7 @@ class TestRunLta:
                 rng = random.Random(seed)
                 for _ in range(state.ci.n_ops):
                     eager = copy.deepcopy(state, {id(state.ci): state.ci})
-                    _refresh(eager)
+                    refresh_all(eager)
                     assert not eager.stale and not any(eager.pending)
                     eager_rng = random.Random()
                     eager_rng.setstate(rng.getstate())
@@ -308,6 +308,20 @@ class TestRunLta:
                     assert rng.getstate() == eager_rng.getstate()
                     commit_assignment(state, chosen)
 
+    def test_lfm_walk_leaves_machines_with_a_larger_load_stale(self):
+        # loads 20, 40, 60 and 80 on four machines, all feasible: LFM's walk
+        # stops at m0 and refreshes no other machine
+        machines = ("m0", "m1", "m2", "m3")
+        inst = tiny_instance(
+            [[("fA", 20, 10, (m,))] for k, m in enumerate(machines)
+             for _ in range(k + 1)],
+            machines=machines, columns=(("fA", 10),))
+        state = init_state(inst)
+        chosen = _select_pool(state, parse_algorithm("lfm_lfo").rule_params,
+                              random.Random(0))
+        assert chosen.machine == 0
+        assert state.stale == {1, 2, 3}
+
     def test_monotone_clocks_and_exact_commit_count(self):
         inst = generate_instance(GenConfig(n_jobs=8, n_routings=3, seed=5,
                                            unchecked=True))
@@ -316,7 +330,7 @@ class TestRunLta:
         rng = random.Random(0)
         clocks_before = list(state.clocks)
         commits = 0
-        while state.unscheduled:
+        while state.n_unscheduled:
             cands = candidate_times(state)
             chosen = select_assignment(
                 cands, params, rng,

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from chromsched.list_scheduler import (_refresh, _select_pool,
-                                       commit_assignment, init_state, run_lta)
+from chromsched.availability import TimeWindowSet
+from chromsched.list_scheduler import (_select_pool, commit_assignment,
+                                       init_state, run_lta)
 from chromsched.model import ColumnType, Instance, Job, Operation
 from chromsched.rules import (Candidate, MachinePolicy, Rule, RuleParams,
                               _scorer, select_assignment)
 
 from oracles import (always_open, atc_priority, atcoee_priority,
-                     atcoeef_priority, atcs_priority)
+                     atcoeef_priority, atcs_priority, refresh_all)
 from test_list_scheduler import candidate_times
 
 
@@ -67,7 +68,7 @@ def one_op_jobs(specs, machines):
 
 def policy_then_rule(state, params):
     """The list scheduler's selection step on `state`."""
-    _refresh(state)
+    refresh_all(state)
     return _select_pool(state, params, random.Random(0))
 
 
@@ -236,6 +237,29 @@ class TestSelectAssignment:
         state = init_state(inst)
         got = policy_then_rule(state, params)
         assert ids(state, got) == ("d.1", "m1")
+
+    def test_lfm_load_counts_an_operation_with_no_window_left(self):
+        # One operator window, [0, 10).  b.1 is released at 100 and needs a
+        # setup on m0, so no window is left for it this round.  LFM counts
+        # every open operation eligible on the machine, with a slot or not:
+        # m0's load is 10 + 20 against m1's 15, so LFM picks m1.  Counting
+        # only the pairs with a slot, m0's would be 10 and it would win.
+        def job(job_id, release, p, machine):
+            return Job(id=job_id, release=release, due=10_000, operations=(
+                Operation(id=f"{job_id}.1", job_id=job_id, family="fA",
+                          processing=p, setup=5,
+                          eligible=frozenset((machine,))),))
+
+        inst = Instance(machines=("m0", "m1"),
+                        column_types=(ColumnType("fA", 2),),
+                        operator_windows=TimeWindowSet(((0, 10),)),
+                        jobs=(job("a", 0, 10, "m0"), job("b", 100, 20, "m0"),
+                              job("c", 0, 15, "m1")))
+        state = init_state(inst)
+        params = RuleParams(rule=Rule.LFO, machine_policy=MachinePolicy.LFM)
+        got = policy_then_rule(state, params)
+        assert state.candidates[0][state.ci.op_index["b.1"]] is None
+        assert ids(state, got) == ("c.1", "m1")
 
     def test_edd_picks_earliest_due(self):
         pool = [cand(op=0, due=500), cand(op=1, due=200)]
