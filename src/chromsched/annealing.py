@@ -104,63 +104,41 @@ def initial_temperature(mean_delta: float, accept_prob: float) -> float:
 
 
 class _Solution:
-    """A decoded solution with the lookups proposals need; `decode` is the
-    base the next proposal's decode resumes from.  With `previous`, the
-    solution whose decode is `decode`'s base, only the weights of the jobs
-    of `decode.changed` are recomputed: every other operation kept its
-    completion."""
+    """A decode and the draw table its proposals read: each operation's
+    share of the total tardiness (`weights`), their running sums (`op_cum`)
+    and their total (`op_total`).  `decode` is the base the next proposal's
+    decode resumes from.  Only the jobs of `decode.changed` are reweighed:
+    with `previous`, the solution whose decode is `decode`'s base, every
+    other operation kept its completion and keeps its weight; without, the
+    decode must have no base, so every operation is changed."""
 
-    __slots__ = ("decode", "seqs", "tardiness", "starts", "comps", "setups",
-                 "machine_of", "weights", "op_cum", "op_total")
+    __slots__ = ("decode", "weights", "op_cum", "op_total")
 
     def __init__(self, ci: CompiledInstance, decode,
                  previous: _Solution | None = None):
         self.decode = decode
-        self.seqs = decode.seqs
-        self.tardiness = decode.tardiness
-        self.starts = decode.starts
-        self.comps = decode.comps
-        self.setups = decode.setups
-        self.machine_of = decode.machine_of
-        if previous is None:
-            weights = _op_weights(ci, decode.comps)
-        else:
-            weights = previous.weights[:]
-            job, comps = ci.job, decode.comps
-            for j in {job[o] for o in decode.changed}:
-                _job_weights(ci, comps, j, weights)
+        weights = [0.0] * ci.n_ops if previous is None else previous.weights[:]
+        job = ci.job
+        for j in {job[o] for o in decode.changed}:
+            _job_weights(ci, decode, j, weights)
         self.weights = weights
         self.op_cum = list(accumulate(weights))
         self.op_total = self.op_cum[-1] if self.op_cum else 0.0
 
 
-def _op_weights(ci: CompiledInstance, comps) -> list[float]:
-    """Selection weight of each operation: its share of total tardiness.
-
-    A job's tardiness is split over its late-finishing operations in
-    proportion to their own lateness, so the weights sum to the schedule's
-    total tardiness and on-time operations get weight zero.
-    """
-    weights = [0.0] * ci.n_ops
-    for j in range(len(ci.job_ops)):
-        _job_weights(ci, comps, j, weights)
-    return weights
-
-
-def _job_weights(ci: CompiledInstance, comps, j: int,
+def _job_weights(ci: CompiledInstance, decode, j: int,
                  weights: list[float]) -> None:
-    """Write job j's operations' weights (see `_op_weights`) into `weights`."""
+    """Write job j's operations' selection weights into `weights`: the job's
+    tardiness split over its late-finishing operations in proportion to
+    their own lateness, so the weights sum to the schedule's total
+    tardiness and on-time operations get weight zero."""
     ops = ci.job_ops[j]
-    due = ci.job_due[j]
-    worst = comps[ops[0]]
-    for o in ops:
-        if comps[o] > worst:
-            worst = comps[o]
-    job_tardiness = worst - due
-    if job_tardiness <= 0:
+    job_tardiness = decode.job_tardiness[j]
+    if not job_tardiness:
         for o in ops:
             weights[o] = 0.0
         return
+    due, comps = ci.job_due[j], decode.comps
     total = 0
     for o in ops:
         late = comps[o] - due
@@ -222,7 +200,8 @@ def _pack_end(sol: _Solution, seq: list[int], i: int) -> int:
     """The first position at or after i (0 < i) that does not continue the
     pack of seq[i - 1]: one that sets up or starts later than its
     predecessor's completion, or len(seq)."""
-    starts, comps, setups = sol.starts, sol.comps, sol.setups
+    d = sol.decode
+    starts, comps, setups = d.starts, d.comps, d.setups
     n = len(seq)
     while i < n and not setups[seq[i]] and starts[seq[i]] == comps[seq[i - 1]]:
         i += 1
@@ -233,7 +212,8 @@ def _pack_of(sol: _Solution, seq: list[int], p: int) -> tuple[int, int]:
     """(lo, hi) of the pack seq[lo:hi] that holds position p: the maximal
     same-family run around it with no setup or idle gap inside (no setup
     means the family of the previous operation on the machine)."""
-    starts, comps, setups = sol.starts, sol.comps, sol.setups
+    d = sol.decode
+    starts, comps, setups = d.starts, d.comps, d.setups
     lo = p
     while lo and not setups[seq[lo]] and starts[seq[lo]] == comps[seq[lo - 1]]:
         lo -= 1
@@ -249,12 +229,13 @@ def _second_items(ci: CompiledInstance, sol: _Solution, move: _Move, m1: int,
     is listed from the first block that starts at or after `ready`, found
     by bisection (starts rise along a sequence)."""
     exchanging, by_op, need_family, _ = move
-    starts, family, eligible_mask = sol.starts, ci.family, ci.eligible_mask
+    d, family, eligible_mask = sol.decode, ci.family, ci.eligible_mask
+    starts = d.starts
     start_of = starts.__getitem__
     m1_bit = 1 << m1
     cands = []
     for m in machines:
-        seq = sol.seqs[m]
+        seq = d.seqs[m]
         i = bisect_left(seq, ready, key=start_of)
         if by_op:
             for pos in range(i, bisect_left(seq, s1, i, key=start_of)):
@@ -296,8 +277,9 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
     o1 = _draw_index(sol.op_cum, sol.op_total, rng)
     if o1 in failed:
         return None
-    m1 = sol.machine_of[o1]
-    seq = sol.seqs[m1]
+    d = sol.decode
+    m1 = d.machine_of[o1]
+    seq = d.seqs[m1]
     lo1 = seq.index(o1)
     if by_op:
         hi1 = lo1 + 1
@@ -308,10 +290,10 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
             if hi1 == len(seq):
                 failed.add(o1)
                 return None
-            return _move(sol.decode, m1, hi1, _pack_end(sol, seq, hi1 + 1),
+            return _move(d, m1, hi1, _pack_end(sol, seq, hi1 + 1),
                          m1, lo1, hi1, True)
         ready = min(map(ci.release.__getitem__, seq[lo1:hi1]))
-    s1 = sol.starts[seq[lo1]]
+    s1 = d.starts[seq[lo1]]
     if s1 <= ready:
         failed.add(o1)
         return None
@@ -334,7 +316,7 @@ def _attempt(ci: CompiledInstance, sol: _Solution, move: _Move,
         failed.add(key)
         return None
     m2, lo2, hi2 = cands[rng.randrange(len(cands))]
-    return _move(sol.decode, m1, lo1, hi1, m2, lo2, hi2, exchanging)
+    return _move(d, m1, lo1, hi1, m2, lo2, hi2, exchanging)
 
 
 def _propose(ci: CompiledInstance, sol: _Solution, move: _Move,
@@ -472,8 +454,8 @@ def run_sa(instance: Instance, initial: Schedule,
     for o, p in zip(order, placements):
         machine_of[o] = ci.machine_index[p.machine]
     current = _Solution(ci, place_sequences(ci, order, machine_of))
-    if current.tardiness < best_tardiness:
-        best_tardiness = current.tardiness
+    if current.decode.tardiness < best_tardiness:
+        best_tardiness = current.decode.tardiness
         best = current.decode
 
     def budget_left() -> bool:
@@ -511,7 +493,7 @@ def run_sa(instance: Instance, initial: Schedule,
             else:
                 evaluated += 1
                 new_tardiness = placed.tardiness
-                delta = new_tardiness - current.tardiness
+                delta = new_tardiness - current.decode.tardiness
                 if temperature is None:
                     abs_delta_sum += abs(delta)
                     abs_delta_count += 1
@@ -528,7 +510,7 @@ def run_sa(instance: Instance, initial: Schedule,
                         best_tardiness = new_tardiness
                         best = placed
         temperatures.append(temperature or 0.0)
-        currents.append(current.tardiness)
+        currents.append(current.decode.tardiness)
         bests.append(best_tardiness)
         if temperature is None:
             continue

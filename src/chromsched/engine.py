@@ -48,12 +48,12 @@ The tardiness is read off the change.  A job's tardiness depends only on
 its operations' completions, and an operation's completion differs from
 `base`'s only if the decode searched it: every other placement repeats
 `base`'s.  The decode lists each searched operation whose completion
-differs (`changed`), so every other job has `base`'s completions and
-tardiness, and the total is `base`'s plus, for each job of a changed
-operation, its new tardiness minus its old.  Integer sums make this
-exact.  A decode with no `base` takes every `base` completion as -inf:
-every operation is then changed, every old tardiness is 0, and the
-total starts from 0.
+differs (`changed`), so every other job keeps `base`'s completions and
+its tardiness in `base.job_tardiness`.  Each job of a changed operation
+gets its tardiness from its completions, and the total is `base`'s plus
+its new tardiness minus its old.  Integer sums make this exact.  A decode
+with no `base` takes every `base` completion as -inf: every operation is
+then changed, every old tardiness is 0, and the total starts from 0.
 """
 
 from __future__ import annotations
@@ -175,9 +175,10 @@ class _Decode(NamedTuple):
     and machines, each operation's same-family predecessor in list order
     (-1 for none) and earliest allowed start t_min, the list and each
     operation's position in it, each family's last placed operation (-1 for
-    none), and the operations whose completion differs from `base`'s, in
-    list order (every operation when there is no `base`).  Nothing in it
-    is mutated after the decode."""
+    none), the operations whose completion differs from `base`'s, in list
+    order (every operation when there is no `base`), and each job's
+    tardiness, which sums to the total.  Nothing in it is mutated after the
+    decode."""
 
     seqs: list[list[int]]
     tardiness: int
@@ -191,6 +192,7 @@ class _Decode(NamedTuple):
     pos_of: list[int]
     last: list[int]
     changed: list[int]
+    job_tardiness: list[int]
 
 
 #: A family's entry in `last` until a resumed decode first meets it.
@@ -216,10 +218,11 @@ def place_sequences(ci: CompiledInstance, order: list[int],
     Each family's last operation before `first` is restored when the
     decode first meets the family, by walking `base.family_pred` back from
     the operation it meets; a family it never meets keeps `base.last`'s.
-    The tardiness is `base`'s plus the change in the jobs of the operations
-    whose completion changed (module docstring).  The result is the one a
-    full decode gives.  `base` is only read, so it stays usable after a
-    NoSlotError.
+    Only the jobs of the operations whose completion changed get their
+    tardiness worked out; the others keep `base.job_tardiness`'s, and the
+    total is `base`'s plus the change (module docstring).  The result is
+    the one a full decode gives.  `base` is only read, so it stays usable
+    after a NoSlotError.
 
     From `first` on, the decode searches only what the change can move (the
     module docstring has the rule and its proof).  An operation of a clean
@@ -365,31 +368,26 @@ def place_sequences(ci: CompiledInstance, order: list[int],
         last_family[m] = f
         clocks[m] = c
 
-    tardiness = 0
-    if base is not None:
-        last = [b if o == _UNMET else o for o, b in zip(last, base.last)]
-        tardiness = base.tardiness
     job, job_ops, job_due = ci.job, ci.job_ops, ci.job_due
-    done = set()
-    for o in changed:
-        j = job[o]
-        if j in done:
-            continue
-        done.add(j)
+    if base is None:
+        tardiness, job_tardiness = 0, [0] * len(job_due)
+    else:
+        last = [b if o == _UNMET else o for o, b in zip(last, base.last)]
+        tardiness, job_tardiness = base.tardiness, base.job_tardiness[:]
+    for j in {job[o] for o in changed}:
         ops = job_ops[j]
-        now, was = comps[ops[0]], base_comps[ops[0]]
+        now = comps[ops[0]]
         for x in ops:
             if comps[x] > now:
                 now = comps[x]
-            if base_comps[x] > was:
-                was = base_comps[x]
-        due = job_due[j]
-        if now > due:
-            tardiness += now - due
-        if was > due:
-            tardiness -= was - due
+        late = now - job_due[j]
+        if late < 0:
+            late = 0
+        tardiness += late - job_tardiness[j]
+        job_tardiness[j] = late
     return _Decode(seqs, tardiness, starts, comps, setups, machine_of,
-                   family_pred, t_mins, order, pos_of, last, changed)
+                   family_pred, t_mins, order, pos_of, last, changed,
+                   job_tardiness)
 
 
 def schedule_from_arrays(ci: CompiledInstance, seqs: list[list[int]],

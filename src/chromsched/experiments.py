@@ -9,6 +9,7 @@ on the log scale multiplies mean tardiness by 10^x.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -83,21 +84,25 @@ def write_observations(observations, path) -> None:
 
 
 def read_observations(path) -> list[Observation]:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            content = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     out = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        if tuple(next(reader, ())) != CSV_COLUMNS:
-            raise ValueError(f"{path}: expected columns {','.join(CSV_COLUMNS)}")
-        for row in filter(None, reader):  # blank lines carry no row
-            if len(row) != len(_COLUMNS):
-                raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(_COLUMNS)} values, got {len(row)}")
-            try:
-                out.append(Observation(**{
-                    field: parse(text)
-                    for (_, field, parse), text in zip(_COLUMNS, row)}))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(content, newline=""))
+    if tuple(next(reader, ())) != CSV_COLUMNS:
+        raise ValueError(f"{path}: expected columns {','.join(CSV_COLUMNS)}")
+    for row in filter(None, reader):  # blank lines carry no row
+        if len(row) != len(_COLUMNS):
+            raise ValueError(f"{path}:{reader.line_num}: expected "
+                             f"{len(_COLUMNS)} values, got {len(row)}")
+        try:
+            out.append(Observation(**{
+                field: parse(text)
+                for (_, field, parse), text in zip(_COLUMNS, row)}))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
@@ -365,7 +370,8 @@ def anova_effects(observations, response: str = "logTardiness",
     term's mean square against the residual (which absorbs higher-order
     interactions and replicate noise) at the 5 % level, `_ALPHA`.  Failed
     runs (tardiness < 0) are refused: their logTardiness of 0 would score
-    them as optimal.  So is an empty factor list, a single-level factor,
+    them as optimal.  So is a non-finite response, which would make every
+    mean and F statistic nan, an empty factor list, a single-level factor,
     whose term has no degrees of freedom to test, and a response or factor
     that is not a results column.
     """
@@ -390,6 +396,11 @@ def anova_effects(observations, response: str = "logTardiness",
             "(tardiness < 0); rerun or drop them before the analysis")
     y = [float(o.value(response)) for o in observations]
     n = len(y)
+    non_finite = sum(1 for v in y if not math.isfinite(v))
+    if non_finite:
+        raise ValueError(
+            f"{non_finite} of {n} observations have a non-finite {response}; "
+            "rerun or drop them before the analysis")
     level_values = {f: [o.value(f) for o in observations] for f in factors}
 
     cell_counts = Counter(tuple(values[i] for values in level_values.values())

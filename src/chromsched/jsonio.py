@@ -196,6 +196,8 @@ def _dump(obj, path) -> None:
 def _load(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError:

@@ -372,15 +372,15 @@ def pack_partition(ci, sol) -> list[list[Pack]]:
     """Each machine's packs in sequence order, built by one pass over the
     sequence from the decoded starts, completions and setup flags of an
     annealer solution, the members' weights read off its `op_cum`."""
-    op_w = sol.op_cum
+    op_w, d = sol.op_cum, sol.decode
     packs = []
-    for m, seq in enumerate(sol.seqs):
+    for m, seq in enumerate(d.seqs):
         per_machine = []
         i = 0
         while i < len(seq):
             k = i + 1
-            while (k < len(seq) and not sol.setups[seq[k]]
-                   and sol.starts[seq[k]] == sol.comps[seq[k - 1]]):
+            while (k < len(seq) and not d.setups[seq[k]]
+                   and d.starts[seq[k]] == d.comps[seq[k - 1]]):
                 k += 1
             members = seq[i:k]
             mask = -1
@@ -389,7 +389,7 @@ def pack_partition(ci, sol) -> list[list[Pack]]:
             weight = sum(op_w[o] - (op_w[o - 1] if o else 0.0)
                          for o in members)
             per_machine.append(Pack(
-                m, i, k, ci.family[members[0]], sol.starts[members[0]],
+                m, i, k, ci.family[members[0]], d.starts[members[0]],
                 min(ci.release[o] for o in members), mask,
                 tuple(mm for mm in range(ci.n_machines) if mask >> mm & 1),
                 weight))

@@ -12,8 +12,8 @@ import pytest
 from chromsched import annealing, engine
 from chromsched.annealing import (_MOVES, _RESAMPLE_LIMIT, SaParams,
                                   Structure, _attempt, _draw_index, _move,
-                                  _op_weights, _pack_of, _propose,
-                                  _second_items, _Solution,
+                                  _pack_of, _propose, _second_items,
+                                  _Solution,
                                   initial_temperature, run_sa)
 from chromsched.availability import TimeWindowSet
 from chromsched.engine import (compile_instance, place_sequences,
@@ -100,7 +100,8 @@ def greedy_solution(inst):
 
 
 def schedule_of(ci, sol):
-    return schedule_from_arrays(ci, sol.seqs, sol.starts, sol.comps, sol.setups)
+    d = sol.decode
+    return schedule_from_arrays(ci, d.seqs, d.starts, d.comps, d.setups)
 
 
 def op_ids_on(ci, proposal, machine):
@@ -110,7 +111,8 @@ def op_ids_on(ci, proposal, machine):
 
 
 def pack_ops(ci, sol, pack):
-    return tuple(ci.op_ids[o] for o in sol.seqs[pack.machine][pack.lo:pack.hi])
+    seq = sol.decode.seqs[pack.machine]
+    return tuple(ci.op_ids[o] for o in seq[pack.lo:pack.hi])
 
 
 #: The paper's move rows 1-7, row r at index r - 1, and SIMPLE's one move.
@@ -247,7 +249,7 @@ class TestDecode:
 
 def on_demand_packs(sol, m):
     """Machine m's packs as `_pack_of` finds them from each position."""
-    seq = sol.seqs[m]
+    seq = sol.decode.seqs[m]
     return sorted({_pack_of(sol, seq, p) for p in range(len(seq))})
 
 
@@ -298,12 +300,12 @@ class TestItemSelection:
 
     def test_weights_are_tardiness_shares(self):
         ci, sol = self.make_three_late_jobs()
-        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
+        weights = dict(zip(ci.op_ids, sol.weights))
         assert weights == {"j0.1": 10.0, "j1.1": 30.0, "j2.1": 60.0}
         total = sum(weights.values())
         assert [weights[k] / total for k in ("j0.1", "j1.1", "j2.1")] == [
             pytest.approx(0.1), pytest.approx(0.3), pytest.approx(0.6)]
-        assert sol.op_total == total == sol.tardiness
+        assert sol.op_total == total == sol.decode.tardiness
 
     def test_pack_weights_sum_member_shares(self):
         # A pack is drawn through its members, so its draw mass is the sum
@@ -318,9 +320,10 @@ class TestItemSelection:
         drawn = {p.machine: 0 for p in packs}
         for _ in range(2000):
             o = _draw_index(sol.op_cum, sol.op_total, rng)
-            seq = sol.seqs[sol.machine_of[o]]
+            m = sol.decode.machine_of[o]
+            seq = sol.decode.seqs[m]
             assert _pack_of(sol, seq, seq.index(o)) == (0, 1)
-            drawn[sol.machine_of[o]] += 1
+            drawn[m] += 1
         assert [drawn[m] / 2000 for m in range(3)] == [
             pytest.approx(0.1, abs=0.03), pytest.approx(0.3, abs=0.03),
             pytest.approx(0.6, abs=0.03)]
@@ -341,7 +344,7 @@ class TestItemSelection:
             ("j0", 0, 50, [("fA", 30, 0, ("m0",)), ("fB", 80, 0, ("m1",))]),
         ], machines=("m0", "m1"))
         ci, sol = solution(inst, {"m0": ("j0.1",), "m1": ("j0.2",)})
-        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
+        weights = dict(zip(ci.op_ids, sol.weights))
         assert sum(weights.values()) == pytest.approx(
             total_tardiness(schedule_of(ci, sol), inst))
         # the op finishing on time contributes nothing
@@ -354,15 +357,16 @@ class TestItemSelection:
             ("j1", -10_000, -9_985, [("fB", 40, 0, ("m1",))]),
         ], machines=("m0", "m1")), horizon_origin=-10_000)
         ci, sol = solution(inst, {"m0": ("j0.1",), "m1": ("j1.1",)})
-        assert sol.tardiness == 45
-        weights = dict(zip(ci.op_ids, _op_weights(ci, sol.comps)))
+        assert sol.decode.tardiness == 45
+        weights = dict(zip(ci.op_ids, sol.weights))
         assert weights == {"j0.1": 20.0, "j1.1": 25.0}
         assert sol.op_total == 45.0
 
     def test_kept_weights_equal_a_full_computation(self, monkeypatch):
         # A random walk over every mechanism: each accepted solution keeps
         # its base's weights and recomputes only the jobs of the operations
-        # whose completion changed.  Floats are compared bit for bit.
+        # whose completion changed.  A fresh solution of the full decode of
+        # the same list weighs every job; floats are compared bit for bit.
         searches = []
 
         def counting(*args):
@@ -394,11 +398,11 @@ class TestItemSelection:
                 if rng.random() < 0.5:
                     continue
                 kept = _Solution(ci, decoded, sol)
-                full = _Solution(ci, decoded)
                 # one search per searched operation; each changed one was
                 searched_unchanged += len(searches) - len(decoded.changed)
+                full = _Solution(ci, place_sequences(ci, order, machine_of))
                 assert ([w.hex() for w in kept.weights]
-                        == [w.hex() for w in _op_weights(ci, decoded.comps)])
+                        == [w.hex() for w in full.weights])
                 assert ([w.hex() for w in kept.op_cum]
                         == [w.hex() for w in full.op_cum])
                 sol = kept
@@ -483,7 +487,7 @@ class TestPackDraw:
         for ci, sol in walk(cfg):
             for packs in pack_partition(ci, sol):
                 for p in packs:
-                    seq = sol.seqs[p.machine]
+                    seq = sol.decode.seqs[p.machine]
                     assert [_pack_of(sol, seq, pos)
                             for pos in range(p.lo, p.hi)] == (
                         [(p.lo, p.hi)] * (p.hi - p.lo))
@@ -504,7 +508,7 @@ class TestPackDraw:
             ref = pack_partition(ci, sol)
             for packs in ref:
                 for p, after in zip(packs, packs[1:] + [None]):
-                    seq = sol.seqs[p.machine]
+                    seq = sol.decode.seqs[p.machine]
                     for o in seq[p.lo:p.hi]:
                         if sol.weights[o] <= 0:
                             continue
@@ -746,7 +750,7 @@ class TestProposeNeighbor:
             order, machine_of, _ = proposal
             proposals += 1
             neighbor = machine_sequences(order, machine_of, ci.n_machines)
-            for seq, new_seq in zip(sol.seqs, neighbor):
+            for seq, new_seq in zip(sol.decode.seqs, neighbor):
                 assert (sorted(ci.family[o] for o in seq)
                         == sorted(ci.family[o] for o in new_seq))
         assert proposals > 0
@@ -938,7 +942,8 @@ def decode_fields(decoded):
     # `changed` is left out: a full decode lists every operation
     return (decoded.seqs, decoded.tardiness, decoded.starts, decoded.comps,
             decoded.setups, decoded.machine_of, decoded.family_pred,
-            decoded.t_mins, decoded.order, decoded.pos_of, decoded.last)
+            decoded.t_mins, decoded.order, decoded.pos_of, decoded.last,
+            decoded.job_tardiness)
 
 
 def full_or_error(ci, order, machine_of):
@@ -991,7 +996,7 @@ class TestResumedDecode:
                 changed += bool(resumed.changed)
                 compared += 1
                 if rng.random() < 0.5:
-                    sol = _Solution(ci, resumed)
+                    sol = _Solution(ci, resumed, sol)
         assert compared > 100 and len(rows) == len(MOVES)
         assert changed > 50
 
@@ -1107,6 +1112,56 @@ class TestResumedDecode:
         assert (decode_fields(place_sequences(ci, moved, on_m0, base, 17))
                 == full_or_error(ci, moved, on_m0))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_job_tardiness_along_chains_of_resumed_decodes(self, seed):
+        # A random chain: each step moves one operation to a random list
+        # position and eligible machine and decodes from the first changed
+        # position.  Half of the decodes become the next base; the operator
+        # windows end at the greedy schedule's last setup, so many moves
+        # raise NoSlotError and the chain goes on from the same base.
+        inst = generate_instance(GenConfig(
+            n_jobs=30, n_routings=5, n_machines=3, n_column_types=4,
+            seed=seed, unchecked=True))
+        greedy = run_lta(inst)
+        last_setup = max(p.start for p in greedy.placements
+                         if p.setup_performed)
+        inst = replace(inst, operator_windows=TimeWindowSet(tuple(
+            w for w in inst.operator_windows if w[0] <= last_setup)))
+        ci = compile_instance(inst)
+
+        def check(decoded):
+            assert decoded.job_tardiness == [
+                max(0, max(decoded.comps[o] for o in ops) - due)
+                for ops, due in zip(ci.job_ops, ci.job_due)]
+            assert sum(decoded.job_tardiness) == decoded.tardiness
+            assert decoded.tardiness == total_tardiness(schedule_from_arrays(
+                ci, decoded.seqs, decoded.starts, decoded.comps,
+                decoded.setups), inst)
+
+        base = place_sequences(ci, *start_order(ci, greedy))
+        check(base)
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for _ in range(200):
+            order = base.order[:]
+            o = order.pop(rng.randrange(len(order)))
+            order.insert(rng.randrange(len(order) + 1), o)
+            machine_of = base.machine_of[:]
+            machine_of[o] = rng.choice(ci.eligible[o])
+            first = first_difference(base, order, machine_of)
+            try:
+                decoded = place_sequences(ci, order, machine_of, base, first)
+            except NoSlotError:
+                outcomes["no slot"] += 1
+                continue
+            check(decoded)
+            if rng.random() < 0.5:
+                base = decoded
+                outcomes["accepted"] += 1
+            else:
+                outcomes["rejected"] += 1
+        assert min(outcomes[k] for k in ("accepted", "rejected", "no slot")) > 20
+
     def test_a_move_on_one_machine_searches_less_than_it_replays(
             self, monkeypatch):
         inst = generate_instance(GenConfig(
@@ -1125,7 +1180,7 @@ class TestResumedDecode:
 
         find_earliest = engine.find_earliest
         monkeypatch.setattr(engine, "find_earliest", counting)
-        for m, seq in enumerate(sol.seqs):
+        for m, seq in enumerate(base.seqs):
             n = len(seq)
             for lo in (n // 4, n // 2, 3 * n // 4):
                 order, machine_of, first = _move(base, m, n - 1, n, m, lo,
@@ -1263,7 +1318,7 @@ class TestResumedDecode:
                 searches = sum(end is None for end, _ in events)
                 assert len(resumed.changed) <= searches
                 if rng.random() < 0.5:
-                    sol = _Solution(ci, resumed)
+                    sol = _Solution(ci, resumed, sol)
         assert compared > 100 and caught_up > 0
 
     @pytest.mark.parametrize("broken", ["past-first", "before-first"])

@@ -238,6 +238,19 @@ class TestUsageErrors:
             assert err == f"chromsched: {deep}: JSON nested too deeply\n"
             assert out == ""
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "report"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff" + "caf\u00e9".encode("latin-1"))
+        argv = {"validate": ("--instance", str(bad), "--schedule", str(bad)),
+                "solve": ("--instance", str(bad), "--out",
+                          str(tmp_path / "s.json")),
+                "report": ("--results", str(bad))}[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"chromsched: {bad}: not UTF-8 text (")
+
     @pytest.mark.parametrize("parallel", ["0", "-3"])
     def test_parallel_below_1_exits_2(self, tmp_path, capsys, parallel):
         results = tmp_path / "results.csv"

@@ -305,6 +305,21 @@ class TestAnova:
         with pytest.raises(ValueError, match="2 of 40 observations are failed"):
             anova_effects(rows, factors=self.FACTORS)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_response_refused_with_a_count(self, tmp_path, value):
+        rows = synthetic_observations()
+        path = tmp_path / "results.csv"
+        write_observations(rows, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i in (2, 5, 9):
+            cells = lines[i].split(",")
+            cells[7] = value  # logTardiness
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                "3 of 40 observations have a non-finite logTardiness")):
+            anova_effects(read_observations(path), factors=self.FACTORS)
+
     def test_unbalanced_design_rejected(self):
         rows = synthetic_observations()[1:]
         with pytest.raises(ValueError, match="unbalanced"):
